@@ -34,6 +34,12 @@ __all__ = [
 #: Relative tolerance for the agreement of the two closed forms.
 ROUTE_RTOL = 1e-12
 
+#: Relative tolerance for the decoded-rate factors stored by
+#: optimal_allocation against the ones _routes re-derives.  Looser than
+#: ROUTE_RTOL because the stored factors come from float arithmetic on the
+#: channel, while the re-derived ones are 60-digit values.
+LAMBDA_RTOL = 1e-9
+
 _ctx = mpmath.mp.clone()
 _ctx.dps = 60
 
@@ -137,7 +143,7 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     # chain construction stored; a mismatch means the active-state frontier
     # and the breakpoint structure disagree
     for k, (stored, derived) in enumerate(zip(alloc.lam, factors), start=1):
-        if abs(_mpf(stored) / derived - 1) > 1e-9:
+        if abs(_mpf(stored) / derived - 1) > LAMBDA_RTOL:
             raise InternalConsistencyError(
                 f"decoded-rate factor of state {k} is {stored}, power vector implies {derived}"
             )

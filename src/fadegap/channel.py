@@ -40,7 +40,7 @@ class FadingDistribution:
 
     gains and probs must have equal length K >= 1, every probability must be
     positive with total within 1e-9 of one, and every gain must be
-    nonnegative.  Order is irrelevant; :func:`prepare` canonicalizes it.
+    nonnegative and finite.  Order is irrelevant; :func:`prepare` canonicalizes it.
     """
 
     gains: tuple
@@ -64,6 +64,8 @@ class FadingDistribution:
         for k, g in enumerate(self.gains, start=1):
             if not g >= 0:
                 raise ValidationError(f"gains: state {k} has negative gain {g}")
+            if g == math.inf:
+                raise ValidationError(f"gains: state {k} has infinite gain")
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Each state k has a marginal utility ``u_k(z) = F_k / (n_k + z)``: the rate
 value of an extra sliver of cumulative power at level z when layered coding
 targets state k.  Because both n_k and F_k increase with k, any two of these
 hyperbolas cross exactly once, and the pointwise maximum ``u*(z)`` is traced
-by a chain of states built greedily from the strongest state by repeatedly
-jumping to the candidate with the smallest crossing point (largest index on
-ties).  The chain's breakpoints against the power budget [0, 1] single out
-the states that receive positive power.
+by a chain of states.  The reciprocals ``1/u_k(z) = (z + n_k) / F_k`` are
+lines whose slopes ``1/F_k`` strictly decrease in k, so the upper envelope
+of the utilities is the lower envelope of these lines, and one left-to-right
+stack pass over the states builds it (Andrew's monotone chain, also known as
+the convex-hull trick).  The chain's breakpoints against the power budget
+[0, 1] single out the states that receive positive power.
 
 All arithmetic follows the channel's numeric type; with Fraction channels
 the crossing points and tie decisions are exact.
@@ -30,7 +32,8 @@ __all__ = [
 ]
 
 #: Two crossing points closer than this relative gap are treated as the same
-#: point when breaking argmin ties.  The test is purely relative: crossing
+#: point when the chain decides whether a state is popped, so ties resolve to
+#: the largest state index.  The test is purely relative: crossing
 #: points scale with the inverse gains and can be legitimately separated at
 #: any absolute magnitude (geometric gain ladders push them below 1e-20), so
 #: any absolute band would merge genuinely distinct points.  Exact ties
@@ -100,24 +103,29 @@ def _is_tie(a, b):
 def build_chain(ch: PreparedChannel) -> MufChain:
     """Construct the dominating-envelope chain of a prepared channel.
 
-    Starting from state 1, each step minimizes the crossing point over all
-    later states; ties (within TIE_RTOL) resolve to the largest index, so
-    exactly tied hyperbolas collapse into a single jump.
+    States 2..K are pushed in order onto a stack that starts with state 1.
+    Before state l is pushed, the top is popped while l crosses the state
+    beneath it no later than the top does, so the top never leads the
+    envelope.  Crossings within TIE_RTOL count as equal and also pop, so
+    tied states collapse onto the largest index.  The test compares two
+    crossings out of the same state rather than the top's own crossing with
+    l, whose rounding error nearly parallel lines amplify.  Each state is
+    pushed and popped at most once: O(K) crossing evaluations.
     """
     if ch.degenerate or not ch.gains[-1] > 0:
         raise ValidationError("chain construction needs strictly positive gains; run prepare() first")
-    k_states = ch.num_states
 
     pi = [1]
     breakpoints = [-ch.inverse_gains[0]]
-    while pi[-1] < k_states:
-        cur = pi[-1]
-        zs = [(intersection(ch, cur, l), l) for l in range(cur + 1, k_states + 1)]
-        z_min = min(z for z, _ in zs)
-        best = max(l for z, l in zs if _is_tie(z, z_min))
-        z_best = next(z for z, l in zs if l == best)
-        pi.append(best)
-        breakpoints.append(z_best)
+    for l in range(2, ch.num_states + 1):
+        while len(pi) > 1:
+            z = intersection(ch, pi[-2], l)
+            if not (z < breakpoints[-1] or _is_tie(z, breakpoints[-1])):
+                break
+            pi.pop()
+            breakpoints.pop()
+        pi.append(l)
+        breakpoints.append(intersection(ch, pi[-2], l))
 
     s = max(i for i in range(1, len(pi) + 1) if breakpoints[i - 1] <= 0)
     w = max(i for i in range(1, len(pi) + 1) if breakpoints[i - 1] < 1)

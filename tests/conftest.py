@@ -6,17 +6,75 @@ distribution family: K uniform, gains log-uniform in [1e-3, 1e3], flat
 Dirichlet probabilities.
 """
 
+import math
 import random
 
 from hypothesis import strategies as st
 
-from fadegap import FadingDistribution, intersection, muf_value
+from fadegap import (
+    FadingDistribution,
+    MufChain,
+    additive_family,
+    high_snr_instance,
+    intersection,
+    multiplicative_family,
+    muf_value,
+)
 from fadegap.cli import random_distribution
+from fadegap.muf import _is_tie
+
+ADDITIVE_D_GRID = (3, 10, 100, 1e4)
+MULTIPLICATIVE_D_GRID = (0.5, 2, 60, 1e4)
 
 
 def random_channels(n: int, seed: int, max_states: int = 5):
     rng = random.Random(seed)
     return [random_distribution(rng, max_states) for _ in range(n)]
+
+
+def family_points():
+    """(label, distribution) for both worst-case families across their d
+    grids: every K admissible for the additive constraint d > max(K-1, 2)."""
+    for d in ADDITIVE_D_GRID:
+        for k in range(2, 9):
+            if d > max(k - 1, 2):
+                yield f"additive[K={k},d={d}]", additive_family(k, d)
+    for d in MULTIPLICATIVE_D_GRID:
+        for k in range(1, 9):
+            yield f"multiplicative[K={k},d={d}]", multiplicative_family(k, d)
+
+
+def high_snr_ladder(k: int, snr: float = 1e12) -> FadingDistribution:
+    """High-SNR ladder ``r_j = 1-(j-1)/K`` with uniform probabilities: every
+    state lies on the envelope chain, so the chain length is K."""
+    return high_snr_instance([1 - (j - 1) / k for j in range(1, k + 1)], [1 / k] * k, snr)
+
+
+def greedy_chain(ch) -> MufChain:
+    """Reference envelope chain by direct search, O(K * chain length).
+
+    From each chain state, jump to the later state with the smallest crossing
+    point; crossings within TIE_RTOL of that minimum resolve to the largest
+    index.  build_chain must reproduce it exactly.
+    """
+    k_states = ch.num_states
+
+    pi = [1]
+    breakpoints = [-ch.inverse_gains[0]]
+    while pi[-1] < k_states:
+        cur = pi[-1]
+        zs = [(intersection(ch, cur, l), l) for l in range(cur + 1, k_states + 1)]
+        z_min = min(z for z, _ in zs)
+        best = max(l for z, l in zs if _is_tie(z, z_min))
+        z_best = next(z for z, l in zs if l == best)
+        pi.append(best)
+        breakpoints.append(z_best)
+
+    s = max(i for i in range(1, len(pi) + 1) if breakpoints[i - 1] <= 0)
+    w = max(i for i in range(1, len(pi) + 1) if breakpoints[i - 1] < 1)
+    breakpoints.append(math.inf)
+
+    return MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
 
 
 @st.composite

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import assert_chain_ordering, assert_envelope_maximality, random_channels
+from conftest import (
+    assert_chain_ordering,
+    assert_envelope_maximality,
+    family_points,
+    random_channels,
+)
 from fadegap import (
     FadingDistribution,
     additive_family,
@@ -31,9 +36,6 @@ from fadegap import (
 
 LN2 = math.log(2)
 ORACLE_TOL = 1e-7
-
-ADDITIVE_D_GRID = (3, 10, 100, 1e4)
-MULTIPLICATIVE_D_GRID = (0.5, 2, 60, 1e4)
 
 
 def report_line(name: str, ok: bool, detail: str):
@@ -61,19 +63,7 @@ def random_suite():
 
 @pytest.fixture(scope="module")
 def family_suite():
-    instances = []
-    for d in ADDITIVE_D_GRID:
-        for k in range(2, 9):
-            if d > max(k - 1, 2):
-                dist = additive_family(k, d)
-                instances.append(Instance(dist, full_analysis(dist), f"additive[K={k},d={d}]"))
-    for d in MULTIPLICATIVE_D_GRID:
-        for k in range(1, 9):
-            dist = multiplicative_family(k, d)
-            instances.append(
-                Instance(dist, full_analysis(dist), f"multiplicative[K={k},d={d}]")
-            )
-    return instances
+    return [Instance(dist, full_analysis(dist), label) for label, dist in family_points()]
 
 
 def test_criterion_01_oracle_certification(random_suite):

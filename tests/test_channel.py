@@ -66,6 +66,7 @@ def test_prepare_degenerate_single_zero_state():
         ((1, 2), (0.5, -0.5), "non-positive"),
         ((1, 2), (0.5, 0.4), "sum to 1"),
         ((1, -2), (0.5, 0.5), "negative gain"),
+        ((math.inf, 1.0), (0.5, 0.5), "infinite gain"),
     ],
 )
 def test_distribution_validation_errors(gains, probs, match):

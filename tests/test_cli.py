@@ -117,6 +117,17 @@ def test_family_emit_report(capsys):
     assert payload["c_exp"] == pytest.approx(math.log(7 / 6), rel=1e-12)
 
 
+def test_capacity_rejects_infinite_gain(capsys, tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"gains": [math.inf, 1.0], "probs": [0.5, 0.5]}))
+    assert "Infinity" in path.read_text()
+    code, out, err = run_capture(capsys, ["capacity", "--input", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: gains: state 1 has infinite gain")
+    assert "Traceback" not in err
+
+
 def test_family_invalid_d_exits_1(capsys):
     code, _, err = run_capture(
         capsys, ["family", "--kind", "additive", "--states", "5", "--d", "3"]

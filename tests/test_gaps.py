@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from conftest import random_channels
-from fadegap import FadingDistribution, analyze, full_analysis, prepare
+from conftest import assert_envelope_maximality, high_snr_ladder, random_channels
+from fadegap import FadingDistribution, analyze, expected_rate_of, full_analysis, prepare
 
 
 def test_two_state_report():
@@ -78,3 +78,21 @@ def test_boundary_breakpoint_flagged_for_multiplicative_family():
 
     report = analyze(multiplicative_family(3, 2))
     assert report.boundary_breakpoints == (0.0,)
+
+
+def test_long_high_snr_ladder_report():
+    # chain length K; the O(K^2) ordering check and the greedy reference are
+    # too slow here, so the chain is checked through its envelope
+    k = 4096
+    analysis = full_analysis(high_snr_ladder(k))
+    report = analysis.report
+    for value in (report.c_erg, report.c_exp, report.additive_gap, report.multiplicative_gap):
+        assert math.isfinite(value)
+    assert report.additive_gap <= math.log(k)
+    assert report.multiplicative_gap <= k
+    assert report.c_exp == pytest.approx(
+        expected_rate_of(analysis.channel, analysis.allocation.beta), rel=1e-9
+    )
+    inner = analysis.chain.breakpoints[1:-1]
+    assert all(a <= b for a, b in zip(inner, inner[1:]))
+    assert_envelope_maximality(analysis.channel, analysis.chain)

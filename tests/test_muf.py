@@ -9,6 +9,9 @@ from conftest import (
     assert_chain_ordering,
     assert_envelope_maximality,
     channel_distributions,
+    family_points,
+    greedy_chain,
+    high_snr_ladder,
     random_channels,
 )
 from fadegap import (
@@ -21,6 +24,7 @@ from fadegap import (
     multiplicative_family,
     prepare,
 )
+from fadegap.muf import TIE_RTOL
 
 
 @pytest.fixture
@@ -145,6 +149,49 @@ def test_envelope_is_pointwise_maximum_on_random_channels():
     for dist in random_channels(20, seed=22, max_states=8):
         ch = prepare(dist)
         assert_envelope_maximality(ch, build_chain(ch))
+
+
+def test_chain_matches_greedy_reference_on_random_channels():
+    for dist in random_channels(400, seed=23, max_states=12):
+        ch = prepare(dist)
+        assert build_chain(ch) == greedy_chain(ch)
+
+
+def test_chain_matches_greedy_reference_on_family_grid():
+    # exact Fraction channels; every multiplicative crossing lies exactly at 0
+    for label, dist in family_points():
+        ch = prepare(dist)
+        assert build_chain(ch) == greedy_chain(ch), label
+
+
+@pytest.mark.parametrize(
+    "gains, probs",
+    [
+        # three lines 1/u_k nearly concurrent at z = 1, every crossing within
+        # TIE_RTOL of the others
+        ((1.0, 0.5, (1 - 1e-14) / 3), (0.5, 0.25, 0.25)),
+        # z_{1,3} within TIE_RTOL of z_{1,2}, but the nearly parallel lines
+        # of states 2 and 3 push z_{2,3} about 100 times further out
+        ((1.0, 1 / 2.96, (1 - 3e-13) / 3), (0.5, 0.49, 0.01)),
+    ],
+)
+def test_chain_merges_float_near_tie(gains, probs):
+    ch = prepare(FadingDistribution(gains, probs))
+    z12, z13 = intersection(ch, 1, 2), intersection(ch, 1, 3)
+    assert z12 < z13
+    assert z13 - z12 <= TIE_RTOL * z13
+    chain = build_chain(ch)
+    assert chain.pi == (1, 3)
+    assert chain.breakpoints[1] == z13
+    assert chain == greedy_chain(ch)
+
+
+@pytest.mark.parametrize("k", [128, 512, 1024])
+def test_chain_matches_greedy_reference_on_high_snr_ladders(k):
+    ch = prepare(high_snr_ladder(k))
+    chain = build_chain(ch)
+    assert chain.segment_count == k
+    assert chain == greedy_chain(ch)
 
 
 @given(st.floats(1e-3, 1e3), channel_distributions())
