@@ -8,16 +8,26 @@ and the optimum follows the envelope chain: power levels sweep the chain's
 breakpoints clipped to the unit budget.  The resulting capacity admits two
 algebraically equivalent closed forms, a per-state one built on the decoded
 rate factors ``Lambda_k`` and a grouped one over the active states only.
-Both are always evaluated (in a 60-digit working context, since the grouped
-form can cancel through ~40 orders of magnitude on extreme channels) and
-must agree; disagreement means the chain logic is broken and raises.
+Both must agree; disagreement means the chain logic is broken and raises.
+
+The two forms are evaluated on a precision ladder: floats first, then
+mpmath at 60, 120, 240, 480 and 960 digits.  Each rung carries a
+first-order bound on its own error (per-operation rounding, the
+conditioning of the ``F_b - F_a`` and ``n_b - n_a`` differences, and the
+rounding of Fraction inputs) and decides three ways: agreement the bound
+certifies returns the per-state form, disagreement it certifies raises,
+and anything else moves up one rung.  Most channels settle in floats; on
+extreme ones (capacities near zero, gains near 1e-300, the exact
+worst-case families) the grouped form cancels through up to hundreds of
+digits, which the mpmath rungs resolve.  mpmath is imported only when the
+float rung cannot settle a channel.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import Callable, NamedTuple
 
 from .channel import PreparedChannel
 from .errors import InternalConsistencyError, ValidationError
@@ -35,13 +45,24 @@ __all__ = [
 ROUTE_RTOL = 1e-12
 
 #: Relative tolerance for the decoded-rate factors stored by
-#: optimal_allocation against the ones _routes re-derives.  Looser than
-#: ROUTE_RTOL because the stored factors come from float arithmetic on the
-#: channel, while the re-derived ones are 60-digit values.
+#: optimal_allocation against the exact values of the ones the closed forms
+#: re-derive from the power vector.  Looser than ROUTE_RTOL because the
+#: stored factors carry the float rounding of the channel arithmetic.
 LAMBDA_RTOL = 1e-9
 
-_ctx = mpmath.mp.clone()
-_ctx.dps = 60
+#: Relative accuracy a rung must certify for the capacity it returns.
+VALUE_RTOL = 1e-14
+
+#: Working precisions of the mpmath rungs above the float one; the last is
+#: the cap.
+_MP_DIGITS = (60, 120, 240, 480, 960)
+
+#: Largest relative error of a decoded-rate factor or grouped-form ratio a
+#: rung may carry.  Below it the second-order terms a first-order error
+#: bound leaves out stay under 1e-5 of its first-order ones, and widening
+#: the bound by _SLACK covers them.
+_MAX_REL_ERR = 1e-6
+_SLACK = 1.001
 
 
 @dataclass(frozen=True)
@@ -92,16 +113,7 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
         beta[k - 1] = one
 
     n = ch.inverse_gains
-    f = ch.cum_probs
-    lam = [one] * k_states
-    head = (n[pi[w - 1] - 1] + 1) / f[pi[w - 1] - 1]
-    for k in range(1, pi[s - 1] + 1):
-        lam[k - 1] = head * f[pi[s - 1] - 1] / n[pi[s - 1] - 1]
-    for m in range(s + 1, w + 1):
-        a, b = pi[m - 2], pi[m - 1]
-        factor = head * (f[b - 1] - f[a - 1]) / (n[b - 1] - n[a - 1])
-        for k in range(a + 1, b + 1):
-            lam[k - 1] = factor
+    lam = _decoded_rate_factors(n, ch.cum_probs, pi[s - 1 : w])
 
     rates = []
     prev = zero
@@ -112,56 +124,193 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     return PowerAllocation(beta=tuple(beta), lam=tuple(lam), per_state_rate=tuple(rates))
 
 
-def _mpf(x):
-    if isinstance(x, Fraction):
-        return _ctx.mpf(x.numerator) / _ctx.mpf(x.denominator)
-    return _ctx.mpf(x)
+def _decoded_rate_factors(n, f, frontier) -> list:
+    """Decoded-rate factors ``Lambda_k`` of states 1..len(n) for a frontier
+    of active states (1-based, ascending), in the arithmetic of n and f.
 
-
-def _routes(ch: PreparedChannel, alloc: PowerAllocation):
-    """Both closed forms of the expected capacity as 60-digit values."""
-    active = alloc.active_states
-    if not active:
-        raise ValidationError("allocation has no active state; not an optimal allocation")
-    n = [_mpf(x) for x in ch.inverse_gains]
-    f = [_mpf(x) for x in ch.cum_probs]
-    p = [_mpf(x) for x in ch.probs]
-
-    first, last = active[0], active[-1]
+    With ``head = (n_w + 1) / F_w`` for the weakest active state w, each
+    active state b gives ``head * (F_b - F_a) / (n_b - n_a)`` to itself and
+    the states since the previous active state a (``F_0 = n_0 = 0``); the
+    states after w keep the factor 1.
+    """
+    last = frontier[-1]
     head = (n[last - 1] + 1) / f[last - 1]
+    lam = [n[0] / n[0]] * len(n)
+    a, fa, na = 0, 0, 0
+    for b in frontier:
+        lam[a:b] = [head * (f[b - 1] - fa) / (n[b - 1] - na)] * (b - a)
+        a, fa, na = b, f[b - 1], n[b - 1]
+    return lam
 
-    factors = [_ctx.mpf(1)] * ch.num_states
-    value = head * f[first - 1] / n[first - 1]
-    for k in range(1, first + 1):
-        factors[k - 1] = value
-    for a, b in zip(active, active[1:]):
-        value = head * (f[b - 1] - f[a - 1]) / (n[b - 1] - n[a - 1])
-        for k in range(a + 1, b + 1):
-            factors[k - 1] = value
+
+class _Rung(NamedTuple):
+    """Arithmetic of one rung of the precision ladder.
+
+    The rung evaluates a channel only when its inverse gains and
+    probabilities lie strictly inside (lo, hi): for floats that range keeps
+    every intermediate a normal number, so rounding stays relative.
+    """
+
+    num: Callable
+    log: Callable
+    fsum: Callable
+    unit: object
+    lo: float
+    hi: float
+
+
+@functools.lru_cache(maxsize=None)
+def _rung(digits) -> _Rung:
+    """Float arithmetic for ``digits=None``, else an mpmath context."""
+    if digits is None:
+        return _Rung(float, math.log, math.fsum, 2.0**-53, 1e-100, 1e100)
+    import mpmath
+
+    ctx = mpmath.mp.clone()
+    ctx.dps = digits
+
+    def num(x):
+        if isinstance(x, Fraction):
+            return ctx.mpf(x.numerator) / x.denominator
+        return ctx.mpf(x)
+
+    return _Rung(num, ctx.log, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf)
+
+
+def _evaluate(ch: PreparedChannel, alloc: PowerAllocation, active: tuple, rung: _Rung):
+    """Both closed forms on one rung, with first-order error bounds.
+
+    The bounds take every arithmetic operation as exact up to one relative
+    rounding ``unit`` and a log as exact up to two units of its result; a
+    Fraction input converts with relative error ``2 * unit``, which the
+    differences amplify by their conditioning.
+
+    Returns ``(mismatch, per_state, grouped, err_per_state, err_grouped)``.
+    mismatch is None when every stored decoded-rate factor certifiably lies
+    within LAMBDA_RTOL of the exact derived one, the message of the first
+    state that certifiably does not, or True when the rung cannot tell.
+    Returns None when the rung cannot evaluate the channel at all.
+    """
+    last = active[-1]
+    lo, hi = rung.lo, rung.hi
+    if not (lo < ch.inverse_gains[0] and ch.inverse_gains[last - 1] < hi):
+        return None
+    if not lo < min(ch.probs[:last]):
+        return None
+    num, log, u = rung.num, rung.log, rung.unit
+    inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
+    exact = {type(x) for xs in inputs for x in xs} <= {float, int}
+    iota = 0 if exact else 2 * u
+    n, f, p = ([num(x) for x in xs] for xs in inputs)
+
+    lam = _decoded_rate_factors(n, f, active)
+    head = (n[-1] + 1) / f[-1]
+    e_head = 2 * u + 2 * iota
+    lam_err = [0] * last
+    grouped, err_g = [], 0
+    a, fa, na = 0, 0, 0
+    for b in active:
+        df, dn = f[b - 1] - fa, n[b - 1] - na
+        if not (df > 0 and dn > 0):
+            return None
+        # one rounding (none against the zero origin) plus the amplified
+        # input rounding
+        rnd = u if a else 0
+        e_f = rnd + iota * (f[b - 1] + fa) / df
+        e_n = rnd + iota * (n[b - 1] + na) / dn
+        e_lam = e_head + e_f + e_n + 2 * u
+        if e_lam > _MAX_REL_ERR:
+            return None
+        lam_err[a:b] = [e_lam] * (b - a)
+        lr = log(df / dn)
+        grouped.append(df * lr)
+        err_g += df * (e_f + e_n + u + abs(lr) * (e_f + 3 * u))
+        a, fa, na = b, f[b - 1], n[b - 1]
+    lr = log(head)
+    grouped.append(f[-1] * lr)
+    err_g += f[-1] * (e_head + abs(lr) * (iota + 3 * u))
+
+    per_state, err_p = [], 0
+    for pk, x, e in zip(p, lam, lam_err):
+        lr = log(x)
+        per_state.append(pk * lr)
+        err_p += pk * (e + abs(lr) * (iota + 3 * u))
 
     # the factors recovered from the power vector must match the ones the
     # chain construction stored; a mismatch means the active-state frontier
     # and the breakpoint structure disagree
-    for k, (stored, derived) in enumerate(zip(alloc.lam, factors), start=1):
-        if abs(_mpf(stored) / derived - 1) > LAMBDA_RTOL:
-            raise InternalConsistencyError(
-                f"decoded-rate factor of state {k} is {stored}, power vector implies {derived}"
-            )
+    mismatch = None
+    tail = ch.num_states - last
+    for k, (stored, x, e) in enumerate(
+        zip(alloc.lam, lam + [lam[0] / lam[0]] * tail, lam_err + [0] * tail), start=1
+    ):
+        ratio = num(stored) / x
+        dev = abs(ratio - 1)
+        bound = _SLACK * (abs(ratio) * (e + iota + u) + u * dev)
+        if dev + bound <= LAMBDA_RTOL:
+            continue
+        if dev - bound > LAMBDA_RTOL or not math.isfinite(dev):
+            mismatch = f"decoded-rate factor of state {k} is {stored}, power vector implies {x}"
+            break
+        mismatch = True
 
-    per_state = sum((p[k] * _ctx.log(factors[k]) for k in range(ch.num_states)), _ctx.mpf(0))
+    per, grp = rung.fsum(per_state), rung.fsum(grouped)
+    err_p = _SLACK * (err_p + u * abs(per))
+    err_g = _SLACK * (err_g + u * abs(grp))
+    return mismatch, per, grp, err_p, err_g
 
-    grouped = f[first - 1] * _ctx.log(f[first - 1] / n[first - 1])
-    for a, b in zip(active, active[1:]):
-        df = f[b - 1] - f[a - 1]
-        grouped += df * _ctx.log(df / (n[b - 1] - n[a - 1]))
-    grouped += f[last - 1] * _ctx.log((n[last - 1] + 1) / f[last - 1])
 
-    return per_state, grouped
+def _routes(ch: PreparedChannel, alloc: PowerAllocation):
+    """Both closed forms and whether they agree, settled on the precision
+    ladder.
+
+    Returns ``(per_state, grouped, agree)`` from the lowest rung whose error
+    bounds settle the comparison: ``agree`` means the exact values of the
+    two forms lie within ROUTE_RTOL of each other and per_state within
+    VALUE_RTOL of its own exact value; not ``agree`` means they certifiably
+    differ by more than ROUTE_RTOL.  A failure (of the routes or of the
+    decoded-rate factor cross-check, which raises here) is only accepted
+    from an mpmath rung, so a disagreement in floats moves up one rung.
+    """
+    active = alloc.active_states
+    if not active:
+        raise ValidationError("allocation has no active state; not an optimal allocation")
+    if not ch.inverse_gains[active[-1] - 1] < math.inf:
+        raise ValidationError(
+            f"gains: the inverse of the gain {ch.gains[active[-1] - 1]} of active"
+            f" state {active[-1]} overflows double precision"
+        )
+    per = grp = None
+    for digits in (None,) + _MP_DIGITS:
+        rung = _rung(digits)
+        out = _evaluate(ch, alloc, active, rung)
+        if out is None:
+            continue
+        mismatch, per, grp, err_p, err_g = out
+        if isinstance(mismatch, str) and digits is not None:
+            raise InternalConsistencyError(mismatch)
+        if mismatch is not None:
+            continue
+        diff = abs(per - grp)
+        scale = max(abs(per), abs(grp))
+        err = err_p + err_g + rung.unit * diff
+        if diff + err <= ROUTE_RTOL * (scale - err) and err_p <= VALUE_RTOL * abs(per):
+            return per, grp, True
+        if diff - err > ROUTE_RTOL * (scale + err) and digits is not None:
+            return per, grp, False
+    raise InternalConsistencyError(
+        f"closed forms not settled at {_MP_DIGITS[-1]} digits:"
+        f" per-state {per} vs grouped {grp}"
+    )
 
 
 def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
-    """The per-state and grouped closed forms as floats, for cross-checking."""
-    per_state, grouped = _routes(ch, alloc)
+    """The per-state and grouped closed forms as floats, for cross-checking.
+
+    Both come from the rung that settles their comparison; the agreement
+    gate itself is not applied.
+    """
+    per_state, grouped, _ = _routes(ch, alloc)
     return float(per_state), float(grouped)
 
 
@@ -171,9 +320,8 @@ def expected_capacity(ch: PreparedChannel, alloc: PowerAllocation) -> float:
     Evaluates both closed forms and raises InternalConsistencyError if they
     disagree beyond ROUTE_RTOL relative; returns the per-state form.
     """
-    per_state, grouped = _routes(ch, alloc)
-    scale = max(abs(per_state), abs(grouped))
-    if scale > 0 and abs(per_state - grouped) > ROUTE_RTOL * scale:
+    per_state, grouped, agree = _routes(ch, alloc)
+    if not agree:
         raise InternalConsistencyError(
             f"closed forms disagree: per-state {per_state} vs grouped {grouped}"
         )

@@ -13,9 +13,10 @@ hurt) together with the raw unclamped lower bound.
 import math
 from dataclasses import dataclass
 
-from .channel import FadingDistribution, ergodic_capacity, prepare
+# prepare is not called here; perfbench/tracing.py wraps fading_paper.prepare
+from .channel import FadingDistribution, ergodic_capacity, prepare  # noqa: F401
 from .errors import ValidationError
-from .gaps import analyze
+from .gaps import full_analysis
 
 __all__ = ["FadingPaperReport", "fading_paper_report", "worst_case_fp_bracket"]
 
@@ -51,8 +52,8 @@ def fading_paper_report(dist: FadingDistribution, inr: float) -> FadingPaperRepo
     """
     if not inr >= 0:
         raise ValidationError(f"inr must be nonnegative, got {inr}")
-    ch = prepare(dist)
-    report = analyze(dist)
+    analysis = full_analysis(dist)
+    ch, report = analysis.channel, analysis.report
 
     rate = 0.0
     last = ch.num_states - 1

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .allocation import PowerAllocation, expected_capacity, optimal_allocation
 from .channel import FadingDistribution, PreparedChannel, entropy, ergodic_capacity, prepare
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ValidationError
 from .muf import MufChain, build_chain
 
 __all__ = ["CapacityReport", "Analysis", "analyze", "full_analysis"]
@@ -79,13 +79,16 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
 
     chain = build_chain(ch)
     alloc = optimal_allocation(ch, chain)
-    c_exp = expected_capacity(ch, alloc)
     c_erg = ergodic_capacity(ch)
 
-    if ch.num_states == 1:
-        # A single state carries no uncertainty, so the delay constraint is
-        # free and the gaps are exactly zero and one.
-        c_exp = c_erg
+    # A single state carries no uncertainty, so the delay constraint is free,
+    # C_exp = C_erg, and the gaps are exactly zero and one.
+    single = ch.num_states == 1
+    c_exp = c_erg if single else expected_capacity(ch, alloc)
+    if c_exp == 0:
+        # positive but below the smallest float; the gaps divide by it
+        raise ValidationError("expected capacity underflows double precision")
+    if single:
         additive = 0.0
         multiplicative = 1.0
     else:

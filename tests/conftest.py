@@ -8,7 +8,9 @@ Dirichlet probabilities.
 
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 from hypothesis import strategies as st
 
 from fadegap import (
@@ -20,7 +22,9 @@ from fadegap import (
     multiplicative_family,
     muf_value,
 )
+from fadegap.allocation import LAMBDA_RTOL
 from fadegap.cli import random_distribution
+from fadegap.errors import InternalConsistencyError, ValidationError
 from fadegap.muf import _is_tie
 
 ADDITIVE_D_GRID = (3, 10, 100, 1e4)
@@ -75,6 +79,62 @@ def greedy_chain(ch) -> MufChain:
     breakpoints.append(math.inf)
 
     return MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
+
+
+_ctx = mpmath.mp.clone()
+_ctx.dps = 60
+
+
+def _mpf(x):
+    if isinstance(x, Fraction):
+        return _ctx.mpf(x.numerator) / _ctx.mpf(x.denominator)
+    return _ctx.mpf(x)
+
+
+def reference_routes(ch, alloc):
+    """Reference closed forms: both routes in a fixed 60-digit context.
+
+    The per-state form sums ``p_k ln Lambda_k`` with the factors re-derived
+    from the active states, the grouped form sums over the active states;
+    the stored factors are checked against the re-derived ones to
+    LAMBDA_RTOL.  The grouped form can cancel through more than 60 digits,
+    so compare the per-state value only where the certified ladder settles
+    at or below it.
+    """
+    active = alloc.active_states
+    if not active:
+        raise ValidationError("allocation has no active state; not an optimal allocation")
+    n = [_mpf(x) for x in ch.inverse_gains]
+    f = [_mpf(x) for x in ch.cum_probs]
+    p = [_mpf(x) for x in ch.probs]
+
+    first, last = active[0], active[-1]
+    head = (n[last - 1] + 1) / f[last - 1]
+
+    factors = [_ctx.mpf(1)] * ch.num_states
+    value = head * f[first - 1] / n[first - 1]
+    for k in range(1, first + 1):
+        factors[k - 1] = value
+    for a, b in zip(active, active[1:]):
+        value = head * (f[b - 1] - f[a - 1]) / (n[b - 1] - n[a - 1])
+        for k in range(a + 1, b + 1):
+            factors[k - 1] = value
+
+    for k, (stored, derived) in enumerate(zip(alloc.lam, factors), start=1):
+        if abs(_mpf(stored) / derived - 1) > LAMBDA_RTOL:
+            raise InternalConsistencyError(
+                f"decoded-rate factor of state {k} is {stored}, power vector implies {derived}"
+            )
+
+    per_state = sum((p[k] * _ctx.log(factors[k]) for k in range(ch.num_states)), _ctx.mpf(0))
+
+    grouped = f[first - 1] * _ctx.log(f[first - 1] / n[first - 1])
+    for a, b in zip(active, active[1:]):
+        df = f[b - 1] - f[a - 1]
+        grouped += df * _ctx.log(df / (n[b - 1] - n[a - 1]))
+    grouped += f[last - 1] * _ctx.log((n[last - 1] + 1) / f[last - 1])
+
+    return per_state, grouped
 
 
 @st.composite

@@ -3,15 +3,17 @@ import random
 
 import pytest
 
-from conftest import random_channels
+from conftest import high_snr_ladder, random_channels, reference_routes
 from fadegap import (
     FadingDistribution,
     ValidationError,
+    allocation,
     build_chain,
     closed_form_routes,
     envelope_integral,
     expected_capacity,
     expected_rate_of,
+    low_snr_instance,
     multiplicative_family,
     optimal_allocation,
     prepare,
@@ -167,3 +169,58 @@ def test_capacity_is_monotone_in_gains():
         gains[idx] *= 1 + rng.uniform(0.001, 0.2)
         bumped_ch, _, bumped_alloc = pipeline(FadingDistribution(tuple(gains), dist.probs))
         assert expected_capacity(bumped_ch, bumped_alloc) >= base - 1e-12
+
+
+def assert_matches_reference(dist):
+    ch, _, alloc = pipeline(dist)
+    value = expected_capacity(ch, alloc)
+    ref = float(reference_routes(ch, alloc)[0])
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def test_capacity_matches_60_digit_reference_on_random_channels():
+    for dist in random_channels(2000, seed=2718, max_states=8):
+        assert_matches_reference(dist)
+
+
+@pytest.mark.parametrize("k", [128, 1024])
+def test_capacity_matches_60_digit_reference_on_long_ladders(k):
+    assert_matches_reference(high_snr_ladder(k))
+
+
+@pytest.fixture
+def rungs_used(monkeypatch):
+    """Precisions (None for floats) of the rungs each closed-form evaluation
+    reaches."""
+    used = []
+    evaluate = allocation._evaluate
+
+    def counting(*args):
+        used.append(args[-1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(allocation, "_evaluate", counting)
+    return used
+
+
+def test_float_rung_settles_an_ordinary_channel(two_state, rungs_used):
+    ch, _, alloc = two_state
+    expected_capacity(ch, alloc)
+    assert rungs_used == [allocation._rung(None)]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        low_snr_instance((5, 3, 1), (0.2, 0.3, 0.5), 1e-6),
+        multiplicative_family(4, 1e4),
+    ],
+    ids=["low-snr-1e-6", "multiplicative-4-1e4"],
+)
+def test_escalating_channels_match_reference(dist, rungs_used):
+    ch, _, alloc = pipeline(dist)
+    value = expected_capacity(ch, alloc)
+    assert len(rungs_used) > 1
+    ref = float(reference_routes(ch, alloc)[0])
+    exact = math.log1p(float(1 / ch.inverse_gains[-1]))
+    assert abs(value - ref) <= 1e-14 * abs(ref) or value == pytest.approx(exact, rel=1e-14)

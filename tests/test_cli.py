@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fadegap import multiplicative_family
 from fadegap.cli import run, verify_run
 from fadegap.worst_case import SWEEP_CSV_HEADER
 
@@ -126,6 +127,40 @@ def test_capacity_rejects_infinite_gain(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: gains: state 1 has infinite gain")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        ((1e-300, 1e-301), (0.5, 0.5)),
+        ((0.0, 1e-200), (0.5, 0.5)),
+        (32, 60),
+        (16, 1e4),
+        (32, 1e4),
+    ],
+    ids=["gains-1e-300", "gains-0-1e-200", "mult-32-60", "mult-16-1e4", "mult-32-1e4"],
+)
+def test_capacity_of_tiny_capacities_exits_0(capsys, tmp_path, channel):
+    gains, probs = channel
+    if isinstance(gains, int):
+        # JSON carries floats, so the CLI sees the rounded family
+        dist = multiplicative_family(gains, probs)
+        gains, probs = map(float, dist.gains), map(float, dist.probs)
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"gains": list(gains), "probs": list(probs)}))
+    code, out, err = run_capture(capsys, ["capacity", "--input", str(path)])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["c_exp"] > 0
+    assert payload["multiplicative_gap"] >= 1
+
+
+@pytest.mark.parametrize("k, d", [("32", "60"), ("16", "1e4"), ("32", "1e4")])
+def test_family_report_beyond_60_digits_exits_0(capsys, k, d):
+    argv = ["family", "--kind", "multiplicative", "--states", k, "--d", d, "--emit", "report"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["c_exp"] > 0
 
 
 def test_family_invalid_d_exits_1(capsys):

@@ -1,9 +1,18 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from conftest import assert_envelope_maximality, high_snr_ladder, random_channels
-from fadegap import FadingDistribution, analyze, expected_rate_of, full_analysis, prepare
+from fadegap import (
+    FadingDistribution,
+    ValidationError,
+    analyze,
+    expected_rate_of,
+    full_analysis,
+    multiplicative_family,
+    prepare,
+)
 
 
 def test_two_state_report():
@@ -96,3 +105,41 @@ def test_long_high_snr_ladder_report():
     inner = analysis.chain.breakpoints[1:-1]
     assert all(a <= b for a, b in zip(inner, inner[1:]))
     assert_envelope_maximality(analysis.channel, analysis.chain)
+
+
+@pytest.mark.parametrize("k, d", [(32, 60), (16, 1e4), (32, 1e4)])
+def test_exact_family_beyond_60_digits(k, d):
+    # the grouped closed form cancels through more than 60 digits here
+    analysis = full_analysis(multiplicative_family(k, d))
+    report = analysis.report
+    exact = math.log1p(float(1 / analysis.channel.inverse_gains[-1]))
+    assert report.c_exp == pytest.approx(exact, rel=1e-13)
+    assert 1 <= report.multiplicative_gap <= k
+
+
+@pytest.mark.parametrize("gains", [(1e-300, 1e-301), (0.0, 1e-200)])
+def test_capacity_far_below_one_nat(gains):
+    report = analyze(FadingDistribution(gains, (0.5, 0.5)))
+    assert 0 < report.c_exp
+    assert report.c_exp <= report.c_erg
+    assert report.multiplicative_gap >= 1
+    for value in (report.c_erg, report.additive_gap, report.multiplicative_gap):
+        assert math.isfinite(value)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_capacity_below_double_range_is_a_validation_error(k):
+    gains = (Fraction(1, 10**400), Fraction(1, 10**401))[:k]
+    probs = (Fraction(1, k),) * k
+    with pytest.raises(ValidationError, match="underflows double precision"):
+        analyze(FadingDistribution(gains, probs))
+
+
+def test_subnormal_single_state_gain():
+    report = analyze(FadingDistribution((1e-320,), (1.0,)))
+    assert report.c_exp == report.c_erg == 1e-320
+
+
+def test_active_state_with_overflowing_inverse_gain_is_a_validation_error():
+    with pytest.raises(ValidationError, match="overflows double precision"):
+        analyze(FadingDistribution((1e-310, 1e-320), (0.5, 0.5)))
