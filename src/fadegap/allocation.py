@@ -131,14 +131,18 @@ def _decoded_rate_factors(n, f, frontier) -> list:
     With ``head = (n_w + 1) / F_w`` for the weakest active state w, each
     active state b gives ``head * (F_b - F_a) / (n_b - n_a)`` to itself and
     the states since the previous active state a (``F_0 = n_0 = 0``); the
-    states after w keep the factor 1.
+    states after w keep the factor 1.  When head overflows (tiny F_w, huge
+    n_w), ``(F_b - F_a) / F_w`` in (0, 1] goes first, so no intermediate
+    overflows unless the factor does.
     """
     last = frontier[-1]
-    head = (n[last - 1] + 1) / f[last - 1]
+    top, f_w = n[last - 1] + 1, f[last - 1]
+    head = top / f_w
     lam = [n[0] / n[0]] * len(n)
     a, fa, na = 0, 0, 0
     for b in frontier:
-        lam[a:b] = [head * (f[b - 1] - fa) / (n[b - 1] - na)] * (b - a)
+        df, dn = f[b - 1] - fa, n[b - 1] - na
+        lam[a:b] = [head * df / dn if head < math.inf else top * (df / f_w) / dn] * (b - a)
         a, fa, na = b, f[b - 1], n[b - 1]
     return lam
 

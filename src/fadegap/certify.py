@@ -1,0 +1,157 @@
+"""The certification checks of ``verify`` and the tests, each with its tolerance.
+
+A check is a pure function of objects already computed (an Analysis, the
+oracle value, the two closed-form routes, the fading-paper reports).  It
+neither asserts nor prints: it returns a :class:`Margin`.
+"""
+
+import math
+from dataclasses import replace
+from typing import NamedTuple
+
+from .allocation import ROUTE_RTOL
+from .fading_paper import LN2
+from .muf import dominating_muf, intersection, muf_value
+
+__all__ = [
+    "Margin",
+    "oracle_certification",
+    "oracle_not_above_closed_form",
+    "closed_form_route_agreement",
+    "additive_gap_bound",
+    "multiplicative_gap_bound",
+    "per_state_additive_terms",
+    "per_state_multiplicative_terms",
+    "chain_ordering_properties",
+    "envelope_maximality",
+    "fading_paper_brackets",
+]
+
+#: Search resolution (in beta space) the oracle runs at to certify.
+ORACLE_TOL = 1e-7
+#: Largest distance between the oracle value and the closed form.
+ORACLE_ATOL = 1e-6
+#: How far the oracle may land above the closed form, which is the optimum.
+ORACLE_ABOVE_ATOL = 1e-9
+#: Slack on ``A <= ln K``, ``M <= K`` and the per-state lemma terms.
+BOUND_ATOL = 1e-9
+#: Relative slack of the chain ordering properties, floored for z near 0.
+CHAIN_RTOL = 1e-12
+CHAIN_ATOL = 1e-15
+#: Relative gap between the envelope and the best utility, and the number
+#: of grid points it is sampled on.
+ENVELOPE_RTOL = 1e-12
+ENVELOPE_SAMPLES = 100
+#: Slack of the per-state one-bit bracket of the fading-paper rate.
+BRACKET_ATOL = 1e-12
+
+
+class Margin(NamedTuple):
+    """Outcome of one check; worst is the largest deviation it saw, in its
+    own units, and negative when every compared term has slack."""
+
+    ok: bool
+    worst: float
+
+
+def _excess(excess: float, atol: float) -> Margin:
+    return Margin(excess <= atol, excess)
+
+
+def oracle_certification(c_exp: float, oracle: float) -> Margin:
+    """The brute-force optimum lands within ORACLE_ATOL of the closed form."""
+    gap = abs(oracle - c_exp)
+    return Margin(gap <= ORACLE_ATOL, gap)
+
+
+def oracle_not_above_closed_form(c_exp: float, oracle: float) -> Margin:
+    """The brute-force search does not beat the closed-form optimum."""
+    return _excess(oracle - c_exp, ORACLE_ABOVE_ATOL)
+
+
+def closed_form_route_agreement(per_state: float, grouped: float) -> Margin:
+    """The two closed forms agree to ROUTE_RTOL relative."""
+    rel = abs(per_state - grouped) / max(abs(per_state), abs(grouped), 1e-300)
+    return Margin(rel <= ROUTE_RTOL, rel)
+
+
+def additive_gap_bound(analysis) -> Margin:
+    """``A <= ln K``."""
+    k_states = analysis.channel.num_states
+    return _excess(analysis.report.additive_gap - math.log(k_states), BOUND_ATOL)
+
+
+def multiplicative_gap_bound(analysis) -> Margin:
+    """``M <= K``."""
+    return _excess(analysis.report.multiplicative_gap - analysis.channel.num_states, BOUND_ATOL)
+
+
+def per_state_additive_terms(analysis) -> Margin:
+    """Each lemma-2 term is at most ``1/p_k``."""
+    terms = zip(analysis.report.lemma2_terms, analysis.channel.probs)
+    return _excess(max(t - 1 / float(p) for t, p in terms), BOUND_ATOL)
+
+
+def per_state_multiplicative_terms(analysis) -> Margin:
+    """Each lemma-3 term is at most 1."""
+    return _excess(max(t - 1 for t in analysis.report.lemma3_terms), BOUND_ATOL)
+
+
+def chain_ordering_properties(ch, chain) -> Margin:
+    """The three ordering properties of the envelope chain, in O(K^2).
+
+    1. Each chosen crossing point minimizes over all later states.
+    2. Interior crossing points are non-decreasing along the chain.
+    3. Each chosen crossing point dominates the crossings from earlier states
+       into the same chain state.
+    """
+    gaps = []  # (excess, z it is measured against)
+    segments = chain.segment_count
+    for i in range(1, segments):
+        z = chain.breakpoints[i]
+        prev = chain.pi[i - 1]
+        for l in range(prev + 1, ch.num_states + 1):
+            gaps.append((z - intersection(ch, prev, l), z))
+        for l in range(1, chain.pi[i]):
+            if l != prev:
+                gaps.append((intersection(ch, l, chain.pi[i]) - z, z))
+    inner = chain.breakpoints[1:segments]
+    gaps += [(a - b, b) for a, b in zip(inner, inner[1:])]
+    ok = all(float(g) <= max(CHAIN_ATOL, CHAIN_RTOL * abs(float(z))) for g, z in gaps)
+    return Margin(ok, max((float(g) for g, _ in gaps), default=0.0))
+
+
+def envelope_maximality(ch, chain) -> Margin:
+    """The envelope value and state match the best utility on a uniform grid
+    of ENVELOPE_SAMPLES points spanning (-n_1, 10 n_K]."""
+    k_states, n = ch.num_states, ch.inverse_gains
+    span = 10 * n[-1] + n[0]
+    ok, deviations = True, []
+    for j in range(1, ENVELOPE_SAMPLES + 1):
+        z = -n[0] + span * j / ENVELOPE_SAMPLES
+        value, state = dominating_muf(chain, ch, z)
+        best = max(muf_value(ch, k, z) for k in range(1, k_states + 1) if z > -n[k - 1])
+        deviations.append(abs(float(value - best)) / float(best))
+        ok = ok and 1 <= state <= k_states
+    worst = max(deviations)
+    return Margin(ok and worst <= ENVELOPE_RTOL, worst)
+
+
+def fading_paper_brackets(gains, reports) -> Margin:
+    """The fading-paper reports of one channel at several INRs.
+
+    They agree in every field but ``inr``, the achievable rate lies in the
+    ergodic bracket, the loss bracket is at most one bit wide, and each
+    state's rate ``max(ln g, 0)`` lies within one bit below ``ln(1 + g)``;
+    worst is the largest per-state excess.
+    """
+    base = reports[0]
+    ok = all(replace(r, inr=base.inr) == base for r in reports[1:])
+    ok = ok and base.c_erg_lower <= base.achievable_rate <= base.c_erg_upper
+    ok = ok and base.gap_upper - base.gap_lower <= LN2 + BRACKET_ATOL
+    excess = []
+    for g in map(float, gains):
+        point = max(math.log(g), 0.0) if g > 0 else 0.0
+        excess += [math.log1p(g) - LN2 - point, point - math.log1p(g)]
+    worst = max(excess)
+    return Margin(ok and worst <= BRACKET_ATOL, worst)

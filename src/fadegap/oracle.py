@@ -123,8 +123,10 @@ def _line_max(ch: PreparedChannel, beta, indices, lo, hi, tol):
 
     The joint slice telescopes to a single hyperbola difference, so it is
     unimodal just like the single-coordinate slices.  Returns the movement
-    and the number of objective evaluations; keeps the old point when the
-    searched one is not an improvement (flat or boundary slices)."""
+    and the number of objective evaluations.  The searched point competes
+    with the old one and with the slice endpoints, which the search brackets
+    never reach although an empty power layer puts the optimum there; the
+    first best of (searched, old, lo, hi) wins."""
 
     def slice_value(x):
         for k in indices:
@@ -132,14 +134,11 @@ def _line_max(ch: PreparedChannel, beta, indices, lo, hi, tol):
         return expected_rate_of(ch, beta + [1.0])
 
     old = beta[indices[0]]
-    f_old = slice_value(old)
     x, used = _golden_max(slice_value, lo, hi, tol)
-    f_new = slice_value(x)
-    if f_new < f_old:
-        x = old
+    x = max((x, old, lo, hi), key=slice_value)
     for k in indices:
         beta[k] = x
-    return abs(x - old), used + 2
+    return abs(x - old), used + 4
 
 
 def _glued_runs(beta, tol):

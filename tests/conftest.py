@@ -20,7 +20,6 @@ from fadegap import (
     high_snr_instance,
     intersection,
     multiplicative_family,
-    muf_value,
 )
 from fadegap.allocation import LAMBDA_RTOL
 from fadegap.cli import random_distribution
@@ -150,50 +149,6 @@ def channel_distributions(draw, min_states: int = 2, max_states: int = 6):
         gains=tuple(10.0**e for e in exponents),
         probs=tuple(x / total for x in weights),
     )
-
-
-def _slack(z) -> float:
-    return max(1e-15, 1e-12 * abs(float(z)))
-
-
-def assert_chain_ordering(ch, chain):
-    """The three ordering properties of the envelope chain.
-
-    1. Each chosen crossing point minimizes over all later states.
-    2. Interior crossing points are non-decreasing along the chain.
-    3. Each chosen crossing point dominates the crossings from earlier states
-       into the same chain state.
-    """
-    segments = chain.segment_count
-    for i in range(1, segments):
-        z_next = chain.breakpoints[i]
-        for l in range(chain.pi[i - 1] + 1, ch.num_states + 1):
-            assert float(z_next - intersection(ch, chain.pi[i - 1], l)) <= _slack(z_next)
-        for l in range(1, chain.pi[i]):
-            if l != chain.pi[i - 1]:
-                assert float(intersection(ch, l, chain.pi[i]) - z_next) <= _slack(z_next)
-    inner = chain.breakpoints[1:segments]
-    for a, b in zip(inner, inner[1:]):
-        assert float(a - b) <= _slack(b)
-
-
-def assert_envelope_maximality(ch, chain, samples: int = 100):
-    """The reported envelope value matches the max over all utilities on a
-    uniform z grid spanning (-n_1, 10 n_K]."""
-    from fadegap import dominating_muf
-
-    n1 = ch.inverse_gains[0]
-    span = 10 * ch.inverse_gains[-1] + n1
-    for j in range(1, samples + 1):
-        z = -n1 + span * j / samples
-        value, state = dominating_muf(chain, ch, z)
-        best = max(
-            muf_value(ch, k, z)
-            for k in range(1, ch.num_states + 1)
-            if z > -ch.inverse_gains[k - 1]
-        )
-        assert abs(float(value - best)) <= 1e-12 * float(best)
-        assert 1 <= state <= ch.num_states
 
 
 def as_distribution(ch) -> FadingDistribution:

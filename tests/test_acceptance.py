@@ -9,21 +9,16 @@ d grids (every K admissible for the additive constraint d > max(K-1, 2)).
 
 import math
 import time
-from dataclasses import dataclass
 
 import pytest
 
-from conftest import (
-    assert_chain_ordering,
-    assert_envelope_maximality,
-    family_points,
-    random_channels,
-)
+from conftest import family_points, random_channels
 from fadegap import (
     FadingDistribution,
     additive_family,
     analyze,
     brute_force_expected_capacity,
+    certify,
     closed_form_routes,
     fading_paper_report,
     full_analysis,
@@ -33,9 +28,8 @@ from fadegap import (
     multiplicative_family,
     prepare,
 )
-
-LN2 = math.log(2)
-ORACLE_TOL = 1e-7
+from fadegap.certify import ORACLE_TOL
+from fadegap.fading_paper import LN2
 
 
 def report_line(name: str, ok: bool, detail: str):
@@ -43,107 +37,79 @@ def report_line(name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-@dataclass
-class Instance:
-    dist: FadingDistribution
-    analysis: object
-    label: str
+def report_checks(name: str, instances, *checks):
+    """One line for certify checks over instances: every margin ok, and the
+    worst margin of each check."""
+    margins = [[check(inst) for inst in instances] for check in checks]
+    worst = ", ".join(f"{max(m.worst for m in ms):.3e}" for ms in margins)
+    ok = all(m.ok for ms in margins for m in ms)
+    report_line(name, ok, f"worst margins {worst} over {len(instances)} instances")
 
 
 @pytest.fixture(scope="module")
 def random_suite():
+    """(distributions, analyses, build seconds)"""
     start = time.monotonic()
-    instances = [
-        Instance(dist, full_analysis(dist), f"random[{i}]")
-        for i, dist in enumerate(random_channels(200, seed=0, max_states=5))
-    ]
-    elapsed = time.monotonic() - start
-    return instances, elapsed
+    dists = random_channels(200, seed=0, max_states=5)
+    analyses = [full_analysis(dist) for dist in dists]
+    return dists, analyses, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
-def family_suite():
-    return [Instance(dist, full_analysis(dist), label) for label, dist in family_points()]
+def all_analyses(random_suite):
+    """The random analyses followed by the worst-case family points."""
+    return random_suite[1] + [full_analysis(dist) for _, dist in family_points()]
 
 
 def test_criterion_01_oracle_certification(random_suite):
-    instances, build_time = random_suite
+    _, analyses, build_time = random_suite
     start = time.monotonic()
-    worst = 0.0
-    for inst in instances:
-        result = brute_force_expected_capacity(inst.analysis.channel, ORACLE_TOL)
-        worst = max(worst, abs(result.value - inst.analysis.report.c_exp))
+    pairs = [
+        (a.report.c_exp, brute_force_expected_capacity(a.channel, ORACLE_TOL).value)
+        for a in analyses
+    ]
     elapsed = time.monotonic() - start + build_time
-    ok = worst <= 1e-6 and elapsed < 60
-    report_line(
-        "criterion 1 (oracle certification, 200 instances)",
-        ok,
-        f"worst |closed-oracle| = {worst:.3e} <= 1e-6, runtime {elapsed:.1f}s < 60s",
+    report_checks(
+        f"criterion 1 (oracle certification, runtime {elapsed:.1f}s < 60s)",
+        pairs,
+        lambda pair: certify.oracle_certification(*pair),
+        lambda pair: certify.oracle_not_above_closed_form(*pair),
     )
+    assert elapsed < 60
 
 
-def test_criterion_02_closed_form_self_consistency(random_suite, family_suite):
-    instances = random_suite[0] + family_suite
-    worst = 0.0
-    for inst in instances:
-        a = inst.analysis
-        r1, r2 = closed_form_routes(a.channel, a.allocation)
-        rel = abs(r1 - r2) / max(abs(r1), abs(r2))
-        worst = max(worst, rel)
-    report_line(
+def test_criterion_02_closed_form_self_consistency(all_analyses):
+    report_checks(
         "criterion 2 (dual closed forms, random + families)",
-        worst <= 1e-12,
-        f"worst relative disagreement = {worst:.3e} <= 1e-12 over {len(instances)} instances",
+        all_analyses,
+        lambda a: certify.closed_form_route_agreement(*closed_form_routes(a.channel, a.allocation)),
     )
 
 
-def test_criterion_03_gap_bounds(random_suite, family_suite):
-    worst_a = -math.inf
-    worst_m = -math.inf
-    instances = random_suite[0] + family_suite
-    for inst in instances:
-        rep = inst.analysis.report
-        k = inst.analysis.channel.num_states
-        worst_a = max(worst_a, rep.additive_gap - math.log(k))
-        worst_m = max(worst_m, rep.multiplicative_gap - k)
-    ok = worst_a <= 1e-9 and worst_m <= 1e-9
-    report_line(
+def test_criterion_03_gap_bounds(all_analyses):
+    report_checks(
         "criterion 3 (A <= ln K and M <= K)",
-        ok,
-        f"max A - ln K = {worst_a:.3e}, max M - K = {worst_m:.3e}, both <= 1e-9",
+        all_analyses,
+        certify.additive_gap_bound,
+        certify.multiplicative_gap_bound,
     )
 
 
-def test_criterion_04_per_state_inequalities(random_suite, family_suite):
-    worst2 = -math.inf
-    worst3 = -math.inf
-    for inst in random_suite[0] + family_suite:
-        rep = inst.analysis.report
-        ch = inst.analysis.channel
-        worst2 = max(
-            worst2,
-            max(t - 1 / float(p) for t, p in zip(rep.lemma2_terms, ch.probs)),
-        )
-        worst3 = max(worst3, max(t - 1 for t in rep.lemma3_terms))
-    ok = worst2 <= 1e-9 and worst3 <= 1e-9
-    report_line(
+def test_criterion_04_per_state_inequalities(all_analyses):
+    report_checks(
         "criterion 4 (per-state additive/multiplicative terms)",
-        ok,
-        f"max lemma2 excess = {worst2:.3e}, max lemma3 excess = {worst3:.3e}, both <= 1e-9",
+        all_analyses,
+        certify.per_state_additive_terms,
+        certify.per_state_multiplicative_terms,
     )
 
 
-def test_criterion_05_chain_properties_and_envelope(random_suite, family_suite):
-    instances = random_suite[0] + family_suite
-    for inst in instances:
-        ch, chain = inst.analysis.channel, inst.analysis.chain
-        assert_chain_ordering(ch, chain)
-        assert_envelope_maximality(ch, chain)
-    report_line(
+def test_criterion_05_chain_properties_and_envelope(all_analyses):
+    report_checks(
         "criterion 5 (chain ordering + envelope sampling)",
-        True,
-        f"all three ordering properties and 100-sample envelope checks on "
-        f"{len(instances)} instances",
+        all_analyses,
+        lambda a: certify.chain_ordering_properties(a.channel, a.chain),
+        lambda a: certify.envelope_maximality(a.channel, a.chain),
     )
 
 
@@ -222,38 +188,12 @@ def test_criterion_09_low_snr_regime():
 
 
 def test_criterion_10_fading_paper_bracket(random_suite):
-    worst = 0.0
-    for inst in random_suite[0]:
-        reports = [fading_paper_report(inst.dist, inr) for inr in (0.0, 1.0, 1e6)]
-        base = reports[0]
-        assert base.c_erg_lower <= base.achievable_rate <= base.c_erg_upper + 1e-12
-        assert base.gap_upper - base.gap_lower <= LN2 + 1e-12
-        for r in reports[1:]:
-            assert (
-                r.achievable_rate,
-                r.c_erg_lower,
-                r.c_erg_upper,
-                r.c_exp_fp,
-                r.gap_lower,
-                r.gap_upper,
-            ) == (
-                base.achievable_rate,
-                base.c_erg_lower,
-                base.c_erg_upper,
-                base.c_exp_fp,
-                base.gap_lower,
-                base.gap_upper,
-            )
-        for g in inst.dist.gains:
-            gf = float(g)
-            point = max(math.log(gf), 0.0)
-            upper = math.log1p(gf)
-            worst = max(worst, upper - LN2 - point, point - upper)
-    report_line(
-        "criterion 10 (fading-paper brackets, 200 instances)",
-        worst <= 1e-12,
-        f"aggregate and per-state one-bit brackets hold, INR-invariant "
-        f"(worst per-state excess {worst:.2e})",
+    report_checks(
+        "criterion 10 (fading-paper brackets, INR-invariant, 200 instances)",
+        random_suite[0],
+        lambda dist: certify.fading_paper_brackets(
+            dist.gains, [fading_paper_report(dist, inr) for inr in (0.0, 1.0, 1e6)]
+        ),
     )
 
 

@@ -9,6 +9,7 @@ from fadegap import (
     ValidationError,
     allocation,
     build_chain,
+    certify,
     closed_form_routes,
     envelope_integral,
     expected_capacity,
@@ -76,8 +77,7 @@ def test_expected_capacity_single_state_equals_log1p_gain():
 
 def test_closed_form_routes_agree(two_state):
     ch, chain, alloc = two_state
-    r1, r2 = closed_form_routes(ch, alloc)
-    assert r1 == pytest.approx(r2, rel=1e-12)
+    assert certify.closed_form_route_agreement(*closed_form_routes(ch, alloc)).ok
 
 
 def test_corrupted_allocation_is_detected(two_state):

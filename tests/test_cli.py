@@ -5,9 +5,8 @@ import pytest
 
 from fadegap import multiplicative_family
 from fadegap.cli import run, verify_run
+from fadegap.fading_paper import LN2
 from fadegap.worst_case import SWEEP_CSV_HEADER
-
-LN2 = math.log(2)
 
 
 @pytest.fixture

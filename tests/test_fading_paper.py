@@ -9,11 +9,16 @@ from fadegap import (
     FadingDistribution,
     ValidationError,
     analyze,
+    certify,
     fading_paper_report,
     worst_case_fp_bracket,
 )
+from fadegap.fading_paper import LN2
 
-LN2 = math.log(2)
+
+def certify_brackets(dist):
+    reports = [fading_paper_report(dist, inr) for inr in (0.0, 1.0, 1e6)]
+    return certify.fading_paper_brackets(dist.gains, reports)
 
 
 def test_two_state_report():
@@ -54,17 +59,7 @@ def test_inr_invariance():
     dist = FadingDistribution((9.0, 0.7, 0.02), (0.5, 0.2, 0.3))
     reports = [fading_paper_report(dist, inr) for inr in (0.0, 1.0, 1e6)]
     assert reports[0].inr == 0.0 and reports[2].inr == 1e6
-    for r in reports[1:]:
-        for field in (
-            "achievable_rate",
-            "c_erg_lower",
-            "c_erg_upper",
-            "c_exp_fp",
-            "gap_lower",
-            "gap_upper",
-            "gap_lower_raw",
-        ):
-            assert getattr(r, field) == getattr(reports[0], field)
+    assert certify.fading_paper_brackets(dist.gains, reports).ok
 
 
 def test_negative_inr_rejected():
@@ -75,20 +70,15 @@ def test_negative_inr_rejected():
 def test_bracket_and_width_on_random_channels():
     for dist in random_channels(30, seed=77, max_states=6):
         report = fading_paper_report(dist, inr=1.0)
-        a = analyze(dist)
-        assert report.c_erg_lower <= report.achievable_rate <= report.c_erg_upper + 1e-12
-        assert report.gap_upper == a.additive_gap
+        assert report.gap_upper == analyze(dist).additive_gap
         assert 0.0 <= report.gap_lower <= report.gap_upper
-        assert report.gap_upper - report.gap_lower <= LN2 + 1e-12
+        assert certify_brackets(dist).ok
 
 
 @given(st.floats(1e-6, 1e6))
 @settings(max_examples=200, deadline=None)
 def test_pointwise_one_bit_domination(g):
-    point = max(math.log(g), 0.0)
-    upper = math.log1p(g)
-    assert upper - LN2 <= point + 1e-12
-    assert point <= upper + 1e-12
+    assert certify_brackets(FadingDistribution((g,), (1.0,))).ok
 
 
 def test_worst_case_bracket():

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_envelope_maximality, high_snr_ladder, random_channels
+from conftest import high_snr_ladder, random_channels
 from fadegap import (
     FadingDistribution,
     ValidationError,
     analyze,
+    certify,
     expected_rate_of,
     full_analysis,
     multiplicative_family,
-    prepare,
 )
 
 
@@ -60,16 +60,14 @@ def test_degenerate_channel_report():
 
 def test_report_invariants_on_500_random_channels():
     for dist in random_channels(500, seed=7, max_states=8):
-        report = analyze(dist)
-        k = prepare(dist).num_states
+        analysis = full_analysis(dist)
+        report, k = analysis.report, analysis.channel.num_states
         assert report.additive_gap >= 0.0
         assert report.multiplicative_gap >= 1.0
-        assert report.additive_gap <= math.log(k) + 1e-9
-        assert report.multiplicative_gap <= k + 1e-9
-        for term, p in zip(report.lemma2_terms, prepare(dist).probs):
-            assert term <= 1 / float(p) + 1e-9
-        for term in report.lemma3_terms:
-            assert term <= 1 + 1e-9
+        assert certify.additive_gap_bound(analysis).ok
+        assert certify.multiplicative_gap_bound(analysis).ok
+        assert certify.per_state_additive_terms(analysis).ok
+        assert certify.per_state_multiplicative_terms(analysis).ok
         assert len(report.lemma2_terms) == k
         assert len(report.lemma3_terms) == k
         assert -1e-12 <= report.entropy <= math.log(k) + 1e-12
@@ -104,7 +102,7 @@ def test_long_high_snr_ladder_report():
     )
     inner = analysis.chain.breakpoints[1:-1]
     assert all(a <= b for a, b in zip(inner, inner[1:]))
-    assert_envelope_maximality(analysis.channel, analysis.chain)
+    assert certify.envelope_maximality(analysis.channel, analysis.chain).ok
 
 
 @pytest.mark.parametrize("k, d", [(32, 60), (16, 1e4), (32, 1e4)])
@@ -143,3 +141,10 @@ def test_subnormal_single_state_gain():
 def test_active_state_with_overflowing_inverse_gain_is_a_validation_error():
     with pytest.raises(ValidationError, match="overflows double precision"):
         analyze(FadingDistribution((1e-310, 1e-320), (0.5, 0.5)))
+
+
+def test_decoded_rate_factor_survives_overflowing_head():
+    # (n_w + 1) / F_w = 1e320 overflows, the factor (n_1 + 1) / n_1 does not
+    analysis = full_analysis(FadingDistribution((1e-300, 0.0), (1e-20, 1 - 1e-20)))
+    assert analysis.allocation.lam == (1.0, 1.0)
+    assert analysis.report.c_exp > 0

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    assert_chain_ordering,
-    assert_envelope_maximality,
     channel_distributions,
     family_points,
     greedy_chain,
@@ -18,6 +16,7 @@ from fadegap import (
     FadingDistribution,
     ValidationError,
     build_chain,
+    certify,
     dominating_muf,
     intersection,
     muf_value,
@@ -142,13 +141,13 @@ def test_chain_ordering_properties_on_random_channels():
         assert chain.breakpoints[chain.w - 1] < 1
         if chain.w < chain.segment_count:
             assert chain.breakpoints[chain.w] >= 1
-        assert_chain_ordering(ch, chain)
+        assert certify.chain_ordering_properties(ch, chain).ok
 
 
 def test_envelope_is_pointwise_maximum_on_random_channels():
     for dist in random_channels(20, seed=22, max_states=8):
         ch = prepare(dist)
-        assert_envelope_maximality(ch, build_chain(ch))
+        assert certify.envelope_maximality(ch, build_chain(ch)).ok
 
 
 def test_chain_matches_greedy_reference_on_random_channels():
