@@ -16,14 +16,21 @@ first-order bound on its own error (per-operation rounding, the
 conditioning of the ``F_b - F_a`` and ``n_b - n_a`` differences, and the
 rounding of Fraction inputs) and decides three ways: agreement the bound
 certifies returns the per-state form, disagreement it certifies raises,
-and anything else moves up one rung.  Most channels settle in floats; on
-extreme ones (capacities near zero, gains near 1e-300, the exact
+and anything else moves up one rung.  A passed decoded-rate factor
+cross-check and a certified agreement are facts about exact values, so
+they carry up: a higher rung evaluates only what is still open.  The
+per-state value comes from the rung that certified it to VALUE_RTOL, the
+grouped value from the rung that settled the agreement.  Most channels
+settle in floats; at low capacity the float rung usually certifies
+everything but the per-state value, which the 60-digit rung then
+evaluates alone.  On extreme channels (gains near 1e-300, the exact
 worst-case families) the grouped form cancels through up to hundreds of
 digits, which the mpmath rungs resolve.  mpmath is imported only when the
 float rung cannot settle a channel.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,7 +140,9 @@ def _decoded_rate_factors(n, f, frontier) -> list:
     the states since the previous active state a (``F_0 = n_0 = 0``); the
     states after w keep the factor 1.  When head overflows (tiny F_w, huge
     n_w), ``(F_b - F_a) / F_w`` in (0, 1] goes first, so no intermediate
-    overflows unless the factor does.
+    overflows unless the factor does.  When n_w itself overflowed to inf (a
+    subnormal gain), the factor of w takes its limit ``(F_w - F_a) / F_w``,
+    since ``(n_w + 1) / (n_w - n_a)`` tends to 1.
     """
     last = frontier[-1]
     top, f_w = n[last - 1] + 1, f[last - 1]
@@ -142,7 +151,11 @@ def _decoded_rate_factors(n, f, frontier) -> list:
     a, fa, na = 0, 0, 0
     for b in frontier:
         df, dn = f[b - 1] - fa, n[b - 1] - na
-        lam[a:b] = [head * df / dn if head < math.inf else top * (df / f_w) / dn] * (b - a)
+        if head < math.inf:
+            x = head * df / dn
+        else:
+            x = top * (df / f_w) / dn if dn < math.inf else df / f_w
+        lam[a:b] = [x] * (b - a)
         a, fa, na = b, f[b - 1], n[b - 1]
     return lam
 
@@ -181,19 +194,26 @@ def _rung(digits) -> _Rung:
     return _Rung(num, ctx.log, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf)
 
 
-def _evaluate(ch: PreparedChannel, alloc: PowerAllocation, active: tuple, rung: _Rung):
-    """Both closed forms on one rung, with first-order error bounds.
+def _evaluate(
+    ch: PreparedChannel, alloc: PowerAllocation, active: tuple, cross_check, grouped, rung: _Rung
+):
+    """The closed-form quantities a lower rung left open, on one rung, with
+    first-order error bounds.
 
-    The bounds take every arithmetic operation as exact up to one relative
-    rounding ``unit`` and a log as exact up to two units of its result; a
-    Fraction input converts with relative error ``2 * unit``, which the
-    differences amplify by their conditioning.
+    The per-state form is always evaluated; the decoded-rate factor
+    cross-check only when cross_check is true and the grouped form only when
+    grouped is true.  The bounds take every arithmetic operation as exact up
+    to one relative rounding ``unit`` and a log as exact up to two units of
+    its result; a Fraction input converts with relative error ``2 * unit``,
+    which the differences amplify by their conditioning.
 
-    Returns ``(mismatch, per_state, grouped, err_per_state, err_grouped)``.
+    Returns ``(mismatch, per_state, err_per_state, grouped, err_grouped)``.
     mismatch is None when every stored decoded-rate factor certifiably lies
-    within LAMBDA_RTOL of the exact derived one, the message of the first
-    state that certifiably does not, or True when the rung cannot tell.
-    Returns None when the rung cannot evaluate the channel at all.
+    within LAMBDA_RTOL of the exact derived one (or the cross-check was not
+    asked for), the message of the first state that certifiably does not, or
+    True when the rung cannot tell.  grouped and err_grouped are None when
+    the grouped form was not asked for.  Returns None when the rung cannot
+    evaluate the channel at all.
     """
     last = active[-1]
     lo, hi = rung.lo, rung.hi
@@ -203,15 +223,17 @@ def _evaluate(ch: PreparedChannel, alloc: PowerAllocation, active: tuple, rung: 
         return None
     num, log, u = rung.num, rung.log, rung.unit
     inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
-    exact = {type(x) for xs in inputs for x in xs} <= {float, int}
+    exact = set(map(type, itertools.chain(*inputs))) <= {float, int}
     iota = 0 if exact else 2 * u
     n, f, p = ([num(x) for x in xs] for xs in inputs)
 
     lam = _decoded_rate_factors(n, f, active)
-    head = (n[-1] + 1) / f[-1]
     e_head = 2 * u + 2 * iota
+    u2, u3 = 2 * u, 3 * u
+    e_log = iota + u3  # a log's two units, the product's one, the input rounding
     lam_err = [0] * last
-    grouped, err_g = [], 0
+    per_state, err_p = [], 0
+    terms, err_g = [], 0
     a, fa, na = 0, 0, 0
     for b in active:
         df, dn = f[b - 1] - fa, n[b - 1] - na
@@ -222,59 +244,73 @@ def _evaluate(ch: PreparedChannel, alloc: PowerAllocation, active: tuple, rung: 
         rnd = u if a else 0
         e_f = rnd + iota * (f[b - 1] + fa) / df
         e_n = rnd + iota * (n[b - 1] + na) / dn
-        e_lam = e_head + e_f + e_n + 2 * u
+        e_lam = e_head + e_f + e_n + u2
         if e_lam > _MAX_REL_ERR:
             return None
         lam_err[a:b] = [e_lam] * (b - a)
-        lr = log(df / dn)
-        grouped.append(df * lr)
-        err_g += df * (e_f + e_n + u + abs(lr) * (e_f + 3 * u))
+        # Lambda_k is constant on the segment, so one log serves its states;
+        # a one-state segment, the common case on long chains, needs no loop
+        lr = log(lam[b - 1])
+        e_term = e_lam + abs(lr) * e_log
+        if b - a == 1:
+            per_state.append(p[a] * lr)
+            err_p += p[a] * e_term
+        else:
+            for pk in p[a:b]:
+                per_state.append(pk * lr)
+                err_p += pk * e_term
+        if grouped:
+            lr = log(df / dn)
+            terms.append(df * lr)
+            err_g += df * (e_f + e_n + u + abs(lr) * (e_f + u3))
         a, fa, na = b, f[b - 1], n[b - 1]
-    lr = log(head)
-    grouped.append(f[-1] * lr)
-    err_g += f[-1] * (e_head + abs(lr) * (iota + 3 * u))
-
-    per_state, err_p = [], 0
-    for pk, x, e in zip(p, lam, lam_err):
-        lr = log(x)
-        per_state.append(pk * lr)
-        err_p += pk * (e + abs(lr) * (iota + 3 * u))
 
     # the factors recovered from the power vector must match the ones the
     # chain construction stored; a mismatch means the active-state frontier
     # and the breakpoint structure disagree
     mismatch = None
-    tail = ch.num_states - last
-    for k, (stored, x, e) in enumerate(
-        zip(alloc.lam, lam + [lam[0] / lam[0]] * tail, lam_err + [0] * tail), start=1
-    ):
-        ratio = num(stored) / x
-        dev = abs(ratio - 1)
-        bound = _SLACK * (abs(ratio) * (e + iota + u) + u * dev)
-        if dev + bound <= LAMBDA_RTOL:
-            continue
-        if dev - bound > LAMBDA_RTOL or not math.isfinite(dev):
-            mismatch = f"decoded-rate factor of state {k} is {stored}, power vector implies {x}"
-            break
-        mismatch = True
+    if cross_check:
+        tail = ch.num_states - last
+        compared = zip(alloc.lam, lam + [lam[0] / lam[0]] * tail, lam_err + [0] * tail)
+        for k, (stored, x, e) in enumerate(compared, start=1):
+            ratio = num(stored) / x
+            dev = abs(ratio - 1)
+            bound = _SLACK * (abs(ratio) * (e + iota + u) + u * dev)
+            if dev + bound <= LAMBDA_RTOL:
+                continue
+            if dev - bound > LAMBDA_RTOL or not math.isfinite(dev):
+                mismatch = f"decoded-rate factor of state {k} is {stored}, power vector implies {x}"
+                break
+            mismatch = True
 
-    per, grp = rung.fsum(per_state), rung.fsum(grouped)
+    per = rung.fsum(per_state)
     err_p = _SLACK * (err_p + u * abs(per))
-    err_g = _SLACK * (err_g + u * abs(grp))
-    return mismatch, per, grp, err_p, err_g
+    if not grouped:
+        return mismatch, per, err_p, None, None
+    lr = log((n[-1] + 1) / f[-1])
+    terms.append(f[-1] * lr)
+    err_g += f[-1] * (e_head + abs(lr) * e_log)
+    grp = rung.fsum(terms)
+    return mismatch, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
 
 
 def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     """Both closed forms and whether they agree, settled on the precision
     ladder.
 
-    Returns ``(per_state, grouped, agree)`` from the lowest rung whose error
-    bounds settle the comparison: ``agree`` means the exact values of the
-    two forms lie within ROUTE_RTOL of each other and per_state within
-    VALUE_RTOL of its own exact value; not ``agree`` means they certifiably
-    differ by more than ROUTE_RTOL.  A failure (of the routes or of the
-    decoded-rate factor cross-check, which raises here) is only accepted
-    from an mpmath rung, so a disagreement in floats moves up one rung.
+    Returns ``(per_state, grouped, agree)``: ``agree`` means the exact values
+    of the two forms lie within ROUTE_RTOL of each other and per_state
+    within VALUE_RTOL of its own exact value; not ``agree`` means they
+    certifiably differ by more than ROUTE_RTOL.  A failure (of the routes or
+    of the decoded-rate factor cross-check, which raises here) is only
+    accepted from an mpmath rung, so a disagreement in floats moves up one
+    rung.
+
+    A passed cross-check and a certified agreement are facts about exact
+    values, so they carry up the ladder: a higher rung evaluates only what
+    is still open, usually the per-state value alone.  per_state comes from
+    the rung that certified it, grouped from the rung that settled the
+    agreement.  An undecided check and a disagreement carry nothing.
     """
     active = alloc.active_states
     if not active:
@@ -285,23 +321,26 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
             f" state {active[-1]} overflows double precision"
         )
     per = grp = None
+    checked = agreed = False
     for digits in (None,) + _MP_DIGITS:
         rung = _rung(digits)
-        out = _evaluate(ch, alloc, active, rung)
+        out = _evaluate(ch, alloc, active, not checked, not agreed, rung)
         if out is None:
             continue
-        mismatch, per, grp, err_p, err_g = out
+        mismatch, per, err_p, rung_grp, err_g = out
         if isinstance(mismatch, str) and digits is not None:
             raise InternalConsistencyError(mismatch)
-        if mismatch is not None:
-            continue
-        diff = abs(per - grp)
-        scale = max(abs(per), abs(grp))
-        err = err_p + err_g + rung.unit * diff
-        if diff + err <= ROUTE_RTOL * (scale - err) and err_p <= VALUE_RTOL * abs(per):
+        checked = mismatch is None
+        if not agreed:
+            grp = rung_grp
+            diff = abs(per - grp)
+            scale = max(abs(per), abs(grp))
+            err = err_p + err_g + rung.unit * diff
+            agreed = diff + err <= ROUTE_RTOL * (scale - err)
+            if checked and digits is not None and diff - err > ROUTE_RTOL * (scale + err):
+                return per, grp, False
+        if checked and agreed and err_p <= VALUE_RTOL * abs(per):
             return per, grp, True
-        if diff - err > ROUTE_RTOL * (scale + err) and digits is not None:
-            return per, grp, False
     raise InternalConsistencyError(
         f"closed forms not settled at {_MP_DIGITS[-1]} digits:"
         f" per-state {per} vs grouped {grp}"
@@ -311,8 +350,9 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
 def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     """The per-state and grouped closed forms as floats, for cross-checking.
 
-    Both come from the rung that settles their comparison; the agreement
-    gate itself is not applied.
+    The per-state value comes from the rung that certified it, the grouped
+    value from the rung that settled their comparison (the same rung or a
+    lower one); the agreement gate itself is not applied.
     """
     per_state, grouped, _ = _routes(ch, alloc)
     return float(per_state), float(grouped)

@@ -151,6 +151,10 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     epsilon = None
     if gains[-1] == 0:
         epsilon = _zero_gain_epsilon(gains, cum)
+        if epsilon == 0:
+            raise ValidationError(
+                "gains: the substitute for the zero gain underflows double precision"
+            )
         gains[-1] = epsilon
 
     inverse = [1 / g for g in gains]

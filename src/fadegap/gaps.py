@@ -7,6 +7,7 @@ additive gap ``A = C_erg - C_exp``, the multiplicative gap
 diagnostics whose sums bound A by ln K and M by K.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +31,8 @@ class CapacityReport:
     lemma2_terms holds ``(n_k + 1) / (n_k * Lambda_k)``, each provably at
     most 1/p_k; lemma3_terms holds ``p_k ln((n_k + 1)/n_k) / C_exp``, each
     provably at most 1.  Both are evaluated on the epsilon-regularized
-    channel when the input had a zero gain (epsilon_applied records this).
+    channel when the input had a zero gain (epsilon_applied records this),
+    and take their limits in ``g_k`` where ``n_k = 1/g_k`` overflows.
     boundary_breakpoints lists chain breakpoints that tie exactly with the
     budget edges 0 or 1, where the active-state frontier is a convention.
     """
@@ -102,9 +104,15 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
 
     lemma2 = []
     lemma3 = []
-    for n, p, lam in zip(ch.inverse_gains, ch.probs, alloc.lam):
+    # inverse gains ascend, so the ones that overflowed (subnormal gains)
+    # come last; their terms are the limits in g
+    finite = bisect.bisect_left(ch.inverse_gains, math.inf)
+    for n, p, lam in zip(ch.inverse_gains[:finite], ch.probs, alloc.lam):
         lemma2.append(float((n + 1) / (n * lam)))
         lemma3.append(float(p) * math.log1p(float(1 / n)) / c_exp)
+    for g, p, lam in zip(ch.gains[finite:], ch.probs[finite:], alloc.lam[finite:]):
+        lemma2.append(float((1 + g) / lam))
+        lemma3.append(float(p) * math.log1p(float(g)) / c_exp)
 
     boundary = tuple(
         float(z) for z in chain.breakpoints[1:-1] if z == 0 or z == 1

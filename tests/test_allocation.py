@@ -224,3 +224,59 @@ def test_escalating_channels_match_reference(dist, rungs_used):
     ref = float(reference_routes(ch, alloc)[0])
     exact = math.log1p(float(1 / ch.inverse_gains[-1]))
     assert abs(value - ref) <= 1e-14 * abs(ref) or value == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """``(cross_check, grouped, rung)`` of each closed-form evaluation: which
+    checks a rung was left to settle."""
+    calls = []
+    evaluate = allocation._evaluate
+
+    def recording(*args):
+        calls.append(args[-3:])
+        return evaluate(*args)
+
+    monkeypatch.setattr(allocation, "_evaluate", recording)
+    return calls
+
+
+def test_value_alone_climbs_past_the_float_rung(evaluations):
+    # one active state and a capacity of 0.01 nat: the float rung certifies
+    # the factor cross-check and the route agreement, but not the value
+    ch, _, alloc = pipeline(FadingDistribution((0.02, 0.01), (0.5, 0.5)))
+    value = expected_capacity(ch, alloc)
+    assert alloc.active_states == (2,)
+    assert evaluations == [
+        (True, True, allocation._rung(None)),
+        (False, False, allocation._rung(60)),
+    ]
+    ref = float(reference_routes(ch, alloc)[0])
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+    per_state, grouped = closed_form_routes(ch, alloc)
+    assert per_state == value
+    assert certify.closed_form_route_agreement(per_state, grouped).ok
+
+
+@pytest.mark.parametrize("sign, fails", [(1, True), (-1, False)])
+def test_undecided_cross_check_is_decided_on_the_60_digit_rung(
+    two_state, evaluations, sign, fails
+):
+    # a stored factor LAMBDA_RTOL off its exact value is beyond what the
+    # float rung can tell; the route agreement it certifies carries, the
+    # cross-check does not
+    from fadegap import InternalConsistencyError, PowerAllocation
+
+    ch, _, alloc = two_state
+    lam = (alloc.lam[0] * (1 + sign * allocation.LAMBDA_RTOL), alloc.lam[1])
+    off = PowerAllocation(beta=alloc.beta, lam=lam, per_state_rate=alloc.per_state_rate)
+    if fails:
+        with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 1"):
+            expected_capacity(ch, off)
+    else:
+        ref = float(reference_routes(ch, alloc)[0])
+        assert abs(expected_capacity(ch, off) - ref) <= 1e-14 * ref
+    assert evaluations == [
+        (True, True, allocation._rung(None)),
+        (True, False, allocation._rung(60)),
+    ]

@@ -136,8 +136,21 @@ def test_capacity_rejects_infinite_gain(capsys, tmp_path):
         (32, 60),
         (16, 1e4),
         (32, 1e4),
+        # subnormal gains, whose inverses overflow to inf
+        ((1e-300, 0.0), (1e-20, 1 - 1e-20)),
+        ((1.0, 1e-320), (0.5, 0.5)),
+        ((1e-320,), (1.0,)),
     ],
-    ids=["gains-1e-300", "gains-0-1e-200", "mult-32-60", "mult-16-1e4", "mult-32-1e4"],
+    ids=[
+        "gains-1e-300",
+        "gains-0-1e-200",
+        "mult-32-60",
+        "mult-16-1e4",
+        "mult-32-1e4",
+        "subnormal-epsilon",
+        "subnormal-inactive",
+        "subnormal-single",
+    ],
 )
 def test_capacity_of_tiny_capacities_exits_0(capsys, tmp_path, channel):
     gains, probs = channel
@@ -152,6 +165,8 @@ def test_capacity_of_tiny_capacities_exits_0(capsys, tmp_path, channel):
     payload = json.loads(out)
     assert payload["c_exp"] > 0
     assert payload["multiplicative_gap"] >= 1
+    # a non-finite term would be emitted as null
+    assert None not in payload["lemma2_terms"] + payload["lemma3_terms"]
 
 
 @pytest.mark.parametrize("k, d", [("32", "60"), ("16", "1e4"), ("32", "1e4")])
@@ -160,6 +175,15 @@ def test_family_report_beyond_60_digits_exits_0(capsys, k, d):
     code, out, err = run_capture(capsys, argv)
     assert (code, err) == (0, "")
     assert json.loads(out)["c_exp"] > 0
+
+
+def test_capacity_with_underflowing_zero_gain_epsilon_exits_1(capsys, tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"gains": [1e-320, 0.0], "probs": [0.5, 0.5]}))
+    code, out, err = run_capture(capsys, ["capacity", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: gains:")
+    assert "Traceback" not in err
 
 
 def test_family_invalid_d_exits_1(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -133,9 +134,31 @@ def test_capacity_below_double_range_is_a_validation_error(k):
         analyze(FadingDistribution(gains, probs))
 
 
+def assert_finite_report(analysis):
+    report = analysis.report
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            assert x is None or math.isfinite(x), field.name
+    assert certify.per_state_additive_terms(analysis).ok
+    assert certify.per_state_multiplicative_terms(analysis).ok
+
+
 def test_subnormal_single_state_gain():
-    report = analyze(FadingDistribution((1e-320,), (1.0,)))
-    assert report.c_exp == report.c_erg == 1e-320
+    analysis = full_analysis(FadingDistribution((1e-320,), (1.0,)))
+    assert analysis.report.c_exp == analysis.report.c_erg == 1e-320
+    # (n + 1) / (n Lambda) and p ln(1 + 1/n) / C_exp at n = inf are both 1
+    assert analysis.report.lemma2_terms == (1.0,)
+    assert analysis.report.lemma3_terms == (1.0,)
+    assert_finite_report(analysis)
+
+
+def test_inactive_state_with_overflowing_inverse_gain():
+    analysis = full_analysis(FadingDistribution((1.0, 1e-320), (0.5, 0.5)))
+    assert analysis.channel.inverse_gains[1] == math.inf
+    assert analysis.report.active_states == (1,)
+    assert analysis.report.lemma2_terms[1] == 1.0
+    assert_finite_report(analysis)
 
 
 def test_active_state_with_overflowing_inverse_gain_is_a_validation_error():
@@ -148,3 +171,11 @@ def test_decoded_rate_factor_survives_overflowing_head():
     analysis = full_analysis(FadingDistribution((1e-300, 0.0), (1e-20, 1 - 1e-20)))
     assert analysis.allocation.lam == (1.0, 1.0)
     assert analysis.report.c_exp > 0
+    # the epsilon substitute is subnormal, so its inverse gain overflows
+    assert analysis.channel.inverse_gains[1] == math.inf
+    assert_finite_report(analysis)
+
+
+def test_zero_gain_epsilon_underflowing_to_zero_is_a_validation_error():
+    with pytest.raises(ValidationError, match="zero gain underflows"):
+        analyze(FadingDistribution((1e-320, 0.0), (0.5, 0.5)))
