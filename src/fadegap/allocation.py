@@ -90,13 +90,9 @@ class PowerAllocation:
     @property
     def active_states(self) -> tuple:
         """1-based indices of states with a non-empty power layer."""
-        out = []
-        prev = 0
-        for k, b in enumerate(self.beta, start=1):
-            if b > prev:
-                out.append(k)
-            prev = b
-        return tuple(out)
+        beta = self.beta
+        steps = zip(itertools.count(1), beta, itertools.chain((0,), beta))
+        return tuple([k for k, b, prev in steps if b > prev])
 
 
 def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
@@ -111,22 +107,19 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     one = Fraction(1) if isinstance(ch.gains[0], Fraction) else 1.0
     zero = one - one
 
-    beta = [zero] * k_states
-    for i in range(s, w):  # segment i covers states pi[i-1] .. pi[i]-1
-        level = bps[i]
-        for k in range(pi[i - 1], pi[i]):
-            beta[k - 1] = level
-    for k in range(pi[w - 1], k_states + 1):
-        beta[k - 1] = one
+    beta = [zero] * (pi[s - 1] - 1)
+    # segment i covers states pi[i-1] .. pi[i]-1
+    for level, first, end in zip(bps[s:w], pi[s - 1 : w - 1], pi[s:w]):
+        beta += (level,) * (end - first)
+    beta += (one,) * (k_states + 1 - pi[w - 1])
 
     n = ch.inverse_gains
     lam = _decoded_rate_factors(n, ch.cum_probs, pi[s - 1 : w])
 
-    rates = []
-    prev = zero
-    for k in range(k_states):
-        rates.append(math.log1p(float((beta[k] - prev) / (n[k] + prev))))
-        prev = beta[k]
+    # log1p takes a Fraction as its float()
+    log1p = math.log1p
+    steps = zip(beta, itertools.chain((zero,), beta), n)
+    rates = [log1p((b - prev) / (nk + prev)) for b, prev, nk in steps]
 
     return PowerAllocation(beta=tuple(beta), lam=tuple(lam), per_state_rate=tuple(rates))
 
@@ -147,16 +140,19 @@ def _decoded_rate_factors(n, f, frontier) -> list:
     last = frontier[-1]
     top, f_w = n[last - 1] + 1, f[last - 1]
     head = top / f_w
-    lam = [n[0] / n[0]] * len(n)
+    inf = math.inf
+    lam = []
     a, fa, na = 0, 0, 0
     for b in frontier:
-        df, dn = f[b - 1] - fa, n[b - 1] - na
-        if head < math.inf:
+        fb, nb = f[b - 1], n[b - 1]
+        df, dn = fb - fa, nb - na
+        if head < inf:
             x = head * df / dn
         else:
-            x = top * (df / f_w) / dn if dn < math.inf else df / f_w
-        lam[a:b] = [x] * (b - a)
-        a, fa, na = b, f[b - 1], n[b - 1]
+            x = top * (df / f_w) / dn if dn < inf else df / f_w
+        lam += (x,) * (b - a)
+        a, fa, na = b, fb, nb
+    lam += (n[0] / n[0],) * (len(n) - a)
     return lam
 
 
@@ -223,39 +219,48 @@ def _evaluate(
         return None
     num, log, u = rung.num, rung.log, rung.unit
     inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
-    exact = set(map(type, itertools.chain(*inputs))) <= {float, int}
-    iota = 0 if exact else 2 * u
-    n, f, p = ([num(x) for x in xs] for xs in inputs)
+    kinds = set(map(type, itertools.chain(*inputs)))
+    iota = 0 if kinds <= {float, int} else 2 * u
+    # floats already are the float rung's numbers
+    if num is float and kinds == {float}:
+        n, f, p = inputs
+    else:
+        n, f, p = ([num(x) for x in xs] for xs in inputs)
 
     lam = _decoded_rate_factors(n, f, active)
     e_head = 2 * u + 2 * iota
     u2, u3 = 2 * u, 3 * u
     e_log = iota + u3  # a log's two units, the product's one, the input rounding
-    lam_err = [0] * last
+    # each factor's error plus the input rounding of the stored factor it
+    # is compared with
+    lam_err = []
     per_state, err_p = [], 0
     terms, err_g = [], 0
     a, fa, na = 0, 0, 0
     for b in active:
-        df, dn = f[b - 1] - fa, n[b - 1] - na
+        fb, nb = f[b - 1], n[b - 1]
+        df, dn = fb - fa, nb - na
         if not (df > 0 and dn > 0):
             return None
         # one rounding (none against the zero origin) plus the amplified
-        # input rounding
-        rnd = u if a else 0
-        e_f = rnd + iota * (f[b - 1] + fa) / df
-        e_n = rnd + iota * (n[b - 1] + na) / dn
+        # input rounding, which is exactly 0 without one
+        e_f = e_n = u if a else 0
+        if iota:
+            e_f += iota * (fb + fa) / df
+            e_n += iota * (nb + na) / dn
         e_lam = e_head + e_f + e_n + u2
         if e_lam > _MAX_REL_ERR:
             return None
-        lam_err[a:b] = [e_lam] * (b - a)
         # Lambda_k is constant on the segment, so one log serves its states;
         # a one-state segment, the common case on long chains, needs no loop
         lr = log(lam[b - 1])
         e_term = e_lam + abs(lr) * e_log
         if b - a == 1:
+            lam_err.append(e_lam + iota)
             per_state.append(p[a] * lr)
             err_p += p[a] * e_term
         else:
+            lam_err += (e_lam + iota,) * (b - a)
             for pk in p[a:b]:
                 per_state.append(pk * lr)
                 err_p += pk * e_term
@@ -263,7 +268,7 @@ def _evaluate(
             lr = log(df / dn)
             terms.append(df * lr)
             err_g += df * (e_f + e_n + u + abs(lr) * (e_f + u3))
-        a, fa, na = b, f[b - 1], n[b - 1]
+        a, fa, na = b, fb, nb
 
     # the factors recovered from the power vector must match the ones the
     # chain construction stored; a mismatch means the active-state frontier
@@ -271,15 +276,21 @@ def _evaluate(
     mismatch = None
     if cross_check:
         tail = ch.num_states - last
-        compared = zip(alloc.lam, lam + [lam[0] / lam[0]] * tail, lam_err + [0] * tail)
-        for k, (stored, x, e) in enumerate(compared, start=1):
-            ratio = num(stored) / x
+        # dividing by a float converts a stored factor as float() would
+        stored = alloc.lam if num is float else map(num, alloc.lam)
+        derived = lam + [lam[0] / lam[0]] * tail
+        slack, rtol = _SLACK, LAMBDA_RTOL
+        for k, (y, x, e) in enumerate(zip(stored, derived, lam_err + [iota] * tail), start=1):
+            ratio = y / x
             dev = abs(ratio - 1)
-            bound = _SLACK * (abs(ratio) * (e + iota + u) + u * dev)
-            if dev + bound <= LAMBDA_RTOL:
+            bound = slack * (abs(ratio) * (e + u) + u * dev)
+            if dev + bound <= rtol:
                 continue
-            if dev - bound > LAMBDA_RTOL or not math.isfinite(dev):
-                mismatch = f"decoded-rate factor of state {k} is {stored}, power vector implies {x}"
+            if dev - bound > rtol or not math.isfinite(dev):
+                mismatch = (
+                    f"decoded-rate factor of state {k} is {alloc.lam[k - 1]},"
+                    f" power vector implies {x}"
+                )
                 break
             mismatch = True
 

@@ -58,6 +58,12 @@ def _excess(excess: float, atol: float) -> Margin:
     return Margin(excess <= atol, excess)
 
 
+def _worst(excesses) -> float:
+    """Largest excess, NaN when any is NaN (max() keeps a NaN only first)."""
+    excesses = list(excesses)
+    return math.nan if any(map(math.isnan, excesses)) else max(excesses)
+
+
 def oracle_certification(c_exp: float, oracle: float) -> Margin:
     """The brute-force optimum lands within ORACLE_ATOL of the closed form."""
     gap = abs(oracle - c_exp)
@@ -87,14 +93,14 @@ def multiplicative_gap_bound(analysis) -> Margin:
 
 
 def per_state_additive_terms(analysis) -> Margin:
-    """Each lemma-2 term is at most ``1/p_k``."""
+    """Each lemma-2 term is at most ``1/p_k``; a NaN term fails."""
     terms = zip(analysis.report.lemma2_terms, analysis.channel.probs)
-    return _excess(max(t - 1 / float(p) for t, p in terms), BOUND_ATOL)
+    return _excess(_worst(t - 1 / float(p) for t, p in terms), BOUND_ATOL)
 
 
 def per_state_multiplicative_terms(analysis) -> Margin:
-    """Each lemma-3 term is at most 1."""
-    return _excess(max(t - 1 for t in analysis.report.lemma3_terms), BOUND_ATOL)
+    """Each lemma-3 term is at most 1; a NaN term fails."""
+    return _excess(_worst(t - 1 for t in analysis.report.lemma3_terms), BOUND_ATOL)
 
 
 def chain_ordering_properties(ch, chain) -> Margin:

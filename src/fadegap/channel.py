@@ -15,6 +15,7 @@ the degenerate worst-case families rely on.
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import ValidationError
@@ -40,7 +41,10 @@ class FadingDistribution:
 
     gains and probs must have equal length K >= 1, every probability must be
     positive with total within 1e-9 of one, and every gain must be
-    nonnegative and finite.  Order is irrelevant; :func:`prepare` canonicalizes it.
+    nonnegative and finite.  Every value must be a number that converts to a
+    finite float, and a positive one to a positive float: an int or Fraction
+    beyond the double-precision range is refused.  Order is irrelevant;
+    :func:`prepare` canonicalizes it.
     """
 
     gains: tuple
@@ -56,16 +60,35 @@ class FadingDistribution:
                 f"gains/probs length mismatch: {len(self.gains)} != {len(self.probs)}"
             )
         for k, p in enumerate(self.probs, start=1):
+            p_float = _as_float("probs", k, p)
             if not p > 0:
                 raise ValidationError(f"probs: state {k} has non-positive probability {p}")
+            if p_float == 0:
+                raise ValidationError(f"probs: state {k} underflows double precision")
         total = sum(self.probs)
         if abs(total - 1) > PROB_SUM_ATOL:
             raise ValidationError(f"probs: must sum to 1 within {PROB_SUM_ATOL}, got {total}")
         for k, g in enumerate(self.gains, start=1):
+            g_float = _as_float("gains", k, g)
             if not g >= 0:
                 raise ValidationError(f"gains: state {k} has negative gain {g}")
-            if g == math.inf:
+            if g_float == math.inf:
                 raise ValidationError(f"gains: state {k} has infinite gain")
+            if g_float == 0 and g > 0:
+                raise ValidationError(f"gains: state {k} underflows double precision")
+
+
+def _as_float(field, k, x):
+    """x as a float; a NaN, or a value beyond the double-precision range, is refused."""
+    try:
+        as_float = float(x)
+    except OverflowError:
+        raise ValidationError(
+            f"{field}: state {k} lies beyond the double-precision range"
+        ) from None
+    if as_float != as_float:
+        raise ValidationError(f"{field}: state {k} is not a number")
+    return as_float
 
 
 @dataclass(frozen=True)
@@ -96,16 +119,20 @@ class PreparedChannel:
 
 
 def _merge_duplicates(pairs):
-    """Merge adjacent (gain, prob) pairs whose gains agree to MERGE_RTOL."""
-    merged = [list(pairs[0])]
-    for g, p in pairs[1:]:
-        g_prev = merged[-1][0]
+    """Gains and probabilities of sorted (gain, prob) pairs, with adjacent
+    gains that agree to MERGE_RTOL merged into the first of their run."""
+    pairs = iter(pairs)
+    g_prev, p = next(pairs)
+    gains, probs = [g_prev], [p]
+    for g, p in pairs:
         scale = g_prev if g_prev >= g else g
         if abs(g_prev - g) <= MERGE_RTOL * scale:
-            merged[-1][1] = merged[-1][1] + p
+            probs[-1] = probs[-1] + p
         else:
-            merged.append([g, p])
-    return merged
+            gains.append(g)
+            probs.append(p)
+            g_prev = g
+    return gains, probs
 
 
 def _zero_gain_epsilon(gains, cum_probs):
@@ -127,11 +154,8 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     The single-state zero-gain channel is returned with ``degenerate=True``
     rather than rejected: both capacities are exactly zero for it.
     """
-    pairs = sorted(zip(dist.gains, dist.probs), key=lambda gp: gp[0], reverse=True)
-    merged = _merge_duplicates(pairs)
-
-    gains = [g for g, _ in merged]
-    probs = [p for _, p in merged]
+    pairs = sorted(zip(dist.gains, dist.probs), key=itemgetter(0), reverse=True)
+    gains, probs = _merge_duplicates(pairs)
 
     if len(gains) == 1 and gains[0] == 0:
         return PreparedChannel(
@@ -142,10 +166,17 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
             degenerate=True,
         )
 
+    # a probability below the resolution of the running sum leaves F_k equal
+    # to F_{k-1}; two such states have no crossing, so the channel is refused
     cum = []
     acc = 0
-    for p in probs:
-        acc = acc + p
+    for k, p in enumerate(probs, start=1):
+        prev, acc = acc, acc + p
+        if acc == prev:
+            raise ValidationError(
+                f"probs: state {k} (gain {gains[k - 1]}) has probability {p}, below the"
+                f" resolution of the cumulative probability {acc}"
+            )
         cum.append(acc)
 
     epsilon = None
@@ -176,19 +207,19 @@ def ergodic_capacity(ch: PreparedChannel) -> float:
     """
     if ch.degenerate:
         return 0.0
+    gains = ch.gains if ch.epsilon_applied is None else ch.gains[:-1]
     total = 0.0
-    last = ch.num_states - 1
-    for k, (g, p) in enumerate(zip(ch.gains, ch.probs)):
-        if k == last and ch.epsilon_applied is not None:
-            continue
-        total += float(p) * math.log1p(float(g))
+    log1p = math.log1p
+    # a Fraction meets a float in the product and log1p as its float()
+    for g, p in zip(gains, ch.probs):
+        total += p * log1p(g)
     return total
 
 
 def entropy(ch: PreparedChannel) -> float:
     """Entropy -sum(p_k * ln(p_k)) of the state distribution, in nats."""
     total = 0.0
+    log = math.log
     for p in ch.probs:
-        pf = float(p)
-        total -= pf * math.log(pf)
+        total -= p * log(p)
     return total + 0.0

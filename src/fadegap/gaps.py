@@ -102,17 +102,17 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
         additive = max(additive, 0.0)
         multiplicative = max(c_erg / c_exp, 1.0)
 
-    lemma2 = []
-    lemma3 = []
     # inverse gains ascend, so the ones that overflowed (subnormal gains)
-    # come last; their terms are the limits in g
-    finite = bisect.bisect_left(ch.inverse_gains, math.inf)
-    for n, p, lam in zip(ch.inverse_gains[:finite], ch.probs, alloc.lam):
-        lemma2.append(float((n + 1) / (n * lam)))
-        lemma3.append(float(p) * math.log1p(float(1 / n)) / c_exp)
-    for g, p, lam in zip(ch.gains[finite:], ch.probs[finite:], alloc.lam[finite:]):
-        lemma2.append(float((1 + g) / lam))
-        lemma3.append(float(p) * math.log1p(float(g)) / c_exp)
+    # come last; their terms are the limits in g.  A Fraction meets a float
+    # in the lemma-3 product and log1p as its float()
+    n, probs, lam = ch.inverse_gains, ch.probs, alloc.lam
+    finite = bisect.bisect_left(n, math.inf)
+    log1p = math.log1p
+    lemma2 = [float((nk + 1) / (nk * lk)) for nk, lk in zip(n[:finite], lam)]
+    lemma3 = [p * log1p(1 / nk) / c_exp for nk, p in zip(n[:finite], probs)]
+    for g, p, lk in zip(ch.gains[finite:], probs[finite:], lam[finite:]):
+        lemma2.append(float((1 + g) / lk))
+        lemma3.append(p * log1p(g) / c_exp)
 
     boundary = tuple(
         float(z) for z in chain.breakpoints[1:-1] if z == 0 or z == 1

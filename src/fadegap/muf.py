@@ -86,13 +86,18 @@ def intersection(ch: PreparedChannel, k: int, l: int):
     """Unique crossing point of the utilities of states k < l (1-based).
 
     Returns ``z_{k,l} = (F_k n_l - F_l n_k) / (F_l - F_k)``, which always
-    lies to the right of -n_k.
+    lies to the right of -n_k.  The value comes from :func:`_crossing`, the
+    one expression :func:`build_chain` evaluates too.
     """
     if not 1 <= k < l <= ch.num_states:
         raise ValidationError(f"intersection needs 1 <= k < l <= K, got k={k}, l={l}")
-    n = ch.inverse_gains
-    f = ch.cum_probs
-    return (f[k - 1] * n[l - 1] - f[l - 1] * n[k - 1]) / (f[l - 1] - f[k - 1])
+    return _crossing(ch.inverse_gains, ch.cum_probs, k - 1, l - 1)
+
+
+def _crossing(n, f, k, l):
+    """``z_{k,l}`` from inverse gains n and cumulative probabilities f, for
+    0-based indices k < l; the caller checks them."""
+    return (f[k] * n[l] - f[l] * n[k]) / (f[l] - f[k])
 
 
 def _is_tie(a, b):
@@ -110,25 +115,39 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     tied states collapse onto the largest index.  The test compares two
     crossings out of the same state rather than the top's own crossing with
     l, whose rounding error nearly parallel lines amplify.  Each state is
-    pushed and popped at most once: O(K) crossing evaluations.
+    pushed and popped at most once: O(K) crossing evaluations, each by
+    :func:`_crossing`, the expression :func:`intersection` returns.
     """
     if ch.degenerate or not ch.gains[-1] > 0:
         raise ValidationError("chain construction needs strictly positive gains; run prepare() first")
 
+    n, f = ch.inverse_gains, ch.cum_probs
     pi = [1]
-    breakpoints = [-ch.inverse_gains[0]]
-    for l in range(2, ch.num_states + 1):
+    breakpoints = [-n[0]]
+    for l in range(1, len(n)):
         while len(pi) > 1:
-            z = intersection(ch, pi[-2], l)
-            if not (z < breakpoints[-1] or _is_tie(z, breakpoints[-1])):
-                break
+            z = _crossing(n, f, pi[-2] - 1, l)
+            top = breakpoints[-1]
+            # _is_tie(z, top) once z >= top (a NaN fails both tests): |z - top|
+            # is z - top and max(|z|, |top|) is max(z, -top); TIE_RTOL times a
+            # Fraction is TIE_RTOL times its float
+            if not z < top:
+                scale = z if z >= -top else -top
+                if not z - top <= TIE_RTOL * scale:
+                    break
             pi.pop()
             breakpoints.pop()
-        pi.append(l)
-        breakpoints.append(intersection(ch, pi[-2], l))
+        breakpoints.append(_crossing(n, f, pi[-1] - 1, l))
+        pi.append(l + 1)
 
-    s = max(i for i in range(1, len(pi) + 1) if breakpoints[i - 1] <= 0)
-    w = max(i for i in range(1, len(pi) + 1) if breakpoints[i - 1] < 1)
+    # s and w as the largest segment indices whose takeover point is <= 0
+    # and < 1, in one pass (a point <= 0 is also < 1)
+    s = w = 0
+    for i, z in enumerate(breakpoints, start=1):
+        if z < 1:
+            w = i
+            if z <= 0:
+                s = i
     breakpoints.append(math.inf)
 
     return MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)

@@ -48,3 +48,19 @@ def test_check_fails_on_corrupted_input(inputs, name):
     computed, corrupted = inputs[name]
     assert check(*computed).ok
     assert not check(*corrupted).ok
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("per_state_additive_terms", "lemma2_terms"),
+        ("per_state_multiplicative_terms", "lemma3_terms"),
+    ],
+)
+def test_per_state_check_fails_on_a_nan_term(name, field):
+    a = full_analysis(DIST)
+    terms = getattr(a.report, field)
+    check = getattr(certify, name)
+    for k in range(len(terms)):
+        nan_at_k = terms[:k] + (math.nan,) + terms[k + 1 :]
+        assert not check(replace(a, report=replace(a.report, **{field: nan_at_k}))).ok, k

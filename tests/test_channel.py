@@ -67,11 +67,35 @@ def test_prepare_degenerate_single_zero_state():
         ((1, 2), (0.5, 0.4), "sum to 1"),
         ((1, -2), (0.5, 0.5), "negative gain"),
         ((math.inf, 1.0), (0.5, 0.5), "infinite gain"),
+        ((math.nan, 1.0), (0.5, 0.5), "gains: state 1 is not a number"),
+        ((2.0, 1.0), (0.5, math.nan), "probs: state 2 is not a number"),
+        ((10**400, 1), (0.5, 0.5), "gains: state 1 lies beyond the double-precision range"),
+        ((Fraction(10**400), 1), (0.5, 0.5), "beyond the double-precision range"),
+        ((2.0, 1.0), (10**400, 0.5), "probs: state 1 lies beyond the double-precision range"),
+        ((2.0, 1.0), (1, Fraction(1, 10**400)), "probs: state 2 underflows double precision"),
+        ((Fraction(1, 10**400), 1.0), (0.5, 0.5), "gains: state 1 underflows double precision"),
     ],
 )
 def test_distribution_validation_errors(gains, probs, match):
     with pytest.raises(ValidationError, match=match):
         FadingDistribution(gains, probs)
+
+
+@pytest.mark.parametrize(
+    "gains, probs, match",
+    [
+        # 1 - 1e-300 rounds to 1.0, which adding 1e-300 does not move
+        ((2.0, 1.0), (1 - 1e-300, 1e-300), r"state 2 \(gain 1.0\) has probability 1e-300"),
+        ((4.0, 2.0, 1.0), (0.5, 1e-300, 0.5), r"state 2 \(gain 2.0\) has probability 1e-300"),
+    ],
+)
+def test_probability_below_the_cumulative_resolution_is_refused(gains, probs, match):
+    # F_k == F_{k-1} leaves states k-1 and k without a crossing
+    dist = FadingDistribution(gains, probs)
+    with pytest.raises(ValidationError, match=match):
+        prepare(dist)
+    with pytest.raises(ValidationError, match=match):
+        analyze(dist)
 
 
 def test_ergodic_capacity_two_state():

@@ -186,6 +186,23 @@ def test_capacity_with_underflowing_zero_gain_epsilon_exits_1(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"gains": [2.0, 1.0], "probs": [1.0, 1e-300]}', "error: probs: state 2"),
+        ('{"gains": [1%s, 1], "probs": [0.5, 0.5]}' % ("0" * 400), "error: gains: state 1"),
+    ],
+    ids=["sub-resolution-probability", "401-digit-gain"],
+)
+def test_capacity_of_inputs_beyond_float_resolution_exits_1(capsys, tmp_path, text, message):
+    path = tmp_path / "channel.json"
+    path.write_text(text)
+    code, out, err = run_capture(capsys, ["capacity", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
 def test_family_invalid_d_exits_1(capsys):
     code, _, err = run_capture(
         capsys, ["family", "--kind", "additive", "--states", "5", "--d", "3"]

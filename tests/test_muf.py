@@ -150,17 +150,32 @@ def test_envelope_is_pointwise_maximum_on_random_channels():
         assert certify.envelope_maximality(ch, build_chain(ch)).ok
 
 
+def assert_chain_pins_its_crossings(ch, chain):
+    """build_chain's breakpoints are exactly the crossings intersection()
+    returns, and s and w their max() definitions."""
+    pi, bps = chain.pi, chain.breakpoints
+    for i in range(1, chain.segment_count):
+        assert bps[i] == intersection(ch, pi[i - 1], pi[i])
+    segments = range(1, chain.segment_count + 1)
+    assert chain.s == max(i for i in segments if bps[i - 1] <= 0)
+    assert chain.w == max(i for i in segments if bps[i - 1] < 1)
+
+
 def test_chain_matches_greedy_reference_on_random_channels():
     for dist in random_channels(400, seed=23, max_states=12):
         ch = prepare(dist)
-        assert build_chain(ch) == greedy_chain(ch)
+        chain = build_chain(ch)
+        assert chain == greedy_chain(ch)
+        assert_chain_pins_its_crossings(ch, chain)
 
 
 def test_chain_matches_greedy_reference_on_family_grid():
     # exact Fraction channels; every multiplicative crossing lies exactly at 0
     for label, dist in family_points():
         ch = prepare(dist)
-        assert build_chain(ch) == greedy_chain(ch), label
+        chain = build_chain(ch)
+        assert chain == greedy_chain(ch), label
+        assert_chain_pins_its_crossings(ch, chain)
 
 
 @pytest.mark.parametrize(
@@ -191,6 +206,7 @@ def test_chain_matches_greedy_reference_on_high_snr_ladders(k):
     chain = build_chain(ch)
     assert chain.segment_count == k
     assert chain == greedy_chain(ch)
+    assert_chain_pins_its_crossings(ch, chain)
 
 
 @given(st.floats(1e-3, 1e3), channel_distributions())
