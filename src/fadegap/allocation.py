@@ -21,12 +21,14 @@ cross-check and a certified agreement are facts about exact values, so
 they carry up: a higher rung evaluates only what is still open.  The
 per-state value comes from the rung that certified it to VALUE_RTOL, the
 grouped value from the rung that settled the agreement.  Most channels
-settle in floats; at low capacity the float rung usually certifies
-everything but the per-state value, which the 60-digit rung then
-evaluates alone.  On extreme channels (gains near 1e-300, the exact
-worst-case families) the grouped form cancels through up to hundreds of
-digits, which the mpmath rungs resolve.  mpmath is imported only when the
-float rung cannot settle a channel.
+settle in floats, low-capacity ones included: the weakest active
+segment's log is taken as log1p of its factor minus 1, formed without
+cancellation, so a capacity near 0 keeps its relative accuracy.  What
+climbs is mostly the agreement, where the grouped form cancels; on
+extreme channels (gains near 1e-300, the exact worst-case families) it
+cancels through up to hundreds of digits, which the mpmath rungs
+resolve.  mpmath is imported only when the float rung cannot settle a
+channel.
 """
 
 import functools
@@ -166,6 +168,7 @@ class _Rung(NamedTuple):
 
     num: Callable
     log: Callable
+    log1p: Callable
     fsum: Callable
     unit: object
     lo: float
@@ -176,7 +179,7 @@ class _Rung(NamedTuple):
 def _rung(digits) -> _Rung:
     """Float arithmetic for ``digits=None``, else an mpmath context."""
     if digits is None:
-        return _Rung(float, math.log, math.fsum, 2.0**-53, 1e-100, 1e100)
+        return _Rung(float, math.log, math.log1p, math.fsum, 2.0**-53, 1e-100, 1e100)
     import mpmath
 
     ctx = mpmath.mp.clone()
@@ -187,21 +190,54 @@ def _rung(digits) -> _Rung:
             return ctx.mpf(x.numerator) / x.denominator
         return ctx.mpf(x)
 
-    return _Rung(num, ctx.log, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf)
+    return _Rung(num, ctx.log, ctx.log1p, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf)
 
 
 def _evaluate(
-    ch: PreparedChannel, alloc: PowerAllocation, active: tuple, cross_check, grouped, rung: _Rung
+    ch: PreparedChannel,
+    alloc: PowerAllocation,
+    active: tuple,
+    exact_inputs: bool,
+    cross_check,
+    grouped,
+    rung: _Rung,
 ):
     """The closed-form quantities a lower rung left open, on one rung, with
     first-order error bounds.
 
     The per-state form is always evaluated; the decoded-rate factor
     cross-check only when cross_check is true and the grouped form only when
-    grouped is true.  The bounds take every arithmetic operation as exact up
-    to one relative rounding ``unit`` and a log as exact up to two units of
-    its result; a Fraction input converts with relative error ``2 * unit``,
-    which the differences amplify by their conditioning.
+    grouped is true.  exact_inputs is true when an input the forms read is a
+    Fraction.  The bounds take every arithmetic operation as exact up to one
+    relative rounding ``unit`` and a log or log1p as exact up to two units of
+    its result; a Fraction input converts with relative error
+    ``iota = 2 * unit``, which the differences amplify by their conditioning.
+
+    ``ln Lambda_k`` is the log of the factor, except on the weakest active
+    segment w (previous active state a, ``F_0 = n_0 = 0``), where it is
+    ``log1p(x)`` with
+
+        x = Lambda_w - 1 = (df + (n_a df - F_a dn)) / (F_w dn),
+        df = F_w - F_a,  dn = n_w - n_a.
+
+    The n_w terms of ``(n_w + 1) df - F_w dn`` cancel in the algebra, so
+    they never cancel in rounding, and x keeps its relative accuracy when
+    Lambda_w is next to 1 (a low capacity).  The bracket is
+    ``F_w n_a - F_a n_w`` formed from the differences the segment already
+    has; when a = 0 it is exactly 0 and x is ``1 / n_w`` up to two roundings.
+    Its absolute error, with e_f and e_n the relative errors of df and dn
+    and r one rounding when a != 0 (else 0), is at first order
+
+        e_x = (df e_f + n_a df (iota + e_f + u) + F_a dn (iota + e_n + u)
+               + r (|bracket| + |numerator|)) / (F_w dn)
+              + |x| (iota + e_n + 2u),
+
+    and the term ``ln Lambda_w`` carries ``e_x / (1 + x) + |lr| * e_log``
+    where any other segment carries ``e_lam + |lr| * e_log``.  Formed from
+    the differences, the bracket's products are at most ``Lambda_w F_w dn``
+    (``n_a df``) and ``F_w dn`` (``F_a dn``), so its cancellation costs a
+    few units at most; the products of ``F_w n_a - F_a n_w`` itself can
+    exceed ``F_w dn`` by ``n_a / dn``.
 
     Returns ``(mismatch, per_state, err_per_state, grouped, err_grouped)``.
     mismatch is None when every stored decoded-rate factor certifiably lies
@@ -217,12 +253,12 @@ def _evaluate(
         return None
     if not lo < min(ch.probs[:last]):
         return None
-    num, log, u = rung.num, rung.log, rung.unit
+    num, log, log1p, u = rung.num, rung.log, rung.log1p, rung.unit
+    iota = 2 * u if exact_inputs else 0
     inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
-    kinds = set(map(type, itertools.chain(*inputs)))
-    iota = 0 if kinds <= {float, int} else 2 * u
-    # floats already are the float rung's numbers
-    if num is float and kinds == {float}:
+    # floats and ints already are the float rung's numbers (an int input is
+    # exact in Python arithmetic)
+    if num is float and not exact_inputs:
         n, f, p = inputs
     else:
         n, f, p = ([num(x) for x in xs] for xs in inputs)
@@ -253,8 +289,28 @@ def _evaluate(
             return None
         # Lambda_k is constant on the segment, so one log serves its states;
         # a one-state segment, the common case on long chains, needs no loop
-        lr = log(lam[b - 1])
-        e_term = e_lam + abs(lr) * e_log
+        if b < last:
+            lr = log(lam[b - 1])
+            e_term = e_lam + abs(lr) * e_log
+        else:
+            # the bracket and its error terms are exactly 0 when a = 0
+            numer, e_numer = df, df * e_f
+            if a:
+                bracket = na * df - fa * dn
+                numer += bracket
+                e_numer += (
+                    na * df * (iota + e_f + u)
+                    + fa * dn * (iota + e_n + u)
+                    + u * (abs(bracket) + abs(numer))
+                )
+            den = fb * dn
+            x = numer / den
+            e_x = e_numer / den + abs(x) * (iota + e_n + u2)
+            one_x = 1 + x
+            if not e_x <= _MAX_REL_ERR * one_x:
+                return None
+            lr = log1p(x)
+            e_term = e_x / one_x + abs(lr) * e_log
         if b - a == 1:
             lam_err.append(e_lam + iota)
             per_state.append(p[a] * lr)
@@ -319,7 +375,7 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
 
     A passed cross-check and a certified agreement are facts about exact
     values, so they carry up the ladder: a higher rung evaluates only what
-    is still open, usually the per-state value alone.  per_state comes from
+    is still open, usually the agreement alone.  per_state comes from
     the rung that certified it, grouped from the rung that settled the
     agreement.  An undecided check and a disagreement carry nothing.
     """
@@ -331,11 +387,16 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
             f"gains: the inverse of the gain {ch.gains[active[-1] - 1]} of active"
             f" state {active[-1]} overflows double precision"
         )
+    # whether an input the forms read is a Fraction, for every rung: a
+    # cumulative probability is one only if a probability up to it is
+    last = active[-1]
+    kinds = {*map(type, ch.inverse_gains[:last]), *map(type, ch.probs[:last])}
+    exact_inputs = not kinds <= {float, int}
     per = grp = None
     checked = agreed = False
     for digits in (None,) + _MP_DIGITS:
         rung = _rung(digits)
-        out = _evaluate(ch, alloc, active, not checked, not agreed, rung)
+        out = _evaluate(ch, alloc, active, exact_inputs, not checked, not agreed, rung)
         if out is None:
             continue
         mismatch, per, err_p, rung_grp, err_g = out

@@ -13,7 +13,9 @@ keep the input's arithmetic.  Exact inputs keep exact intersections, which
 the degenerate worst-case families rely on.
 """
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -34,6 +36,9 @@ MERGE_RTOL = 1e-12
 #: Allowed deviation of the probability total from one.
 PROB_SUM_ATOL = 1e-9
 
+_FLOAT_MIN = sys.float_info.min
+_FLOAT_MAX = sys.float_info.max
+
 
 @dataclass(frozen=True)
 class FadingDistribution:
@@ -43,8 +48,10 @@ class FadingDistribution:
     positive with total within 1e-9 of one, and every gain must be
     nonnegative and finite.  Every value must be a number that converts to a
     finite float, and a positive one to a positive float: an int or Fraction
-    beyond the double-precision range is refused.  Order is irrelevant;
-    :func:`prepare` canonicalizes it.
+    beyond the double-precision range is refused, and so is a positive one
+    below its normal range, since exact ratios of such values would overflow
+    where they meet a float.  Order is irrelevant; :func:`prepare`
+    canonicalizes it.
     """
 
     gains: tuple
@@ -63,7 +70,7 @@ class FadingDistribution:
             p_float = _as_float("probs", k, p)
             if not p > 0:
                 raise ValidationError(f"probs: state {k} has non-positive probability {p}")
-            if p_float == 0:
+            if _underflows(p, p_float):
                 raise ValidationError(f"probs: state {k} underflows double precision")
         total = sum(self.probs)
         if abs(total - 1) > PROB_SUM_ATOL:
@@ -74,8 +81,14 @@ class FadingDistribution:
                 raise ValidationError(f"gains: state {k} has negative gain {g}")
             if g_float == math.inf:
                 raise ValidationError(f"gains: state {k} has infinite gain")
-            if g_float == 0 and g > 0:
+            if g > 0 and _underflows(g, g_float):
                 raise ValidationError(f"gains: state {k} underflows double precision")
+
+
+def _underflows(x, as_float):
+    """Whether a positive x rounds to 0, or, unless a float, below the
+    normal range."""
+    return as_float == 0 or (as_float < _FLOAT_MIN and not isinstance(x, float))
 
 
 def _as_float(field, k, x):
@@ -189,6 +202,16 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         gains[-1] = epsilon
 
     inverse = [1 / g for g in gains]
+    # a float inverse below the normal range has lost bits, and the decoded
+    # rate factors built on it overflow
+    if inverse[0] < _FLOAT_MIN and isinstance(inverse[0], float):
+        raise ValidationError(
+            f"gains: state 1 (gain {gains[0]}) has an inverse below the normal"
+            " double-precision range"
+        )
+    # inverse gains ascend, so the ones beyond the double range come last
+    if inverse[-1] > _FLOAT_MAX:
+        _check_overflowed_inverses(gains, inverse, cum)
     return PreparedChannel(
         gains=tuple(gains),
         probs=tuple(probs),
@@ -196,6 +219,30 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         cum_probs=tuple(cum),
         epsilon_applied=epsilon,
     )
+
+
+def _check_overflowed_inverses(gains, inverse, cum):
+    """Refuse the states whose inverse gain lies beyond the double range
+    that the chain cannot take as never receiving power."""
+    finite = bisect.bisect_right(inverse, _FLOAT_MAX)
+    # the largest utility F_j / (n_j + 1) of a finite state at z = 1
+    best = max((fj / (nj + 1) for nj, fj in zip(inverse[:finite], cum)), default=0)
+    for k in range(finite, len(inverse)):
+        if not isinstance(inverse[k], float):
+            # an exact inverse (of a zero-gain substitute) would overflow
+            # wherever it meets a float
+            raise ValidationError(
+                f"gains: state {k + 1} (gain {gains[k]}) has an inverse beyond the"
+                " double-precision range"
+            )
+        # a float one is inf, a state taken to receive no power; that holds
+        # when a finite state's utility beats its F_k g_k / (1 + g_k) at
+        # z = 1, the end of the budget where the weaker state fares best
+        if finite and not best > cum[k] * gains[k]:
+            raise ValidationError(
+                f"gains: the inverse of the gain {gains[k]} of state {k + 1} overflows"
+                " double precision, and the state may receive power"
+            )
 
 
 def ergodic_capacity(ch: PreparedChannel) -> float:

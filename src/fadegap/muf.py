@@ -96,49 +96,70 @@ def intersection(ch: PreparedChannel, k: int, l: int):
 
 def _crossing(n, f, k, l):
     """``z_{k,l}`` from inverse gains n and cumulative probabilities f, for
-    0-based indices k < l; the caller checks them."""
-    return (f[k] * n[l] - f[l] * n[k]) / (f[l] - f[k])
+    0-based indices k < l; the caller checks them.
 
-
-def _is_tie(a, b):
-    scale = max(abs(float(a)), abs(float(b)))
-    return abs(a - b) <= TIE_RTOL * scale
+    Evaluated as ``F_k / (F_l - F_k) * (n_l - n_k) - n_k``: in floats the
+    first quotient stays below 2**53 (F_l moved F_k by at least one ulp),
+    so no intermediate overflows unless z does, and none underflows where
+    the products ``F_k n_l`` and ``F_l n_k`` of tiny probabilities and
+    inverse gains would round to 0.
+    """
+    return f[k] / (f[l] - f[k]) * (n[l] - n[k]) - n[k]
 
 
 def build_chain(ch: PreparedChannel) -> MufChain:
     """Construct the dominating-envelope chain of a prepared channel.
 
     States 2..K are pushed in order onto a stack that starts with state 1.
-    Before state l is pushed, the top is popped while l crosses the state
+    Before state l is pushed, the top is popped while l crosses the state a
     beneath it no later than the top does, so the top never leads the
-    envelope.  Crossings within TIE_RTOL count as equal and also pop, so
-    tied states collapse onto the largest index.  The test compares two
-    crossings out of the same state rather than the top's own crossing with
-    l, whose rounding error nearly parallel lines amplify.  Each state is
-    pushed and popped at most once: O(K) crossing evaluations, each by
-    :func:`_crossing`, the expression :func:`intersection` returns.
+    envelope.  Since ``z_{a,l} = -n_a + F_a * (n_l - n_a) / (F_l - F_a)``,
+    the test compares the chords ``(n_l - n_a) / (F_l - F_a)`` of l and the
+    top, through their ratio ``(dn_top / dn_l) * (dF_l / dF_top)``: the
+    crossings' order without their cancellation against -n_a, which erases
+    it when F_a is tiny, without a chord's overflow when F_l - F_a is, and
+    without the top's own crossing with l, whose rounding error nearly
+    parallel lines amplify.  Chords within TIE_RTOL count as equal and also
+    pop, so tied states collapse onto the largest index.  States whose
+    inverse gain overflowed (subnormal gains) come last and have no utility:
+    they cross every other state at +inf and tie among themselves, so the
+    last of them closes the chain.  Each state is pushed and popped at most
+    once: O(K) chord ratios and crossings, each crossing the expression of
+    :func:`_crossing`, which :func:`intersection` returns.
     """
     if ch.degenerate or not ch.gains[-1] > 0:
         raise ValidationError("chain construction needs strictly positive gains; run prepare() first")
 
     n, f = ch.inverse_gains, ch.cum_probs
+    inf = math.inf
+    tie = 1 - TIE_RTOL
+    finite = len(n) if n[-1] < inf else bisect.bisect_left(n, inf)
     pi = [1]
     breakpoints = [-n[0]]
-    for l in range(1, len(n)):
+    # deltas[i] is (n, F) of state pi[i] minus those of pi[i-1]
+    deltas = [None]
+    for l in range(1, finite):
+        nl, fl = n[l], f[l]
         while len(pi) > 1:
-            z = _crossing(n, f, pi[-2] - 1, l)
-            top = breakpoints[-1]
-            # _is_tie(z, top) once z >= top (a NaN fails both tests): |z - top|
-            # is z - top and max(|z|, |top|) is max(z, -top); TIE_RTOL times a
-            # Fraction is TIE_RTOL times its float
-            if not z < top:
-                scale = z if z >= -top else -top
-                if not z - top <= TIE_RTOL * scale:
-                    break
+            a = pi[-2] - 1
+            dn, df = deltas[-1]
+            # the top's chord over l's, at least 1 - TIE_RTOL when l's is no
+            # larger or ties with it; a Fraction stays exact
+            if not dn / (nl - n[a]) * ((fl - f[a]) / df) >= tie:
+                break
             pi.pop()
             breakpoints.pop()
-        breakpoints.append(_crossing(n, f, pi[-1] - 1, l))
+            deltas.pop()
+        a = pi[-1] - 1
+        na, fa = n[a], f[a]
+        dn, df = nl - na, fl - fa
+        deltas.append((dn, df))
+        # _crossing(n, f, a, l), on the differences at hand
+        breakpoints.append(fa / df * dn - na)
         pi.append(l + 1)
+    if pi[-1] < len(n):
+        breakpoints.append(_crossing(n, f, pi[-1] - 1, len(n) - 1))
+        pi.append(len(n))
 
     # s and w as the largest segment indices whose takeover point is <= 0
     # and < 1, in one pass (a point <= 0 is also < 1)
@@ -148,7 +169,7 @@ def build_chain(ch: PreparedChannel) -> MufChain:
             w = i
             if z <= 0:
                 s = i
-    breakpoints.append(math.inf)
+    breakpoints.append(inf)
 
     return MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
 

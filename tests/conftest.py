@@ -24,7 +24,7 @@ from fadegap import (
 from fadegap.allocation import LAMBDA_RTOL
 from fadegap.cli import random_distribution
 from fadegap.errors import InternalConsistencyError, ValidationError
-from fadegap.muf import _is_tie
+from fadegap.muf import TIE_RTOL
 
 ADDITIVE_D_GRID = (3, 10, 100, 1e4)
 MULTIPLICATIVE_D_GRID = (0.5, 2, 60, 1e4)
@@ -56,22 +56,37 @@ def high_snr_ladder(k: int, snr: float = 1e12) -> FadingDistribution:
 def greedy_chain(ch) -> MufChain:
     """Reference envelope chain by direct search, O(K * chain length).
 
-    From each chain state, jump to the later state with the smallest crossing
-    point; crossings within TIE_RTOL of that minimum resolve to the largest
-    index.  build_chain must reproduce it exactly.
+    From each chain state, jump to the later state with the smallest chord
+    ``(n_l - n_cur) / (F_l - F_cur)``, which orders the crossing points
+    ``z_{cur,l} = -n_cur + F_cur * chord``; chords within TIE_RTOL of that
+    minimum resolve to the largest index.  States whose inverse gain
+    overflowed are left to the end, where the last of them closes the
+    chain.  build_chain must reproduce it exactly.
     """
     k_states = ch.num_states
+    n, f = ch.inverse_gains, ch.cum_probs
+    finite = sum(x < math.inf for x in n)
+
+    def chord_ratio(x, y):
+        """Chord of x over chord of y, for (dn, dF, l) triples."""
+        return x[0] / y[0] * (y[1] / x[1])
 
     pi = [1]
-    breakpoints = [-ch.inverse_gains[0]]
-    while pi[-1] < k_states:
+    breakpoints = [-n[0]]
+    while pi[-1] < finite:
         cur = pi[-1]
-        zs = [(intersection(ch, cur, l), l) for l in range(cur + 1, k_states + 1)]
-        z_min = min(z for z, _ in zs)
-        best = max(l for z, l in zs if _is_tie(z, z_min))
-        z_best = next(z for z, l in zs if l == best)
+        deltas = [(n[l - 1] - n[cur - 1], f[l - 1] - f[cur - 1], l)
+                  for l in range(cur + 1, finite + 1)]
+        low = deltas[0]
+        for d in deltas[1:]:
+            if chord_ratio(low, d) > 1:
+                low = d
+        best = max(d[2] for d in deltas if chord_ratio(low, d) >= 1 - TIE_RTOL)
         pi.append(best)
-        breakpoints.append(z_best)
+        breakpoints.append(intersection(ch, cur, best))
+    if pi[-1] < k_states:
+        breakpoints.append(intersection(ch, pi[-1], k_states))
+        pi.append(k_states)
 
     s = max(i for i in range(1, len(pi) + 1) if breakpoints[i - 1] <= 0)
     w = max(i for i in range(1, len(pi) + 1) if breakpoints[i - 1] < 1)

@@ -241,12 +241,36 @@ def evaluations(monkeypatch):
     return calls
 
 
-def test_value_alone_climbs_past_the_float_rung(evaluations):
-    # one active state and a capacity of 0.01 nat: the float rung certifies
-    # the factor cross-check and the route agreement, but not the value
-    ch, _, alloc = pipeline(FadingDistribution((0.02, 0.01), (0.5, 0.5)))
+@pytest.mark.parametrize(
+    "dist, active",
+    [
+        (FadingDistribution((0.02, 0.01), (0.5, 0.5)), (2,)),
+        (FadingDistribution((0.3, 0.02, 0.005), (0.01, 0.09, 0.9)), (3,)),
+        (FadingDistribution((0.07, 0.03, 0.01), (0.2, 0.3, 0.5)), (2,)),
+        (FadingDistribution((0.2, 0.04), (0.22, 0.78)), (1, 2)),
+        (FadingDistribution((1.0, 0.05), (0.07, 0.93)), (1, 2)),
+    ],
+    ids=["one-active", "one-active-last", "one-active-inner", "two-active", "two-active-strong"],
+)
+def test_low_capacity_channels_settle_on_the_float_rung(dist, active, rungs_used):
+    # capacities of 0.005-0.05 nat, whose factor logs sit next to 0: the
+    # weakest active segment's log1p(Lambda_w - 1) keeps its relative
+    # accuracy, so the float rung certifies the value
+    ch, _, alloc = pipeline(dist)
     value = expected_capacity(ch, alloc)
-    assert alloc.active_states == (2,)
+    assert alloc.active_states == active
+    assert rungs_used == [allocation._rung(None)]
+    ref = float(reference_routes(ch, alloc)[0])
+    assert abs(value - ref) <= 1e-14 * abs(ref)
+
+
+def test_value_alone_climbs_past_the_float_rung(evaluations):
+    # two active states and a capacity of 0.02 nat: the float rung certifies
+    # the factor cross-check and the route agreement, but not the value,
+    # whose stronger segment carries the absolute error of its factor's log
+    ch, _, alloc = pipeline(FadingDistribution((0.08, 0.02), (0.251, 0.749)))
+    value = expected_capacity(ch, alloc)
+    assert alloc.active_states == (1, 2)
     assert evaluations == [
         (True, True, allocation._rung(None)),
         (False, False, allocation._rung(60)),

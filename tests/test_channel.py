@@ -74,11 +74,40 @@ def test_prepare_degenerate_single_zero_state():
         ((2.0, 1.0), (10**400, 0.5), "probs: state 1 lies beyond the double-precision range"),
         ((2.0, 1.0), (1, Fraction(1, 10**400)), "probs: state 2 underflows double precision"),
         ((Fraction(1, 10**400), 1.0), (0.5, 0.5), "gains: state 1 underflows double precision"),
+        # exact values below the normal range: their ratios overflow a float
+        ((2.0, 1.0), (1, Fraction(1, 10**310)), "probs: state 2 underflows double precision"),
+        ((Fraction(1, 10**310), 1.0), (0.5, 0.5), "gains: state 1 underflows double precision"),
     ],
 )
 def test_distribution_validation_errors(gains, probs, match):
     with pytest.raises(ValidationError, match=match):
         FadingDistribution(gains, probs)
+
+
+@pytest.mark.parametrize(
+    "gains, probs, match",
+    [
+        # n_1 = 5.6e-309 is subnormal, and Lambda_1 = 1 + 1/n_1 overflows
+        ((1.7976931348623157e308,), (1.0,), "state 1 .* inverse below the normal"),
+        # n_2 overflows, yet g_2 = 8.1e-311 beats F_1 / n_1 = 5e-311
+        (
+            (3.789162577964379e-308, 8.1089904430823e-311),
+            (0.0013190771960513885, 0.9986809228039486),
+            "gain 8.1089904430823e-311 of state 2 overflows double precision, and the"
+            " state may receive power",
+        ),
+        # the exact zero-gain substitute, 5e-311, has an inverse beyond the range
+        (
+            (Fraction(1, 10**300), 0),
+            (Fraction(1, 10**10), 1 - Fraction(1, 10**10)),
+            "state 2 .* has an inverse beyond the double-precision range",
+        ),
+    ],
+)
+def test_inverse_gain_outside_the_double_range_is_refused(gains, probs, match):
+    dist = FadingDistribution(gains, probs)
+    with pytest.raises(ValidationError, match=match):
+        prepare(dist)
 
 
 @pytest.mark.parametrize(

@@ -161,6 +161,35 @@ def test_inactive_state_with_overflowing_inverse_gain():
     assert_finite_report(analysis)
 
 
+@pytest.mark.parametrize(
+    "gains, probs, active",
+    [
+        # the overflowed weakest states cross the others at inf, which the
+        # chain once took for a tie that popped state 2 (M = 15052 > K)
+        ((1e10, 1.0, 1e-320), (1e-6, 0.5, 0.5 - 1e-6), (1, 2)),
+        ((1e10, 1.0, 1e-320, 5e-321), (1e-6, 0.5, 0.25, 0.25 - 1e-6), (1, 2)),
+        # F_1 = 1.25e-321: every crossing out of state 1 rounds to -n_1, and
+        # comparing them popped state 2 (M = 5.3 > K)
+        ((2.0, 1.0, 0.125), (1.25e-321, 0.875, 0.125), (2,)),
+        # the chord of state 2 from state 1, 1.0e308 / 0.176, overflows
+        (
+            (9.038541003810272e-307, 9.85609251788806e-309, 3.07078322086e-313),
+            (9.484919304289146e-05, 0.1755, 1 - 0.1755 - 9.484919304289146e-05),
+            (2,),
+        ),
+    ],
+    ids=["overflowed", "two-overflowed", "tiny-first-probability", "overflowed-chord"],
+)
+def test_extreme_channel_keeps_its_gap_bounds(gains, probs, active):
+    analysis = full_analysis(FadingDistribution(gains, probs))
+    assert analysis.report.active_states == active
+    assert certify.additive_gap_bound(analysis).ok
+    assert certify.multiplicative_gap_bound(analysis).ok
+    rate = expected_rate_of(analysis.channel, analysis.allocation.beta)
+    assert abs(analysis.report.c_exp - rate) <= 1e-9 * rate
+    assert_finite_report(analysis)
+
+
 def test_active_state_with_overflowing_inverse_gain_is_a_validation_error():
     with pytest.raises(ValidationError, match="overflows double precision"):
         analyze(FadingDistribution((1e-310, 1e-320), (0.5, 0.5)))

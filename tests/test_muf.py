@@ -200,6 +200,41 @@ def test_chain_merges_float_near_tie(gains, probs):
     assert chain == greedy_chain(ch)
 
 
+@pytest.mark.parametrize(
+    "gains, probs, pi",
+    [
+        # a subnormal gain overflows n_3, so z_{1,3} = inf; the live state 2
+        # must not be popped as if it tied with it
+        ((1e10, 1.0, 1e-320), (1e-6, 0.5, 0.5 - 1e-6), (1, 2, 3)),
+        # two overflowed states cross state 2 at inf alike: a tie, resolved
+        # to the largest index
+        ((1e10, 1.0, 1e-320, 5e-321), (1e-6, 0.5, 0.25, 0.25 - 1e-6), (1, 2, 4)),
+    ],
+)
+def test_infinite_crossing_ties_only_with_an_equal_one(gains, probs, pi):
+    ch = prepare(FadingDistribution(gains, probs))
+    chain = build_chain(ch)
+    assert chain.pi == pi
+    assert chain.breakpoints[1] == intersection(ch, 1, 2) < 1
+    assert chain.breakpoints[2:] == (math.inf, math.inf)
+    assert chain == greedy_chain(ch)
+
+
+def test_crossing_survives_underflowing_products():
+    # F_1 n_2 = 2.7e-363 and F_2 n_1 = 1.3e-524 both round to 0, which put
+    # z_{1,2} at 0 and left state 1 without power
+    ch = prepare(FadingDistribution(
+        (1.654067573360229e207, 7.649376568999044e45, 1e-300),
+        (2.086149e-317, 3.41765e-319, 1 - 2.1203257e-317),
+    ))
+    n, f = (tuple(map(Fraction, xs)) for xs in (ch.inverse_gains, ch.cum_probs))
+    exact = (f[0] * n[1] - f[1] * n[0]) / (f[1] - f[0])
+    assert intersection(ch, 1, 2) == pytest.approx(float(exact), rel=1e-14)
+    chain = build_chain(ch)
+    assert chain.active_states == (1, 2, 3)
+    assert chain == greedy_chain(ch)
+
+
 @pytest.mark.parametrize("k", [128, 512, 1024])
 def test_chain_matches_greedy_reference_on_high_snr_ladders(k):
     ch = prepare(high_snr_ladder(k))

@@ -1,0 +1,109 @@
+"""The total input contract, as properties over extreme inputs.
+
+For every input the library returns a finite report or raises
+ValidationError or InternalConsistencyError, and every report keeps the
+``A <= ln K`` and ``M <= K`` bounds; ``fadegap.cli.run`` exits 0, 1 or 2
+and never lets an exception through.  The draws reach the float limits:
+zero and subnormal gains up to 1.8e308, probabilities down to 1e-320,
+exact Fraction and big-int values, and K up to a few hundred.
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fadegap import FadingDistribution, certify, full_analysis
+from fadegap.cli import run
+from fadegap.errors import InternalConsistencyError, ValidationError
+
+_SETTINGS = settings(
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+#: Each channel draws its gains from one of these styles, so that most
+#: channels stay inside the float range while every style of extreme input
+#: still appears.
+_FLOAT_GAINS = [
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1.8e308),
+    st.one_of(st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e300, 1.8e308)),
+    st.integers(0, 10**300),
+    st.one_of(st.floats(0.0, 1.8e308), st.integers(0, 10**400)),
+]
+_EXACT_GAINS = [
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+    st.builds(Fraction, st.integers(0, 10**320), st.integers(1, 10**320)),
+]
+_WEIGHTS = [
+    st.floats(0.01, 1.0),
+    st.floats(1e-12, 1.0),
+    st.one_of(st.floats(0.01, 1.0), st.floats(1e-320, 1e-300)),
+]
+
+
+@st.composite
+def channels(draw, exact=True):
+    """(gains, probs) of a channel with K up to 300.  The probabilities are
+    the drawn weights normalised (in floats, or exactly as Fractions), or
+    the weights as drawn, which rarely sum to 1."""
+    k = draw(st.one_of(st.integers(1, 8), st.integers(9, 300)))
+    # JSON carries floats and ints only
+    styles = _FLOAT_GAINS + (_EXACT_GAINS if exact else [])
+    gains = draw(st.lists(draw(st.sampled_from(styles)), min_size=k, max_size=k))
+    weights = draw(st.lists(draw(st.sampled_from(_WEIGHTS)), min_size=k, max_size=k))
+    hows = ["float", "float", "fraction", "raw"] if exact else ["float", "raw"]
+    how = draw(st.sampled_from(hows))
+    if how == "fraction":
+        total = sum(map(Fraction, weights))
+        probs = [Fraction(w) / total for w in weights]
+    elif how == "float":
+        total = math.fsum(weights)
+        probs = [w / total for w in weights]
+    else:
+        probs = weights
+    return tuple(gains), tuple(probs)
+
+
+def _is_finite(x):
+    return x is None or math.isfinite(x)
+
+
+@settings(_SETTINGS, max_examples=150)
+@given(channels())
+def test_library_returns_a_certified_report_or_a_typed_error(channel):
+    try:
+        analysis = full_analysis(FadingDistribution(*channel))
+    except (ValidationError, InternalConsistencyError):
+        return
+    report = analysis.report
+    values = [report.c_erg, report.c_exp, report.additive_gap, report.multiplicative_gap]
+    values += [report.entropy, report.epsilon_applied, *report.lemma2_terms, *report.lemma3_terms]
+    assert all(map(_is_finite, values))
+    assert certify.additive_gap_bound(analysis).ok
+    assert certify.multiplicative_gap_bound(analysis).ok
+
+
+@settings(_SETTINGS, max_examples=60)
+@given(channels(exact=False), st.sampled_from(["capacity", "fading-paper"]))
+def test_cli_exits_0_1_or_2_without_a_traceback(channel, command):
+    gains, probs = channel
+    text = json.dumps({"gains": list(gains), "probs": list(probs)})
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        # an exception escaping run() fails the test
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
