@@ -20,7 +20,10 @@ and anything else moves up one rung.  A passed decoded-rate factor
 cross-check and a certified agreement are facts about exact values, so
 they carry up: a higher rung evaluates only what is still open.  The
 per-state value comes from the rung that certified it to VALUE_RTOL, the
-grouped value from the rung that settled the agreement.  Most channels
+grouped value from the rung that settled the agreement.  Each rung forms
+a segment's decoded-rate factor once, in the loop that logs it; on the
+float rung the re-derived factors are bitwise the stored ones, so the
+cross-check settles by one list comparison.  Most channels
 settle in floats, low-capacity ones included: the weakest active
 segment's log is taken as log1p of its factor minus 1, formed without
 cancellation, so a capacity near 0 keeps its relative accuracy.  What
@@ -239,6 +242,14 @@ def _evaluate(
     few units at most; the products of ``F_w n_a - F_a n_w`` itself can
     exceed ``F_w dn`` by ``n_a / dn``.
 
+    Each segment's factor is formed once, in the segment loop, by the
+    expressions of :func:`_decoded_rate_factors`; the cross-check compares
+    the per-state list of them with the stored factors.  On the float rung
+    with float inputs the two lists are bitwise equal, and when every
+    factor is also finite and positive and the largest bound fits
+    LAMBDA_RTOL, every ratio is exactly 1 and the per-state loop could only
+    pass, so it is skipped; any other case runs it.
+
     Returns ``(mismatch, per_state, err_per_state, grouped, err_grouped)``.
     mismatch is None when every stored decoded-rate factor certifiably lies
     within LAMBDA_RTOL of the exact derived one (or the cross-check was not
@@ -258,18 +269,22 @@ def _evaluate(
     inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
     # floats and ints already are the float rung's numbers (an int input is
     # exact in Python arithmetic)
-    if num is float and not exact_inputs:
+    plain = num is float and not exact_inputs
+    if plain:
         n, f, p = inputs
     else:
         n, f, p = ([num(x) for x in xs] for xs in inputs)
 
-    lam = _decoded_rate_factors(n, f, active)
+    # the factors as _decoded_rate_factors forms them, one per segment
+    top, f_w = n[-1] + 1, f[-1]
+    head = top / f_w
+    inf = math.inf
     e_head = 2 * u + 2 * iota
     u2, u3 = 2 * u, 3 * u
     e_log = iota + u3  # a log's two units, the product's one, the input rounding
-    # each factor's error plus the input rounding of the stored factor it
-    # is compared with
-    lam_err = []
+    # the derived factor of each state, for the cross-check, with its error
+    # plus the input rounding of the stored factor it is compared with
+    lam, lam_err = [], []
     per_state, err_p = [], 0
     terms, err_g = [], 0
     a, fa, na = 0, 0, 0
@@ -278,6 +293,10 @@ def _evaluate(
         df, dn = fb - fa, nb - na
         if not (df > 0 and dn > 0):
             return None
+        if head < inf:
+            fac = head * df / dn
+        else:
+            fac = top * (df / f_w) / dn if dn < inf else df / f_w
         # one rounding (none against the zero origin) plus the amplified
         # input rounding, which is exactly 0 without one
         e_f = e_n = u if a else 0
@@ -290,7 +309,7 @@ def _evaluate(
         # Lambda_k is constant on the segment, so one log serves its states;
         # a one-state segment, the common case on long chains, needs no loop
         if b < last:
-            lr = log(lam[b - 1])
+            lr = log(fac)
             e_term = e_lam + abs(lr) * e_log
         else:
             # the bracket and its error terms are exactly 0 when a = 0
@@ -312,10 +331,12 @@ def _evaluate(
             lr = log1p(x)
             e_term = e_x / one_x + abs(lr) * e_log
         if b - a == 1:
+            lam.append(fac)
             lam_err.append(e_lam + iota)
             per_state.append(p[a] * lr)
             err_p += p[a] * e_term
         else:
+            lam += (fac,) * (b - a)
             lam_err += (e_lam + iota,) * (b - a)
             for pk in p[a:b]:
                 per_state.append(pk * lr)
@@ -335,28 +356,40 @@ def _evaluate(
         # dividing by a float converts a stored factor as float() would
         stored = alloc.lam if num is float else map(num, alloc.lam)
         derived = lam + [lam[0] / lam[0]] * tail
+        errs = lam_err + [iota] * tail
         slack, rtol = _SLACK, LAMBDA_RTOL
-        for k, (y, x, e) in enumerate(zip(stored, derived, lam_err + [iota] * tail), start=1):
-            ratio = y / x
-            dev = abs(ratio - 1)
-            bound = slack * (abs(ratio) * (e + u) + u * dev)
-            if dev + bound <= rtol:
-                continue
-            if dev - bound > rtol or not math.isfinite(dev):
-                mismatch = (
-                    f"decoded-rate factor of state {k} is {alloc.lam[k - 1]},"
-                    f" power vector implies {x}"
-                )
-                break
-            mismatch = True
+        # bitwise equal factors make every ratio exactly 1 and every dev 0:
+        # the loop passes each state whose bound slack * (e + u) fits rtol,
+        # so the largest e decides for all of them
+        settled = (
+            plain
+            and list(alloc.lam) == derived
+            and 0 < min(derived)
+            and max(derived) < inf
+            and slack * (max(errs) + u) <= rtol
+        )
+        if not settled:
+            for k, (y, x, e) in enumerate(zip(stored, derived, errs), start=1):
+                ratio = y / x
+                dev = abs(ratio - 1)
+                bound = slack * (abs(ratio) * (e + u) + u * dev)
+                if dev + bound <= rtol:
+                    continue
+                if dev - bound > rtol or not math.isfinite(dev):
+                    mismatch = (
+                        f"decoded-rate factor of state {k} is {alloc.lam[k - 1]},"
+                        f" power vector implies {x}"
+                    )
+                    break
+                mismatch = True
 
     per = rung.fsum(per_state)
     err_p = _SLACK * (err_p + u * abs(per))
     if not grouped:
         return mismatch, per, err_p, None, None
-    lr = log((n[-1] + 1) / f[-1])
-    terms.append(f[-1] * lr)
-    err_g += f[-1] * (e_head + abs(lr) * e_log)
+    lr = log(head)
+    terms.append(f_w * lr)
+    err_g += f_w * (e_head + abs(lr) * e_log)
     grp = rung.fsum(terms)
     return mismatch, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
 

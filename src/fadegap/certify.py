@@ -59,9 +59,15 @@ def _excess(excess: float, atol: float) -> Margin:
 
 
 def _worst(excesses) -> float:
-    """Largest excess, NaN when any is NaN (max() keeps a NaN only first)."""
+    """Largest excess, 0 for none, NaN when any is NaN (max() keeps a NaN
+    only first)."""
     excesses = list(excesses)
-    return math.nan if any(map(math.isnan, excesses)) else max(excesses)
+    return math.nan if any(map(math.isnan, excesses)) else max(excesses, default=0.0)
+
+
+def _gap(x, y) -> float:
+    """``x - y`` as a float, 0 when x equals y (``inf - inf`` is NaN)."""
+    return 0.0 if x == y else float(x - y)
 
 
 def oracle_certification(c_exp: float, oracle: float) -> Margin:
@@ -110,6 +116,10 @@ def chain_ordering_properties(ch, chain) -> Margin:
     2. Interior crossing points are non-decreasing along the chain.
     3. Each chosen crossing point dominates the crossings from earlier states
        into the same chain state.
+
+    States whose inverse gain overflowed cross every state at +inf
+    (:func:`~fadegap.muf.intersection`), so two equal crossings, infinite
+    ones included, are no gap; a NaN or +inf gap fails.
     """
     gaps = []  # (excess, z it is measured against)
     segments = chain.segment_count
@@ -117,14 +127,17 @@ def chain_ordering_properties(ch, chain) -> Margin:
         z = chain.breakpoints[i]
         prev = chain.pi[i - 1]
         for l in range(prev + 1, ch.num_states + 1):
-            gaps.append((z - intersection(ch, prev, l), z))
+            gaps.append((_gap(z, intersection(ch, prev, l)), z))
         for l in range(1, chain.pi[i]):
             if l != prev:
-                gaps.append((intersection(ch, l, chain.pi[i]) - z, z))
+                gaps.append((_gap(intersection(ch, l, chain.pi[i]), z), z))
     inner = chain.breakpoints[1:segments]
-    gaps += [(a - b, b) for a, b in zip(inner, inner[1:])]
-    ok = all(float(g) <= max(CHAIN_ATOL, CHAIN_RTOL * abs(float(z))) for g, z in gaps)
-    return Margin(ok, max((float(g) for g, _ in gaps), default=0.0))
+    gaps += [(_gap(a, b), b) for a, b in zip(inner, inner[1:])]
+    ok = all(
+        g <= max(CHAIN_ATOL, CHAIN_RTOL * abs(float(z))) and g < math.inf for g, z in gaps
+    )
+    return Margin(ok, _worst(g for g, _ in gaps))
+
 
 
 def envelope_maximality(ch, chain) -> Margin:

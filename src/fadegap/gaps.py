@@ -114,9 +114,11 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
         lemma2.append(float((1 + g) / lk))
         lemma3.append(p * log1p(g) / c_exp)
 
-    boundary = tuple(
-        float(z) for z in chain.breakpoints[1:-1] if z == 0 or z == 1
-    )
+    # a breakpoint on a budget edge is rare; test for one before the scan
+    bps = chain.breakpoints
+    boundary = ()
+    if 0 in bps or 1 in bps:
+        boundary = tuple(float(z) for z in bps[1:-1] if z == 0 or z == 1)
 
     report = CapacityReport(
         c_erg=c_erg,

@@ -87,11 +87,16 @@ def intersection(ch: PreparedChannel, k: int, l: int):
 
     Returns ``z_{k,l} = (F_k n_l - F_l n_k) / (F_l - F_k)``, which always
     lies to the right of -n_k.  The value comes from :func:`_crossing`, the
-    one expression :func:`build_chain` evaluates too.
+    one expression :func:`build_chain` evaluates too.  A state whose inverse
+    gain overflowed crosses every other state at +inf, as in
+    :func:`build_chain`, another overflowed one included.
     """
     if not 1 <= k < l <= ch.num_states:
         raise ValidationError(f"intersection needs 1 <= k < l <= K, got k={k}, l={l}")
-    return _crossing(ch.inverse_gains, ch.cum_probs, k - 1, l - 1)
+    n = ch.inverse_gains
+    if n[k - 1] == math.inf:
+        return math.inf
+    return _crossing(n, ch.cum_probs, k - 1, l - 1)
 
 
 def _crossing(n, f, k, l):
@@ -123,9 +128,11 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     pop, so tied states collapse onto the largest index.  States whose
     inverse gain overflowed (subnormal gains) come last and have no utility:
     they cross every other state at +inf and tie among themselves, so the
-    last of them closes the chain.  Each state is pushed and popped at most
-    once: O(K) chord ratios and crossings, each crossing the expression of
-    :func:`_crossing`, which :func:`intersection` returns.
+    last of them closes the chain.  Each stack entry carries its state's
+    differences from the state beneath and that state's (n, F), so the pop
+    test reads no list but the stack.  Each state is pushed and popped at
+    most once: O(K) chord ratios and crossings, each crossing the expression
+    of :func:`_crossing`, which :func:`intersection` returns.
     """
     if ch.degenerate or not ch.gains[-1] > 0:
         raise ValidationError("chain construction needs strictly positive gains; run prepare() first")
@@ -136,27 +143,27 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     finite = len(n) if n[-1] < inf else bisect.bisect_left(n, inf)
     pi = [1]
     breakpoints = [-n[0]]
-    # deltas[i] is (n, F) of state pi[i] minus those of pi[i-1]
-    deltas = [None]
-    for l in range(1, finite):
-        nl, fl = n[l], f[l]
-        while len(pi) > 1:
-            a = pi[-2] - 1
-            dn, df = deltas[-1]
+    # stack[i] carries state pi[i+1]: its (n, F) minus those of pi[i]
+    # beneath it, then pi[i]'s own (n, F); (nt, ft) is (n, F) of pi[-1]
+    stack = []
+    nt, ft = n[0], f[0]
+    for l, nl, fl in zip(range(2, finite + 1), n[1:finite], f[1:finite]):
+        while stack:
+            dn, df, na, fa = stack[-1]
             # the top's chord over l's, at least 1 - TIE_RTOL when l's is no
             # larger or ties with it; a Fraction stays exact
-            if not dn / (nl - n[a]) * ((fl - f[a]) / df) >= tie:
+            if not dn / (nl - na) * ((fl - fa) / df) >= tie:
                 break
             pi.pop()
             breakpoints.pop()
-            deltas.pop()
-        a = pi[-1] - 1
-        na, fa = n[a], f[a]
-        dn, df = nl - na, fl - fa
-        deltas.append((dn, df))
-        # _crossing(n, f, a, l), on the differences at hand
-        breakpoints.append(fa / df * dn - na)
-        pi.append(l + 1)
+            stack.pop()
+            nt, ft = na, fa
+        dn, df = nl - nt, fl - ft
+        stack.append((dn, df, nt, ft))
+        # _crossing of the top and l, on the differences at hand
+        breakpoints.append(ft / df * dn - nt)
+        pi.append(l)
+        nt, ft = nl, fl
     if pi[-1] < len(n):
         breakpoints.append(_crossing(n, f, pi[-1] - 1, len(n) - 1))
         pi.append(len(n))

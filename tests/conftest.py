@@ -21,7 +21,7 @@ from fadegap import (
     intersection,
     multiplicative_family,
 )
-from fadegap.allocation import LAMBDA_RTOL
+from fadegap.allocation import _MAX_REL_ERR, _SLACK, LAMBDA_RTOL, _decoded_rate_factors
 from fadegap.cli import random_distribution
 from fadegap.errors import InternalConsistencyError, ValidationError
 from fadegap.muf import TIE_RTOL
@@ -149,6 +149,133 @@ def reference_routes(ch, alloc):
     grouped += f[last - 1] * _ctx.log((n[last - 1] + 1) / f[last - 1])
 
     return per_state, grouped
+
+
+def reference_evaluate(
+    ch,
+    alloc,
+    active: tuple,
+    exact_inputs: bool,
+    cross_check,
+    grouped,
+    rung,
+):
+    """allocation._evaluate as it stood before the segment loop formed the
+    factors and the float cross-check settled by bit equality: the factors
+    come from _decoded_rate_factors and every state runs the cross-check
+    loop.  _evaluate must return repr-identical results."""
+    last = active[-1]
+    lo, hi = rung.lo, rung.hi
+    if not (lo < ch.inverse_gains[0] and ch.inverse_gains[last - 1] < hi):
+        return None
+    if not lo < min(ch.probs[:last]):
+        return None
+    num, log, log1p, u = rung.num, rung.log, rung.log1p, rung.unit
+    iota = 2 * u if exact_inputs else 0
+    inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
+    # floats and ints already are the float rung's numbers (an int input is
+    # exact in Python arithmetic)
+    if num is float and not exact_inputs:
+        n, f, p = inputs
+    else:
+        n, f, p = ([num(x) for x in xs] for xs in inputs)
+
+    lam = _decoded_rate_factors(n, f, active)
+    e_head = 2 * u + 2 * iota
+    u2, u3 = 2 * u, 3 * u
+    e_log = iota + u3  # a log's two units, the product's one, the input rounding
+    # each factor's error plus the input rounding of the stored factor it
+    # is compared with
+    lam_err = []
+    per_state, err_p = [], 0
+    terms, err_g = [], 0
+    a, fa, na = 0, 0, 0
+    for b in active:
+        fb, nb = f[b - 1], n[b - 1]
+        df, dn = fb - fa, nb - na
+        if not (df > 0 and dn > 0):
+            return None
+        # one rounding (none against the zero origin) plus the amplified
+        # input rounding, which is exactly 0 without one
+        e_f = e_n = u if a else 0
+        if iota:
+            e_f += iota * (fb + fa) / df
+            e_n += iota * (nb + na) / dn
+        e_lam = e_head + e_f + e_n + u2
+        if e_lam > _MAX_REL_ERR:
+            return None
+        # Lambda_k is constant on the segment, so one log serves its states;
+        # a one-state segment, the common case on long chains, needs no loop
+        if b < last:
+            lr = log(lam[b - 1])
+            e_term = e_lam + abs(lr) * e_log
+        else:
+            # the bracket and its error terms are exactly 0 when a = 0
+            numer, e_numer = df, df * e_f
+            if a:
+                bracket = na * df - fa * dn
+                numer += bracket
+                e_numer += (
+                    na * df * (iota + e_f + u)
+                    + fa * dn * (iota + e_n + u)
+                    + u * (abs(bracket) + abs(numer))
+                )
+            den = fb * dn
+            x = numer / den
+            e_x = e_numer / den + abs(x) * (iota + e_n + u2)
+            one_x = 1 + x
+            if not e_x <= _MAX_REL_ERR * one_x:
+                return None
+            lr = log1p(x)
+            e_term = e_x / one_x + abs(lr) * e_log
+        if b - a == 1:
+            lam_err.append(e_lam + iota)
+            per_state.append(p[a] * lr)
+            err_p += p[a] * e_term
+        else:
+            lam_err += (e_lam + iota,) * (b - a)
+            for pk in p[a:b]:
+                per_state.append(pk * lr)
+                err_p += pk * e_term
+        if grouped:
+            lr = log(df / dn)
+            terms.append(df * lr)
+            err_g += df * (e_f + e_n + u + abs(lr) * (e_f + u3))
+        a, fa, na = b, fb, nb
+
+    # the factors recovered from the power vector must match the ones the
+    # chain construction stored; a mismatch means the active-state frontier
+    # and the breakpoint structure disagree
+    mismatch = None
+    if cross_check:
+        tail = ch.num_states - last
+        # dividing by a float converts a stored factor as float() would
+        stored = alloc.lam if num is float else map(num, alloc.lam)
+        derived = lam + [lam[0] / lam[0]] * tail
+        slack, rtol = _SLACK, LAMBDA_RTOL
+        for k, (y, x, e) in enumerate(zip(stored, derived, lam_err + [iota] * tail), start=1):
+            ratio = y / x
+            dev = abs(ratio - 1)
+            bound = slack * (abs(ratio) * (e + u) + u * dev)
+            if dev + bound <= rtol:
+                continue
+            if dev - bound > rtol or not math.isfinite(dev):
+                mismatch = (
+                    f"decoded-rate factor of state {k} is {alloc.lam[k - 1]},"
+                    f" power vector implies {x}"
+                )
+                break
+            mismatch = True
+
+    per = rung.fsum(per_state)
+    err_p = _SLACK * (err_p + u * abs(per))
+    if not grouped:
+        return mismatch, per, err_p, None, None
+    lr = log((n[-1] + 1) / f[-1])
+    terms.append(f[-1] * lr)
+    err_g += f[-1] * (e_head + abs(lr) * e_log)
+    grp = rung.fsum(terms)
+    return mismatch, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
 
 
 @st.composite

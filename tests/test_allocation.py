@@ -1,9 +1,15 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from conftest import high_snr_ladder, random_channels, reference_routes
+from conftest import (
+    high_snr_ladder,
+    random_channels,
+    reference_evaluate,
+    reference_routes,
+)
 from fadegap import (
     FadingDistribution,
     ValidationError,
@@ -14,6 +20,8 @@ from fadegap import (
     envelope_integral,
     expected_capacity,
     expected_rate_of,
+    InternalConsistencyError,
+    PowerAllocation,
     low_snr_instance,
     multiplicative_family,
     optimal_allocation,
@@ -304,3 +312,77 @@ def test_undecided_cross_check_is_decided_on_the_60_digit_rung(
         (True, True, allocation._rung(None)),
         (True, False, allocation._rung(60)),
     ]
+
+
+def evaluate_args(dist):
+    """Channel, allocation, active states and exact_inputs as _routes passes
+    them to _evaluate."""
+    ch, _, alloc = pipeline(dist)
+    active = alloc.active_states
+    last = active[-1]
+    kinds = {*map(type, ch.inverse_gains[:last]), *map(type, ch.probs[:last])}
+    return ch, alloc, active, not kinds <= {float, int}
+
+
+@pytest.mark.parametrize("digits", [None, 60], ids=["float", "60-digit"])
+def test_evaluate_matches_the_reference_evaluation(digits):
+    # forming each factor in the segment loop and settling the float
+    # cross-check by bit equality change no value, bound or mismatch
+    dists = random_channels(150, seed=61, max_states=8) + [
+        high_snr_ladder(128),
+        high_snr_ladder(1024),
+        multiplicative_family(2, 2),
+        multiplicative_family(4, 1e4),
+        multiplicative_family(6, 60),
+        low_snr_instance((5, 3, 1), (0.2, 0.3, 0.5), 1e-6),
+    ]
+    rung = allocation._rung(digits)
+    for dist in dists:
+        args = evaluate_args(dist)
+        for flags in itertools.product((True, False), repeat=2):
+            new = allocation._evaluate(*args, *flags, rung)
+            assert repr(new) == repr(reference_evaluate(*args, *flags, rung)), (dist, flags)
+
+
+def with_factor(alloc, k, value):
+    """alloc with the stored decoded-rate factor of state k (1-based) set."""
+    lam = alloc.lam[: k - 1] + (value,) + alloc.lam[k:]
+    return PowerAllocation(beta=alloc.beta, lam=lam, per_state_rate=alloc.per_state_rate)
+
+
+def test_factor_one_ulp_off_passes_the_per_state_cross_check(two_state, rungs_used):
+    ch, _, alloc = two_state
+    off = with_factor(alloc, 2, math.nextafter(alloc.lam[1], math.inf))
+    assert off.lam != alloc.lam
+    args = (ch, off, alloc.active_states, False, True, True, allocation._rung(None))
+    mismatch = allocation._evaluate(*args)[0]
+    assert mismatch is None
+    assert repr(allocation._evaluate(*args)) == repr(reference_evaluate(*args))
+    rungs_used.clear()
+    value = expected_capacity(ch, off)
+    assert rungs_used == [allocation._rung(None)]
+    assert value == expected_capacity(ch, alloc)
+
+
+def test_factor_two_tolerances_off_fails_from_an_mpmath_rung(two_state, evaluations):
+    ch, _, alloc = two_state
+    off = with_factor(alloc, 1, alloc.lam[0] * (1 + 2 * allocation.LAMBDA_RTOL))
+    with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 1"):
+        expected_capacity(ch, off)
+    # the float rung's verdict is not accepted, so it decides nothing
+    assert evaluations == [
+        (True, True, allocation._rung(None)),
+        (True, False, allocation._rung(60)),
+    ]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_non_finite_factor_never_settles(two_state, value, k):
+    ch, _, alloc = two_state
+    off = with_factor(alloc, k, value)
+    args = (ch, off, alloc.active_states, False, True, True, allocation._rung(None))
+    mismatch = allocation._evaluate(*args)[0]
+    assert isinstance(mismatch, str) and f"state {k}" in mismatch
+    with pytest.raises(InternalConsistencyError, match=f"decoded-rate factor of state {k}"):
+        expected_capacity(ch, off)

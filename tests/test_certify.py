@@ -64,3 +64,38 @@ def test_per_state_check_fails_on_a_nan_term(name, field):
     for k in range(len(terms)):
         nan_at_k = terms[:k] + (math.nan,) + terms[k + 1 :]
         assert not check(replace(a, report=replace(a.report, **{field: nan_at_k}))).ok, k
+
+
+#: Channels whose weakest states' inverse gains overflow: one such state,
+#: two, and one after a state that almost all probability weight reaches.
+OVERFLOWED = [
+    FadingDistribution((2.0, 1e-320), (0.5, 0.5)),
+    FadingDistribution((3.0, 1e-320, 2e-320), (0.4, 0.3, 0.3)),
+    FadingDistribution((1e10, 1.0, 1e-320), (1e-6, 0.5, 0.5 - 1e-6)),
+]
+
+
+@pytest.mark.parametrize("dist", OVERFLOWED, ids=["one", "two", "after-two-live"])
+def test_chain_ordering_holds_with_overflowed_states(dist):
+    # the closing breakpoint and its crossings are +inf; equal infinite
+    # crossings are no gap
+    a = full_analysis(dist)
+    assert a.channel.inverse_gains[-1] == math.inf
+    assert a.chain.breakpoints[-2] == math.inf
+    margin = certify.chain_ordering_properties(a.channel, a.chain)
+    assert margin.ok and not math.isnan(margin.worst)
+
+
+def test_chain_ordering_fails_a_corrupted_chain_with_an_overflowed_state():
+    a = full_analysis(OVERFLOWED[2])
+    ch, chain = a.channel, a.chain
+    assert chain.pi == (1, 2, 3)
+    b = chain.breakpoints
+    # a NaN closing breakpoint, whose gaps come after finite ones, and a
+    # chain that skips live state 2 for the overflowed one: its +inf
+    # crossing is not the smallest from state 1
+    nan_point = replace(chain, breakpoints=b[:2] + (math.nan, b[3]))
+    skipped = replace(chain, pi=(1, 3), breakpoints=(b[0],) + b[2:], w=1)
+    for corrupted in (nan_point, skipped):
+        assert not certify.chain_ordering_properties(ch, corrupted).ok
+    assert math.isnan(certify.chain_ordering_properties(ch, nan_point).worst)

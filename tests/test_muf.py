@@ -67,6 +67,14 @@ def test_intersection_zero_numerator():
     assert intersection(ch, 1, 2) == 0.0
 
 
+def test_intersection_with_overflowed_states_is_inf():
+    # n_2 and n_3 overflow: they cross state 1 and each other at +inf
+    ch = prepare(FadingDistribution((3.0, 1e-320, 2e-320), (0.4, 0.3, 0.3)))
+    assert ch.inverse_gains[1:] == (math.inf, math.inf)
+    assert intersection(ch, 1, 2) == intersection(ch, 1, 3) == math.inf
+    assert intersection(ch, 2, 3) == math.inf
+
+
 def test_intersection_rejects_bad_indices(two_state):
     with pytest.raises(ValidationError):
         intersection(two_state, 2, 1)
