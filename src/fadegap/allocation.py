@@ -23,7 +23,12 @@ per-state value comes from the rung that certified it to VALUE_RTOL, the
 grouped value from the rung that settled the agreement.  Each rung forms
 a segment's decoded-rate factor once, in the loop that logs it; on the
 float rung the re-derived factors are bitwise the stored ones, so the
-cross-check settles by one list comparison.  Most channels
+cross-check settles by one list comparison.  The error bounds are formed
+after that loop: without Fraction inputs a factor's error is one constant
+on the first segment and one on every later segment, so only the
+weakest active segment and Fraction inputs add per-segment terms.  The
+layer rates ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))`` are left to
+:func:`layer_rates`, for readers that need them.  Most channels
 settle in floats, low-capacity ones included: the weakest active
 segment's log is taken as log1p of its factor minus 1, formed without
 cancellation, so a capacity near 0 keeps its relative accuracy.  What
@@ -48,6 +53,7 @@ from .muf import MufChain
 __all__ = [
     "PowerAllocation",
     "optimal_allocation",
+    "layer_rates",
     "expected_capacity",
     "closed_form_routes",
     "expected_rate_of",
@@ -84,13 +90,12 @@ class PowerAllocation:
     beta: cumulative power fractions, non-decreasing with beta[-1] == 1.
     lam: decoded-rate factors; state k reliably receives ln(lam[k-1]) nats.
         Exactly 1 for states below the weakest active state.
-    per_state_rate: layer rates ln((1+beta_k g_k)/(1+beta_{k-1} g_k)); zero
-        for every state with an empty power layer.
+
+    :func:`layer_rates` gives the rate each state's power layer carries.
     """
 
     beta: tuple
     lam: tuple
-    per_state_rate: tuple
 
     @property
     def active_states(self) -> tuple:
@@ -110,23 +115,32 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     k_states = ch.num_states
     pi, bps, s, w = chain.pi, chain.breakpoints, chain.s, chain.w
     one = Fraction(1) if isinstance(ch.gains[0], Fraction) else 1.0
-    zero = one - one
 
-    beta = [zero] * (pi[s - 1] - 1)
-    # segment i covers states pi[i-1] .. pi[i]-1
+    beta = [one - one] * (pi[s - 1] - 1)
+    # segment i covers states pi[i-1] .. pi[i]-1; a one-state segment, the
+    # common case on long chains, is one append
     for level, first, end in zip(bps[s:w], pi[s - 1 : w - 1], pi[s:w]):
-        beta += (level,) * (end - first)
+        if end - first == 1:
+            beta.append(level)
+        else:
+            beta += (level,) * (end - first)
     beta += (one,) * (k_states + 1 - pi[w - 1])
 
-    n = ch.inverse_gains
-    lam = _decoded_rate_factors(n, ch.cum_probs, pi[s - 1 : w])
+    lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, pi[s - 1 : w])
+    return PowerAllocation(beta=tuple(beta), lam=tuple(lam))
 
+
+def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
+    """Rate of each state's power layer, in nats:
+    ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))``, zero for every state
+    with an empty layer.  Their sum weighted by ``F_k`` is the expected
+    rate of the allocation."""
+    zero = Fraction(0) if isinstance(ch.gains[0], Fraction) else 0.0
+    beta = alloc.beta
     # log1p takes a Fraction as its float()
     log1p = math.log1p
-    steps = zip(beta, itertools.chain((zero,), beta), n)
-    rates = [log1p((b - prev) / (nk + prev)) for b, prev, nk in steps]
-
-    return PowerAllocation(beta=tuple(beta), lam=tuple(lam), per_state_rate=tuple(rates))
+    steps = zip(beta, itertools.chain((zero,), beta), ch.inverse_gains)
+    return tuple([log1p((b - prev) / (nk + prev)) for b, prev, nk in steps])
 
 
 def _decoded_rate_factors(n, f, frontier) -> list:
@@ -155,7 +169,10 @@ def _decoded_rate_factors(n, f, frontier) -> list:
             x = head * df / dn
         else:
             x = top * (df / f_w) / dn if dn < inf else df / f_w
-        lam += (x,) * (b - a)
+        if b - a == 1:
+            lam.append(x)
+        else:
+            lam += (x,) * (b - a)
         a, fa, na = b, fb, nb
     lam += (n[0] / n[0],) * (len(n) - a)
     return lam
@@ -250,6 +267,18 @@ def _evaluate(
     LAMBDA_RTOL, every ratio is exactly 1 and the per-state loop could only
     pass, so it is skipped; any other case runs it.
 
+    The segment loop keeps only what varies per segment: the factors, the
+    logs and the terms.  The bounds are formed after it.  Without input
+    rounding (iota = 0, float or int inputs on every rung) a factor's error
+    ``e_lam`` is one constant on the first segment and one on every later
+    segment, so the ``e_lam`` charges are those constants weighted by the F
+    differences the segments cover; the log errors ``|lr| * e_log`` come
+    from the sum of ``|p_k lr_k| = p_k |lr_k|`` over the per-state terms,
+    and the grouped form's from the sum of its ``|terms|``.  Segment w
+    keeps its own ``e_x / (1 + x)`` charge.  With input rounding each
+    segment adds its conditioning terms in the loop, and the cross-check
+    builds its per-state error list only when bit equality cannot settle.
+
     Returns ``(mismatch, per_state, err_per_state, grouped, err_grouped)``.
     mismatch is None when every stored decoded-rate factor certifiably lies
     within LAMBDA_RTOL of the exact derived one (or the cross-check was not
@@ -282,11 +311,16 @@ def _evaluate(
     e_head = 2 * u + 2 * iota
     u2, u3 = 2 * u, 3 * u
     e_log = iota + u3  # a log's two units, the product's one, the input rounding
-    # the derived factor of each state, for the cross-check, with its error
-    # plus the input rounding of the stored factor it is compared with
-    lam, lam_err = [], []
-    per_state, err_p = [], 0
-    terms, err_g = [], 0
+    # a factor's error before its differences' conditioning: the first
+    # segment's are against the zero origin, every later one's round once
+    e_first, e_later = e_head + u2, e_head + u + u + u2
+    single = len(active) == 1
+    if not iota and (e_first if single else e_later) > _MAX_REL_ERR:
+        return None
+    # with input rounding each segment adds its own conditioning terms: the
+    # factor errors (for the cross-check) and their charges to the bounds
+    seg_err, cond_p, cond_g = [], 0, 0
+    lam, per_state, terms = [], [], []
     a, fa, na = 0, 0, 0
     for b in active:
         fb, nb = f[b - 1], n[b - 1]
@@ -297,22 +331,26 @@ def _evaluate(
             fac = head * df / dn
         else:
             fac = top * (df / f_w) / dn if dn < inf else df / f_w
-        # one rounding (none against the zero origin) plus the amplified
-        # input rounding, which is exactly 0 without one
-        e_f = e_n = u if a else 0
         if iota:
-            e_f += iota * (fb + fa) / df
-            e_n += iota * (nb + na) / dn
-        e_lam = e_head + e_f + e_n + u2
-        if e_lam > _MAX_REL_ERR:
-            return None
-        # Lambda_k is constant on the segment, so one log serves its states;
-        # a one-state segment, the common case on long chains, needs no loop
+            # the input rounding, amplified by the differences' conditioning
+            c_f = iota * (fb + fa) / df
+            c_n = iota * (nb + na) / dn
+            e_0 = u if a else 0
+            e_lam = e_head + (e_0 + c_f) + (e_0 + c_n) + u2
+            if e_lam > _MAX_REL_ERR:
+                return None
+            seg_err.append(e_lam)
+            if b < last:
+                cond_p += df * (c_f + c_n)
+        # Lambda_k is constant on the segment, so one log serves its states
         if b < last:
             lr = log(fac)
-            e_term = e_lam + abs(lr) * e_log
         else:
             # the bracket and its error terms are exactly 0 when a = 0
+            e_f = e_n = u if a else 0
+            if iota:
+                e_f += c_f
+                e_n += c_n
             numer, e_numer = df, df * e_f
             if a:
                 bracket = na * df - fa * dn
@@ -329,22 +367,19 @@ def _evaluate(
             if not e_x <= _MAX_REL_ERR * one_x:
                 return None
             lr = log1p(x)
-            e_term = e_x / one_x + abs(lr) * e_log
+            err_w = df * (e_x / one_x)
+        # a one-state segment, the common case on long chains, needs no loop
         if b - a == 1:
             lam.append(fac)
-            lam_err.append(e_lam + iota)
             per_state.append(p[a] * lr)
-            err_p += p[a] * e_term
         else:
             lam += (fac,) * (b - a)
-            lam_err += (e_lam + iota,) * (b - a)
-            for pk in p[a:b]:
-                per_state.append(pk * lr)
-                err_p += pk * e_term
+            per_state += [pk * lr for pk in p[a:b]]
         if grouped:
-            lr = log(df / dn)
-            terms.append(df * lr)
-            err_g += df * (e_f + e_n + u + abs(lr) * (e_f + u3))
+            term = df * log(df / dn)
+            terms.append(term)
+            if iota:
+                cond_g += df * (c_f + c_n) + abs(term) * c_f
         a, fa, na = b, fb, nb
 
     # the factors recovered from the power vector must match the ones the
@@ -352,23 +387,31 @@ def _evaluate(
     # and the breakpoint structure disagree
     mismatch = None
     if cross_check:
+        if not iota:
+            seg_err = [e_first] + [e_later] * (len(active) - 1)
         tail = ch.num_states - last
         # dividing by a float converts a stored factor as float() would
         stored = alloc.lam if num is float else map(num, alloc.lam)
         derived = lam + [lam[0] / lam[0]] * tail
-        errs = lam_err + [iota] * tail
         slack, rtol = _SLACK, LAMBDA_RTOL
         # bitwise equal factors make every ratio exactly 1 and every dev 0:
         # the loop passes each state whose bound slack * (e + u) fits rtol,
-        # so the largest e decides for all of them
+        # so the largest e decides for all of them (iota is 0 here)
         settled = (
             plain
             and list(alloc.lam) == derived
             and 0 < min(derived)
             and max(derived) < inf
-            and slack * (max(errs) + u) <= rtol
+            and slack * (max(seg_err) + u) <= rtol
         )
         if not settled:
+            # each state's factor error plus the input rounding of the
+            # stored factor it is compared with
+            errs, a = [], 0
+            for b, e in zip(active, seg_err):
+                errs += [e + iota] * (b - a)
+                a = b
+            errs += [iota] * tail
             for k, (y, x, e) in enumerate(zip(stored, derived, errs), start=1):
                 ratio = y / x
                 dev = abs(ratio - 1)
@@ -383,14 +426,28 @@ def _evaluate(
                     break
                 mismatch = True
 
-    per = rung.fsum(per_state)
+    fsum = rung.fsum
+    f_1 = f[active[0] - 1]
+    # the factor errors of the segments before w, weighted by the F
+    # differences they cover: the first ends at F_1 = F of the first active
+    # state, the last at F_a of w
+    err_p = cond_p + err_w
+    if not single:
+        err_p += e_first * f_1 + e_later * (f[active[-2] - 1] - f_1)
+    # the logs' errors, |p lr| = p |lr|
+    err_p += e_log * fsum(map(abs, per_state))
+    per = fsum(per_state)
     err_p = _SLACK * (err_p + u * abs(per))
     if not grouped:
         return mismatch, per, err_p, None, None
+    # per segment df (e_f + e_n + u) + |term| (e_f + 3u): e_f = e_n = 0 on
+    # the first segment and u on every later one
+    err_g = cond_g + u * f_1 + u3 * (f_w - f_1)
+    err_g += (u + u3) * fsum(map(abs, terms)) - u * abs(terms[0])
     lr = log(head)
     terms.append(f_w * lr)
     err_g += f_w * (e_head + abs(lr) * e_log)
-    grp = rung.fsum(terms)
+    grp = fsum(terms)
     return mismatch, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
 
 

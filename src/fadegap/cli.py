@@ -20,7 +20,7 @@ import random
 import sys
 
 from . import certify
-from .allocation import closed_form_routes
+from .allocation import closed_form_routes, layer_rates
 from .channel import FadingDistribution
 from .errors import InternalConsistencyError, ValidationError
 from .fading_paper import LN2, fading_paper_report
@@ -110,7 +110,7 @@ def _capacity_payload(dist: FadingDistribution, units: str) -> dict:
             "s": analysis.chain.s,
             "w": analysis.chain.w,
         }
-        rates = analysis.allocation.per_state_rate
+        rates = layer_rates(analysis.channel, analysis.allocation)
         if units == "bits":
             rates = tuple(r / LN2 for r in rates)
         payload["allocation"] = {

@@ -161,9 +161,11 @@ def reference_evaluate(
     rung,
 ):
     """allocation._evaluate as it stood before the segment loop formed the
-    factors and the float cross-check settled by bit equality: the factors
-    come from _decoded_rate_factors and every state runs the cross-check
-    loop.  _evaluate must return repr-identical results."""
+    factors, the float cross-check settled by bit equality and the bounds
+    were formed after the loop: the factors come from _decoded_rate_factors,
+    every state runs the cross-check loop, and every segment adds its error
+    terms to the bounds.  _evaluate must return repr-identical values and
+    mismatch, and bounds equal up to the regrouping of their sums."""
     last = active[-1]
     lo, hi = rung.lo, rung.hi
     if not (lo < ch.inverse_gains[0] and ch.inverse_gains[last - 1] < hi):

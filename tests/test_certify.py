@@ -86,6 +86,26 @@ def test_chain_ordering_holds_with_overflowed_states(dist):
     assert margin.ok and not math.isnan(margin.worst)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    OVERFLOWED + [FadingDistribution((1e-320,), (1.0,))],
+    ids=["one", "two", "after-two-live", "only"],
+)
+def test_envelope_maximality_holds_with_overflowed_states(dist):
+    # the grid spans the finite inverse gains; an overflowed state has
+    # utility 0 and is never best, and with no other state the envelope is 0
+    a = full_analysis(dist)
+    assert a.channel.inverse_gains[-1] == math.inf
+    assert certify.envelope_maximality(a.channel, a.chain) == (True, 0.0)
+
+
+def test_envelope_maximality_fails_a_chain_that_skips_a_live_state():
+    a = full_analysis(OVERFLOWED[2])
+    b = a.chain.breakpoints
+    skipped = replace(a.chain, pi=(1, 3), breakpoints=(b[0],) + b[2:], w=1)
+    assert not certify.envelope_maximality(a.channel, skipped).ok
+
+
 def test_chain_ordering_fails_a_corrupted_chain_with_an_overflowed_state():
     a = full_analysis(OVERFLOWED[2])
     ch, chain = a.channel, a.chain

@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -36,8 +38,6 @@ def test_capacity_report(capsys, two_state_json):
 
 
 def test_capacity_reads_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(json.dumps({"gains": [2], "probs": [1.0]}))
     )
@@ -267,3 +267,30 @@ def test_verify_run_is_seed_deterministic():
     b = verify_run(trials=4, seed=9, max_states=4)
     assert a == b
     assert a["ok"]
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv, channel",
+    [
+        ("capacity_two_state.json", ["capacity"], {"gains": [4, 1], "probs": [0.5, 0.5]}),
+        # climbs the closed-form ladder to 480 digits
+        ("capacity_tiny_gains.json", ["capacity"], {"gains": [1e-300, 1e-301], "probs": [0.5, 0.5]}),
+        (
+            "family_multiplicative_4_60.json",
+            ["family", "--kind", "multiplicative", "--states", "4", "--d", "60", "--emit", "report"],
+            None,
+        ),
+    ],
+    ids=["two-state", "tiny-gains", "multiplicative-family"],
+)
+def test_cli_output_matches_golden_bytes(capsys, monkeypatch, golden, argv, channel):
+    # full stdout, allocation.per_state_rate included, as pinned before the
+    # layer rates moved out of optimal_allocation
+    if channel is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(channel)))
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
