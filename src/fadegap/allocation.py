@@ -16,27 +16,28 @@ first-order bound on its own error (per-operation rounding, the
 conditioning of the ``F_b - F_a`` and ``n_b - n_a`` differences, and the
 rounding of Fraction inputs) and decides three ways: agreement the bound
 certifies returns the per-state form, disagreement it certifies raises,
-and anything else moves up one rung.  A passed decoded-rate factor
-cross-check and a certified agreement are facts about exact values, so
-they carry up: a higher rung evaluates only what is still open.  The
-per-state value comes from the rung that certified it to VALUE_RTOL, the
-grouped value from the rung that settled the agreement.  Each rung forms
-a segment's decoded-rate factor once, in the loop that logs it; on the
-float rung the re-derived factors are bitwise the stored ones, so the
-cross-check settles by one list comparison.  The error bounds are formed
-after that loop: without Fraction inputs a factor's error is one constant
-on the first segment and one on every later segment, so only the
-weakest active segment and Fraction inputs add per-segment terms.  The
-layer rates ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))`` are left to
-:func:`layer_rates`, for readers that need them.  Most channels
-settle in floats, low-capacity ones included: the weakest active
-segment's log is taken as log1p of its factor minus 1, formed without
-cancellation, so a capacity near 0 keeps its relative accuracy.  What
-climbs is mostly the agreement, where the grouped form cancels; on
-extreme channels (gains near 1e-300, the exact worst-case families) it
-cancels through up to hundreds of digits, which the mpmath rungs
-resolve.  mpmath is imported only when the float rung cannot settle a
-channel.
+and anything else moves up one rung.  A certified agreement is a fact
+about exact values, so it carries up: a higher rung then evaluates only
+the per-state form.  The per-state value comes from the rung that
+certified it to VALUE_RTOL, the grouped value from the rung that settled
+the agreement.  The cross-check of the stored decoded-rate factors
+against the ones the power vector implies is a statement about exact
+rationals, so it does not ride the ladder: it is decided once, after the
+first rung that evaluates, by bit equality with that rung's float factors
+or else exactly in Fractions.  Each rung forms a segment's decoded-rate
+factor once, in the loop that logs it.  The error bounds are formed after
+that loop: without Fraction inputs a factor's error is one constant on
+the first segment and one on every later segment, so only the weakest
+active segment and Fraction inputs add per-segment terms.  The layer
+rates ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))`` are left to
+:func:`layer_rates`, for readers that need them.  Most channels settle in
+floats, low-capacity ones included: the weakest active segment's log is
+taken as log1p of its factor minus 1, formed without cancellation, so a
+capacity near 0 keeps its relative accuracy.  What climbs is mostly the
+agreement, where the grouped form cancels; on extreme channels (gains
+near 1e-300, the exact worst-case families) it cancels through up to
+hundreds of digits, which the mpmath rungs resolve.  mpmath is imported
+only when the float rung cannot settle a channel.
 """
 
 import functools
@@ -213,20 +214,11 @@ def _rung(digits) -> _Rung:
     return _Rung(num, ctx.log, ctx.log1p, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf)
 
 
-def _evaluate(
-    ch: PreparedChannel,
-    alloc: PowerAllocation,
-    active: tuple,
-    exact_inputs: bool,
-    cross_check,
-    grouped,
-    rung: _Rung,
-):
+def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, rung: _Rung):
     """The closed-form quantities a lower rung left open, on one rung, with
     first-order error bounds.
 
-    The per-state form is always evaluated; the decoded-rate factor
-    cross-check only when cross_check is true and the grouped form only when
+    The per-state form is always evaluated, the grouped form only when
     grouped is true.  exact_inputs is true when an input the forms read is a
     Fraction.  The bounds take every arithmetic operation as exact up to one
     relative rounding ``unit`` and a log or log1p as exact up to two units of
@@ -260,12 +252,8 @@ def _evaluate(
     exceed ``F_w dn`` by ``n_a / dn``.
 
     Each segment's factor is formed once, in the segment loop, by the
-    expressions of :func:`_decoded_rate_factors`; the cross-check compares
-    the per-state list of them with the stored factors.  On the float rung
-    with float inputs the two lists are bitwise equal, and when every
-    factor is also finite and positive and the largest bound fits
-    LAMBDA_RTOL, every ratio is exactly 1 and the per-state loop could only
-    pass, so it is skipped; any other case runs it.
+    expressions of :func:`_decoded_rate_factors`, and returned per state
+    for :func:`_check_factors`.
 
     The segment loop keeps only what varies per segment: the factors, the
     logs and the terms.  The bounds are formed after it.  Without input
@@ -276,16 +264,13 @@ def _evaluate(
     from the sum of ``|p_k lr_k| = p_k |lr_k|`` over the per-state terms,
     and the grouped form's from the sum of its ``|terms|``.  Segment w
     keeps its own ``e_x / (1 + x)`` charge.  With input rounding each
-    segment adds its conditioning terms in the loop, and the cross-check
-    builds its per-state error list only when bit equality cannot settle.
+    segment adds its conditioning terms in the loop.
 
-    Returns ``(mismatch, per_state, err_per_state, grouped, err_grouped)``.
-    mismatch is None when every stored decoded-rate factor certifiably lies
-    within LAMBDA_RTOL of the exact derived one (or the cross-check was not
-    asked for), the message of the first state that certifiably does not, or
-    True when the rung cannot tell.  grouped and err_grouped are None when
-    the grouped form was not asked for.  Returns None when the rung cannot
-    evaluate the channel at all.
+    Returns ``(lam, per_state, err_per_state, grouped, err_grouped)``, lam
+    the decoded-rate factors of states 1 .. active[-1] in the rung's
+    arithmetic.  grouped and err_grouped are None when the grouped form was
+    not asked for.  Returns None when the rung cannot evaluate the channel
+    at all.
     """
     last = active[-1]
     lo, hi = rung.lo, rung.hi
@@ -298,8 +283,7 @@ def _evaluate(
     inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
     # floats and ints already are the float rung's numbers (an int input is
     # exact in Python arithmetic)
-    plain = num is float and not exact_inputs
-    if plain:
+    if num is float and not exact_inputs:
         n, f, p = inputs
     else:
         n, f, p = ([num(x) for x in xs] for xs in inputs)
@@ -317,9 +301,9 @@ def _evaluate(
     single = len(active) == 1
     if not iota and (e_first if single else e_later) > _MAX_REL_ERR:
         return None
-    # with input rounding each segment adds its own conditioning terms: the
-    # factor errors (for the cross-check) and their charges to the bounds
-    seg_err, cond_p, cond_g = [], 0, 0
+    # with input rounding each segment adds its own conditioning terms to
+    # the bounds
+    cond_p = cond_g = 0
     lam, per_state, terms = [], [], []
     a, fa, na = 0, 0, 0
     for b in active:
@@ -339,7 +323,6 @@ def _evaluate(
             e_lam = e_head + (e_0 + c_f) + (e_0 + c_n) + u2
             if e_lam > _MAX_REL_ERR:
                 return None
-            seg_err.append(e_lam)
             if b < last:
                 cond_p += df * (c_f + c_n)
         # Lambda_k is constant on the segment, so one log serves its states
@@ -382,50 +365,6 @@ def _evaluate(
                 cond_g += df * (c_f + c_n) + abs(term) * c_f
         a, fa, na = b, fb, nb
 
-    # the factors recovered from the power vector must match the ones the
-    # chain construction stored; a mismatch means the active-state frontier
-    # and the breakpoint structure disagree
-    mismatch = None
-    if cross_check:
-        if not iota:
-            seg_err = [e_first] + [e_later] * (len(active) - 1)
-        tail = ch.num_states - last
-        # dividing by a float converts a stored factor as float() would
-        stored = alloc.lam if num is float else map(num, alloc.lam)
-        derived = lam + [lam[0] / lam[0]] * tail
-        slack, rtol = _SLACK, LAMBDA_RTOL
-        # bitwise equal factors make every ratio exactly 1 and every dev 0:
-        # the loop passes each state whose bound slack * (e + u) fits rtol,
-        # so the largest e decides for all of them (iota is 0 here)
-        settled = (
-            plain
-            and list(alloc.lam) == derived
-            and 0 < min(derived)
-            and max(derived) < inf
-            and slack * (max(seg_err) + u) <= rtol
-        )
-        if not settled:
-            # each state's factor error plus the input rounding of the
-            # stored factor it is compared with
-            errs, a = [], 0
-            for b, e in zip(active, seg_err):
-                errs += [e + iota] * (b - a)
-                a = b
-            errs += [iota] * tail
-            for k, (y, x, e) in enumerate(zip(stored, derived, errs), start=1):
-                ratio = y / x
-                dev = abs(ratio - 1)
-                bound = slack * (abs(ratio) * (e + u) + u * dev)
-                if dev + bound <= rtol:
-                    continue
-                if dev - bound > rtol or not math.isfinite(dev):
-                    mismatch = (
-                        f"decoded-rate factor of state {k} is {alloc.lam[k - 1]},"
-                        f" power vector implies {x}"
-                    )
-                    break
-                mismatch = True
-
     fsum = rung.fsum
     f_1 = f[active[0] - 1]
     # the factor errors of the segments before w, weighted by the F
@@ -439,7 +378,7 @@ def _evaluate(
     per = fsum(per_state)
     err_p = _SLACK * (err_p + u * abs(per))
     if not grouped:
-        return mismatch, per, err_p, None, None
+        return lam, per, err_p, None, None
     # per segment df (e_f + e_n + u) + |term| (e_f + 3u): e_f = e_n = 0 on
     # the first segment and u on every later one
     err_g = cond_g + u * f_1 + u3 * (f_w - f_1)
@@ -448,7 +387,40 @@ def _evaluate(
     terms.append(f_w * lr)
     err_g += f_w * (e_head + abs(lr) * e_log)
     grp = fsum(terms)
-    return mismatch, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
+    return lam, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
+
+
+def _check_factors(ch: PreparedChannel, alloc: PowerAllocation, active: tuple, lam) -> None:
+    """Raise InternalConsistencyError unless every stored decoded-rate factor
+    lies within LAMBDA_RTOL of the exact factor the power vector implies; a
+    mismatch means the active-state frontier and the breakpoint structure
+    disagree.
+
+    lam is a rung's factors of states 1 .. active[-1] for float or int
+    inputs, each within ``e_later`` (eight units) of its exact value, or
+    None.  Stored factors bitwise equal to them, with the tail at 1, finite
+    and positive, pass at once.  Otherwise the check is decided exactly, in
+    Fraction arithmetic.
+    """
+    last = active[-1]
+    tail = ch.num_states - last
+    stored = list(alloc.lam)
+    if lam is not None and stored == lam + [1.0] * tail and 0 < min(lam) and max(lam) < math.inf:
+        return
+    # a float or int converts exactly
+    inputs = (ch.inverse_gains[:last], ch.cum_probs[:last])
+    n, f = ([x if isinstance(x, Fraction) else Fraction(x) for x in xs] for xs in inputs)
+    exact = _decoded_rate_factors(n, f, active) + [Fraction(1)] * tail
+    if stored == exact:
+        return
+    for k, (y, x) in enumerate(zip(stored, exact), start=1):
+        # a NaN or infinite factor fails; a Fraction compares with a float
+        # exactly
+        if not abs(y) < math.inf or abs(Fraction(y) / x - 1) > LAMBDA_RTOL:
+            raise InternalConsistencyError(
+                f"decoded-rate factor of state {k} is {y},"
+                f" power vector implies {_rung(_MP_DIGITS[0]).num(x)}"
+            )
 
 
 def _routes(ch: PreparedChannel, alloc: PowerAllocation):
@@ -458,16 +430,17 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     Returns ``(per_state, grouped, agree)``: ``agree`` means the exact values
     of the two forms lie within ROUTE_RTOL of each other and per_state
     within VALUE_RTOL of its own exact value; not ``agree`` means they
-    certifiably differ by more than ROUTE_RTOL.  A failure (of the routes or
-    of the decoded-rate factor cross-check, which raises here) is only
+    certifiably differ by more than ROUTE_RTOL.  A disagreement is only
     accepted from an mpmath rung, so a disagreement in floats moves up one
     rung.
 
-    A passed cross-check and a certified agreement are facts about exact
-    values, so they carry up the ladder: a higher rung evaluates only what
-    is still open, usually the agreement alone.  per_state comes from
-    the rung that certified it, grouped from the rung that settled the
-    agreement.  An undecided check and a disagreement carry nothing.
+    Only the agreement and the value climb.  A certified agreement is a
+    fact about exact values, so it carries up the ladder: a higher rung
+    then evaluates the per-state form alone.  per_state comes from the rung
+    that certified it, grouped from the rung that settled the agreement.
+    The decoded-rate factor cross-check is decided once, by
+    :func:`_check_factors` after the first rung that evaluates, and raises
+    there.
     """
     active = alloc.active_states
     if not active:
@@ -483,25 +456,25 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     kinds = {*map(type, ch.inverse_gains[:last]), *map(type, ch.probs[:last])}
     exact_inputs = not kinds <= {float, int}
     per = grp = None
-    checked = agreed = False
+    agreed = False
     for digits in (None,) + _MP_DIGITS:
         rung = _rung(digits)
-        out = _evaluate(ch, alloc, active, exact_inputs, not checked, not agreed, rung)
+        out = _evaluate(ch, active, exact_inputs, not agreed, rung)
         if out is None:
             continue
-        mismatch, per, err_p, rung_grp, err_g = out
-        if isinstance(mismatch, str) and digits is not None:
-            raise InternalConsistencyError(mismatch)
-        checked = mismatch is None
+        lam, rung_per, err_p, rung_grp, err_g = out
+        if per is None:  # the first rung that evaluates
+            _check_factors(ch, alloc, active, None if exact_inputs else lam)
+        per = rung_per
         if not agreed:
             grp = rung_grp
             diff = abs(per - grp)
             scale = max(abs(per), abs(grp))
             err = err_p + err_g + rung.unit * diff
             agreed = diff + err <= ROUTE_RTOL * (scale - err)
-            if checked and digits is not None and diff - err > ROUTE_RTOL * (scale + err):
+            if digits is not None and diff - err > ROUTE_RTOL * (scale + err):
                 return per, grp, False
-        if checked and agreed and err_p <= VALUE_RTOL * abs(per):
+        if agreed and err_p <= VALUE_RTOL * abs(per):
             return per, grp, True
     raise InternalConsistencyError(
         f"closed forms not settled at {_MP_DIGITS[-1]} digits:"

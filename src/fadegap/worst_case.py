@@ -16,6 +16,7 @@ fixed gain profile to extreme SNR, where either every state or exactly one
 state ends up active.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -41,6 +42,24 @@ SNR_KINDS = ("high_snr", "low_snr")
 SWEEP_CSV_HEADER = "d,c_erg,c_exp,additive_gap,multiplicative_gap,entropy"
 
 
+def _check_finite(name: str, value):
+    """Refuse a NaN or infinite generator parameter, naming it."""
+    if not -math.inf < value < math.inf:
+        raise ValidationError(f"{name} must be finite, got {value}")
+
+
+def _gains(build, what: str) -> tuple:
+    """The gains build() returns; a gain that overflows double precision
+    (an OverflowError or an infinite float) is refused, naming what."""
+    try:
+        gains = tuple(build())
+    except OverflowError:
+        gains = (math.inf,)
+    if math.inf in gains:
+        raise ValidationError(f"{what}: a gain overflows double precision")
+    return gains
+
+
 def additive_family(K: int, d: float) -> FadingDistribution:
     """Uniform-probability geometric gain ladder; requires d > max(K-1, 2).
 
@@ -50,10 +69,14 @@ def additive_family(K: int, d: float) -> FadingDistribution:
     """
     if K < 1:
         raise ValidationError(f"additive family needs K >= 1, got {K}")
+    _check_finite("d", d)
     if not d > max(K - 1, 2):
         raise ValidationError(f"additive family needs d > max(K-1, 2) = {max(K - 1, 2)}, got {d}")
-    gains = [d * (d ** (K - k + 1) - 1) / (d - 1) for k in range(1, K + 1)]
-    return FadingDistribution(gains=tuple(gains), probs=(1.0 / K,) * K)
+    gains = _gains(
+        lambda: [d * (d ** (K - k + 1) - 1) / (d - 1) for k in range(1, K + 1)],
+        f"d = {d} with K = {K}",
+    )
+    return FadingDistribution(gains=gains, probs=(1.0 / K,) * K)
 
 
 def multiplicative_family(K: int, d: float) -> FadingDistribution:
@@ -65,6 +88,7 @@ def multiplicative_family(K: int, d: float) -> FadingDistribution:
     """
     if K < 1:
         raise ValidationError(f"multiplicative family needs K >= 1, got {K}")
+    _check_finite("d", d)
     if not d > 0:
         raise ValidationError(f"multiplicative family needs d > 0, got {d}")
     dq = Fraction(d)
@@ -103,9 +127,11 @@ def high_snr_instance(r, p, snr: float) -> FadingDistribution:
     r = tuple(r)
     p = tuple(p)
     _check_profile(r, p, "high-SNR exponents")
+    _check_finite("snr", snr)
     if not snr > 0:
         raise ValidationError(f"snr must be positive, got {snr}")
-    return FadingDistribution(gains=tuple(snr**rk for rk in r), probs=p)
+    gains = _gains(lambda: [snr**rk for rk in r], f"snr = {snr}")
+    return FadingDistribution(gains=gains, probs=p)
 
 
 def low_snr_instance(alpha, p, snr: float) -> FadingDistribution:
@@ -118,9 +144,11 @@ def low_snr_instance(alpha, p, snr: float) -> FadingDistribution:
     alpha = tuple(alpha)
     p = tuple(p)
     _check_profile(alpha, p, "low-SNR slopes")
+    _check_finite("snr", snr)
     if not snr > 0:
         raise ValidationError(f"snr must be positive, got {snr}")
-    return FadingDistribution(gains=tuple(a * snr for a in alpha), probs=p)
+    gains = _gains(lambda: [a * snr for a in alpha], f"snr = {snr}")
+    return FadingDistribution(gains=gains, probs=p)
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,8 @@ def reference_routes(ch, alloc):
             factors[k - 1] = value
 
     for k, (stored, derived) in enumerate(zip(alloc.lam, factors), start=1):
-        if abs(_mpf(stored) / derived - 1) > LAMBDA_RTOL:
+        # a NaN factor fails too
+        if not abs(_mpf(stored) / derived - 1) <= LAMBDA_RTOL:
             raise InternalConsistencyError(
                 f"decoded-rate factor of state {k} is {stored}, power vector implies {derived}"
             )
@@ -151,21 +152,12 @@ def reference_routes(ch, alloc):
     return per_state, grouped
 
 
-def reference_evaluate(
-    ch,
-    alloc,
-    active: tuple,
-    exact_inputs: bool,
-    cross_check,
-    grouped,
-    rung,
-):
+def reference_evaluate(ch, active: tuple, exact_inputs: bool, grouped, rung):
     """allocation._evaluate as it stood before the segment loop formed the
-    factors, the float cross-check settled by bit equality and the bounds
-    were formed after the loop: the factors come from _decoded_rate_factors,
-    every state runs the cross-check loop, and every segment adds its error
-    terms to the bounds.  _evaluate must return repr-identical values and
-    mismatch, and bounds equal up to the regrouping of their sums."""
+    factors and the bounds were formed after the loop: the factors come
+    from _decoded_rate_factors and every segment adds its error terms to the
+    bounds.  _evaluate must return repr-identical factors and values, and
+    bounds equal up to the regrouping of their sums."""
     last = active[-1]
     lo, hi = rung.lo, rung.hi
     if not (lo < ch.inverse_gains[0] and ch.inverse_gains[last - 1] < hi):
@@ -186,9 +178,6 @@ def reference_evaluate(
     e_head = 2 * u + 2 * iota
     u2, u3 = 2 * u, 3 * u
     e_log = iota + u3  # a log's two units, the product's one, the input rounding
-    # each factor's error plus the input rounding of the stored factor it
-    # is compared with
-    lam_err = []
     per_state, err_p = [], 0
     terms, err_g = [], 0
     a, fa, na = 0, 0, 0
@@ -231,11 +220,9 @@ def reference_evaluate(
             lr = log1p(x)
             e_term = e_x / one_x + abs(lr) * e_log
         if b - a == 1:
-            lam_err.append(e_lam + iota)
             per_state.append(p[a] * lr)
             err_p += p[a] * e_term
         else:
-            lam_err += (e_lam + iota,) * (b - a)
             for pk in p[a:b]:
                 per_state.append(pk * lr)
                 err_p += pk * e_term
@@ -245,39 +232,15 @@ def reference_evaluate(
             err_g += df * (e_f + e_n + u + abs(lr) * (e_f + u3))
         a, fa, na = b, fb, nb
 
-    # the factors recovered from the power vector must match the ones the
-    # chain construction stored; a mismatch means the active-state frontier
-    # and the breakpoint structure disagree
-    mismatch = None
-    if cross_check:
-        tail = ch.num_states - last
-        # dividing by a float converts a stored factor as float() would
-        stored = alloc.lam if num is float else map(num, alloc.lam)
-        derived = lam + [lam[0] / lam[0]] * tail
-        slack, rtol = _SLACK, LAMBDA_RTOL
-        for k, (y, x, e) in enumerate(zip(stored, derived, lam_err + [iota] * tail), start=1):
-            ratio = y / x
-            dev = abs(ratio - 1)
-            bound = slack * (abs(ratio) * (e + u) + u * dev)
-            if dev + bound <= rtol:
-                continue
-            if dev - bound > rtol or not math.isfinite(dev):
-                mismatch = (
-                    f"decoded-rate factor of state {k} is {alloc.lam[k - 1]},"
-                    f" power vector implies {x}"
-                )
-                break
-            mismatch = True
-
     per = rung.fsum(per_state)
     err_p = _SLACK * (err_p + u * abs(per))
     if not grouped:
-        return mismatch, per, err_p, None, None
+        return lam, per, err_p, None, None
     lr = log((n[-1] + 1) / f[-1])
     terms.append(f[-1] * lr)
     err_g += f[-1] * (e_head + abs(lr) * e_log)
     grp = rung.fsum(terms)
-    return mismatch, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
+    return lam, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
 
 
 @st.composite

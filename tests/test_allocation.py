@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -12,6 +11,7 @@ from conftest import (
 )
 from fadegap import (
     FadingDistribution,
+    additive_family,
     ValidationError,
     allocation,
     build_chain,
@@ -232,13 +232,13 @@ def test_escalating_channels_match_reference(dist, rungs_used):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """``(cross_check, grouped, rung)`` of each closed-form evaluation: which
-    checks a rung was left to settle."""
+    """``(grouped, rung)`` of each closed-form evaluation: whether a rung was
+    left to settle the agreement."""
     calls = []
     evaluate = allocation._evaluate
 
     def recording(*args):
-        calls.append(args[-3:])
+        calls.append(args[-2:])
         return evaluate(*args)
 
     monkeypatch.setattr(allocation, "_evaluate", recording)
@@ -270,15 +270,12 @@ def test_low_capacity_channels_settle_on_the_float_rung(dist, active, rungs_used
 
 def test_value_alone_climbs_past_the_float_rung(evaluations):
     # two active states and a capacity of 0.02 nat: the float rung certifies
-    # the factor cross-check and the route agreement, but not the value,
-    # whose stronger segment carries the absolute error of its factor's log
+    # the route agreement, but not the value, whose stronger segment carries
+    # the absolute error of its factor's log
     ch, _, alloc = pipeline(FadingDistribution((0.08, 0.02), (0.251, 0.749)))
     value = expected_capacity(ch, alloc)
     assert alloc.active_states == (1, 2)
-    assert evaluations == [
-        (True, True, allocation._rung(None)),
-        (False, False, allocation._rung(60)),
-    ]
+    assert evaluations == [(True, allocation._rung(None)), (False, allocation._rung(60))]
     ref = float(reference_routes(ch, alloc)[0])
     assert abs(value - ref) <= 1e-14 * abs(ref)
     per_state, grouped = closed_form_routes(ch, alloc)
@@ -287,14 +284,12 @@ def test_value_alone_climbs_past_the_float_rung(evaluations):
 
 
 @pytest.mark.parametrize("sign, fails", [(1, True), (-1, False)])
-def test_undecided_cross_check_is_decided_on_the_60_digit_rung(
+def test_factor_at_the_tolerance_is_decided_exactly_without_a_climb(
     two_state, evaluations, sign, fails
 ):
     # a stored factor LAMBDA_RTOL off its exact value is beyond what the
-    # float rung can tell; the route agreement it certifies carries, the
-    # cross-check does not
-    from fadegap import InternalConsistencyError, PowerAllocation
-
+    # float rung's rounding bounds could tell; the exact cross-check decides
+    # it, so the float rung settles the channel or the check raises there
     ch, _, alloc = two_state
     lam = (alloc.lam[0] * (1 + sign * allocation.LAMBDA_RTOL), alloc.lam[1])
     off = PowerAllocation(beta=alloc.beta, lam=lam)
@@ -304,20 +299,17 @@ def test_undecided_cross_check_is_decided_on_the_60_digit_rung(
     else:
         ref = float(reference_routes(ch, alloc)[0])
         assert abs(expected_capacity(ch, off) - ref) <= 1e-14 * ref
-    assert evaluations == [
-        (True, True, allocation._rung(None)),
-        (True, False, allocation._rung(60)),
-    ]
+    assert evaluations == [(True, allocation._rung(None))]
 
 
 def evaluate_args(dist):
-    """Channel, allocation, active states and exact_inputs as _routes passes
-    them to _evaluate."""
+    """Channel, active states and exact_inputs as _routes passes them to
+    _evaluate."""
     ch, _, alloc = pipeline(dist)
     active = alloc.active_states
     last = active[-1]
     kinds = {*map(type, ch.inverse_gains[:last]), *map(type, ch.probs[:last])}
-    return ch, alloc, active, not kinds <= {float, int}
+    return ch, active, not kinds <= {float, int}
 
 
 #: Largest relative difference between an error bound of _evaluate and the
@@ -327,13 +319,13 @@ BOUND_RTOL = 1e-12
 
 
 def assert_same_evaluation(new, ref):
-    """Values and mismatch repr-identical to the reference evaluation, error
+    """Factors and values repr-identical to the reference evaluation, error
     bounds within BOUND_RTOL of its."""
     if ref is None:
         assert new is None
         return
-    mismatch, per, err_p, grp, err_g = new
-    assert repr((mismatch, per, grp)) == repr((ref[0], ref[1], ref[3]))
+    lam, per, err_p, grp, err_g = new
+    assert repr((lam, per, grp)) == repr((ref[0], ref[1], ref[3]))
     assert abs(err_p - ref[2]) <= BOUND_RTOL * ref[2]
     if ref[4] is None:
         assert err_g is None
@@ -354,19 +346,18 @@ def differential_corpus():
 
 @pytest.mark.parametrize("digits", [None, 60], ids=["float", "60-digit"])
 def test_evaluate_matches_the_reference_evaluation(digits):
-    # forming each factor in the segment loop, settling the float
-    # cross-check by bit equality and forming the bounds after the loop
-    # change no value or mismatch, and a bound only in its last digits
+    # forming each factor in the segment loop and the bounds after the loop
+    # change no factor or value, and a bound only in its last digits
     rung = allocation._rung(digits)
     for dist in differential_corpus():
         args = evaluate_args(dist)
-        for flags in itertools.product((True, False), repeat=2):
-            new = allocation._evaluate(*args, *flags, rung)
-            ref = reference_evaluate(*args, *flags, rung)
+        for grouped in (True, False):
+            new = allocation._evaluate(*args, grouped, rung)
+            ref = reference_evaluate(*args, grouped, rung)
             try:
                 assert_same_evaluation(new, ref)
             except AssertionError as exc:
-                raise AssertionError((dist, flags)) from exc
+                raise AssertionError((dist, grouped)) from exc
 
 
 def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):
@@ -380,7 +371,7 @@ def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):
         calls = []
 
         def recording(*args):
-            calls.append(args[-3:])
+            calls.append(args[-2:])
             return evaluate(*args)
 
         monkeypatch.setattr(allocation, "_evaluate", recording)
@@ -399,30 +390,32 @@ def with_factor(alloc, k, value):
     return PowerAllocation(beta=alloc.beta, lam=lam)
 
 
+def float_factors(ch, alloc):
+    """The float rung's factors of the channel, as _routes hands them to
+    _check_factors."""
+    return allocation._evaluate(ch, alloc.active_states, False, True, allocation._rung(None))[0]
+
+
 def test_factor_one_ulp_off_passes_the_per_state_cross_check(two_state, rungs_used):
     ch, _, alloc = two_state
     off = with_factor(alloc, 2, math.nextafter(alloc.lam[1], math.inf))
     assert off.lam != alloc.lam
-    args = (ch, off, alloc.active_states, False, True, True, allocation._rung(None))
-    mismatch = allocation._evaluate(*args)[0]
-    assert mismatch is None
-    assert_same_evaluation(allocation._evaluate(*args), reference_evaluate(*args))
+    # not bitwise the float factor, so decided exactly
+    lam = float_factors(ch, alloc)
+    assert allocation._check_factors(ch, off, alloc.active_states, lam) is None
     rungs_used.clear()
     value = expected_capacity(ch, off)
     assert rungs_used == [allocation._rung(None)]
     assert value == expected_capacity(ch, alloc)
 
 
-def test_factor_two_tolerances_off_fails_from_an_mpmath_rung(two_state, evaluations):
+def test_factor_two_tolerances_off_fails_without_a_climb(two_state, evaluations):
     ch, _, alloc = two_state
     off = with_factor(alloc, 1, alloc.lam[0] * (1 + 2 * allocation.LAMBDA_RTOL))
     with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 1"):
         expected_capacity(ch, off)
-    # the float rung's verdict is not accepted, so it decides nothing
-    assert evaluations == [
-        (True, True, allocation._rung(None)),
-        (True, False, allocation._rung(60)),
-    ]
+    # decided exactly after the first rung that evaluates
+    assert evaluations == [(True, allocation._rung(None))]
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
@@ -430,8 +423,62 @@ def test_factor_two_tolerances_off_fails_from_an_mpmath_rung(two_state, evaluati
 def test_non_finite_factor_never_settles(two_state, value, k):
     ch, _, alloc = two_state
     off = with_factor(alloc, k, value)
-    args = (ch, off, alloc.active_states, False, True, True, allocation._rung(None))
-    mismatch = allocation._evaluate(*args)[0]
-    assert isinstance(mismatch, str) and f"state {k}" in mismatch
+    lam = float_factors(ch, alloc)
+    with pytest.raises(InternalConsistencyError, match=f"decoded-rate factor of state {k}"):
+        allocation._check_factors(ch, off, alloc.active_states, lam)
     with pytest.raises(InternalConsistencyError, match=f"decoded-rate factor of state {k}"):
         expected_capacity(ch, off)
+
+
+@pytest.mark.parametrize("value", [math.inf, 0.0], ids=["inf", "zero"])
+def test_overflowed_rung_factor_does_not_vouch_for_the_stored_one(two_state, value):
+    # a rung factor that overflowed or underflowed is not within a few units
+    # of its exact value, so bit equality with it settles nothing
+    ch, _, alloc = two_state
+    lam = float_factors(ch, alloc)
+    lam[1] = value
+    off = with_factor(alloc, 2, value)
+    with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 2"):
+        allocation._check_factors(ch, off, alloc.active_states, lam)
+
+
+def tampered_factors(y):
+    """A stored factor y scaled by 1 +- LAMBDA_RTOL and 1 +- 2 LAMBDA_RTOL,
+    moved by one ulp either way, or replaced by inf, nan or 0."""
+    rtol = allocation.LAMBDA_RTOL
+    values = [y * (1 + sign * m * rtol) for sign in (1, -1) for m in (1, 2)]
+    values += [math.nextafter(float(y), math.inf), math.nextafter(float(y), 0.0)]
+    return values + [math.inf, math.nan, 0.0]
+
+
+def test_tampered_factors_raise_exactly_when_the_reference_check_does():
+    # the exact cross-check against the 60-digit reference on every state
+    # of random channels, both families and gains near 1e-300; a tampered
+    # factor that passes changes nothing the closed forms read
+    dists = random_channels(20, seed=71, max_states=6) + [
+        additive_family(4, 10),
+        multiplicative_family(4, 2),
+        multiplicative_family(5, 60),
+        FadingDistribution((1e-300, 1e-301), (0.5, 0.5)),
+    ]
+    raised = passed = 0
+    for dist in dists:
+        ch, _, alloc = pipeline(dist)
+        value = expected_capacity(ch, alloc)
+        ref = float(reference_routes(ch, alloc)[0])
+        # the 60-digit reference cannot resolve a capacity near 1e-300
+        resolved = abs(value - ref) <= allocation.VALUE_RTOL * abs(ref)
+        assert resolved or value < 1e-250, dist
+        for k in range(1, ch.num_states + 1):
+            for y in tampered_factors(alloc.lam[k - 1]):
+                off = with_factor(alloc, k, y)
+                try:
+                    reference_routes(ch, off)
+                except InternalConsistencyError:
+                    raised += 1
+                    with pytest.raises(InternalConsistencyError, match=f"of state {k} is"):
+                        expected_capacity(ch, off)
+                    continue
+                passed += 1
+                assert expected_capacity(ch, off) == value, (dist, k, y)
+    assert raised > 100 and passed > 100

@@ -211,6 +211,21 @@ def test_family_invalid_d_exits_1(capsys):
     assert "d > max" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family", "--kind", "multiplicative", "--states", "3", "--d", "inf"], "d must be"),
+        (["sweep", "--kind", "additive", "--states", "3", "--d-values", "1e200"], "d = 1e+200"),
+    ],
+    ids=["family-inf", "sweep-1e200"],
+)
+def test_family_and_sweep_refuse_unbuildable_d_with_exit_1(capsys, argv, message):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_sweep_stdout_and_file(capsys, tmp_path):
     code, out, _ = run_capture(
         capsys,

@@ -5,7 +5,9 @@ ValidationError or InternalConsistencyError, and every report keeps the
 ``A <= ln K`` and ``M <= K`` bounds; ``fadegap.cli.run`` exits 0, 1 or 2
 and never lets an exception through.  The draws reach the float limits:
 zero and subnormal gains up to 1.8e308, probabilities down to 1e-320,
-exact Fraction and big-int values, and K up to a few hundred.
+exact Fraction and big-int values, and K up to a few hundred.  The
+worst-case family generators behind ``family`` and ``sweep`` see K up to 40
+and non-finite, huge, subnormal and negative d.
 """
 
 import contextlib
@@ -91,19 +93,49 @@ def test_library_returns_a_certified_report_or_a_typed_error(channel):
     assert certify.multiplicative_gap_bound(analysis).ok
 
 
-@settings(_SETTINGS, max_examples=60)
-@given(channels(exact=False), st.sampled_from(["capacity", "fading-paper"]))
-def test_cli_exits_0_1_or_2_without_a_traceback(channel, command):
-    gains, probs = channel
-    text = json.dumps({"gains": list(gains), "probs": list(probs)})
+def _assert_exit_contract(argv, text=""):
+    """run(argv) with text on stdin exits 0, 1 or 2 without a traceback."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         # an exception escaping run() fails the test
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run([command])
+            code = run(argv)
     finally:
         sys.stdin = stdin
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(_SETTINGS, max_examples=60)
+@given(channels(exact=False), st.sampled_from(["capacity", "fading-paper"]))
+def test_cli_exits_0_1_or_2_without_a_traceback(channel, command):
+    gains, probs = channel
+    _assert_exit_contract([command], json.dumps({"gains": list(gains), "probs": list(probs)}))
+
+
+_KINDS = st.sampled_from(["additive", "multiplicative"])
+_STATES = st.integers(-1, 40)
+#: d values at and beyond the float limits, and ordinary ones
+_D = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, 5e-324, 1e200, 0.0, -1.0, -50.0]),
+    st.floats(0.1, 1e4),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(_KINDS, _STATES, _D)
+def test_family_report_exits_0_1_or_2_without_a_traceback(kind, states, d):
+    # the = form keeps argparse from reading a negative value as a flag
+    argv = ["family", f"--kind={kind}", f"--states={states}", f"--d={d!r}", "--emit=report"]
+    _assert_exit_contract(argv)
+
+
+@settings(_SETTINGS, max_examples=30)
+@given(_KINDS, _STATES, st.lists(_D, min_size=1, max_size=3))
+def test_sweep_exits_0_1_or_2_without_a_traceback(kind, states, ds):
+    d_values = ",".join(map(repr, ds))
+    argv = ["sweep", f"--kind={kind}", f"--states={states}", f"--d-values={d_values}"]
+    _assert_exit_contract(argv)

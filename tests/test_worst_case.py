@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,38 @@ def test_snr_instances_reject_bad_profiles(profile):
         high_snr_instance(profile, probs, 10.0)
     with pytest.raises(ValidationError):
         low_snr_instance(profile, probs, 0.1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: multiplicative_family(3, math.inf), "d must be finite"),
+        (lambda: FamilySpec("multiplicative", K=3, d=math.inf), "d must be finite"),
+        (lambda: additive_family(3, math.inf), "d must be finite"),
+        (lambda: multiplicative_family(3, math.nan), "d must be finite"),
+        (lambda: additive_family(3, 1e200), "d = 1e+200 with K = 3: a gain overflows"),
+        (lambda: additive_family(200, 200.0), "d = 200.0 with K = 200: a gain overflows"),
+        (lambda: high_snr_instance([2, 1], [0.5, 0.5], 1e300), "snr = 1e+300: a gain overflows"),
+        (lambda: high_snr_instance([2, 1], [0.5, 0.5], math.inf), "snr must be finite"),
+        (lambda: low_snr_instance([2, 1], [0.5, 0.5], 1e308), "snr = 1e+308: a gain overflows"),
+        (lambda: sweep("additive", 3, [10, 1e200]), "d = 1e+200 with K = 3: a gain overflows"),
+    ],
+    ids=[
+        "multiplicative-inf",
+        "spec-multiplicative-inf",
+        "additive-inf",
+        "multiplicative-nan",
+        "additive-1e200",
+        "additive-K200",
+        "high-snr-1e300",
+        "high-snr-inf",
+        "low-snr-1e308",
+        "sweep-1e200",
+    ],
+)
+def test_generators_refuse_non_finite_or_overflowing_parameters(build, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build()
 
 
 def test_family_spec_dispatch_and_validation():
