@@ -138,8 +138,7 @@ def _merge_duplicates(pairs):
     g_prev, p = next(pairs)
     gains, probs = [g_prev], [p]
     for g, p in pairs:
-        scale = g_prev if g_prev >= g else g
-        if abs(g_prev - g) <= MERGE_RTOL * scale:
+        if g_prev - g <= MERGE_RTOL * g_prev:
             probs[-1] = probs[-1] + p
         else:
             gains.append(g)

@@ -30,6 +30,10 @@ from .worst_case import additive_family, multiplicative_family, sweep, sweep_to_
 
 __all__ = ["main", "run", "random_distribution", "verify_run"]
 
+#: Largest --max-states verify accepts: the largest K whose high-SNR ladder
+#: the oracle is certified on, and a bound on the K a trial may draw.
+VERIFY_MAX_STATES = 1024
+
 _CAPACITY_NAT_FIELDS = ("c_erg", "c_exp", "additive_gap", "entropy")
 _FP_NAT_FIELDS = (
     "achievable_rate",
@@ -293,6 +297,10 @@ def _cmd_verify(args) -> int:
         raise ValidationError(f"trials: must be positive, got {args.trials}")
     if args.max_states < 2:
         raise ValidationError(f"max-states: must be at least 2, got {args.max_states}")
+    if args.max_states > VERIFY_MAX_STATES:
+        raise ValidationError(
+            f"max-states: must be at most {VERIFY_MAX_STATES}, got {args.max_states}"
+        )
     summary = verify_run(trials=args.trials, seed=args.seed, max_states=args.max_states)
     for line in summary["lines"]:
         print(line)
@@ -316,7 +324,11 @@ def _cmd_fading_paper(args) -> int:
         "gap_upper": report.gap_upper,
         "gap_lower_raw": report.gap_lower_raw,
     }
-    _emit(_convert_units(payload, _FP_NAT_FIELDS, args.units), args.format)
+    payload = _convert_units(payload, _FP_NAT_FIELDS, args.units)
+    if args.format == "json":
+        # an infinite inr serializes as null; CSV keeps its repr
+        payload = {key: _json_safe(value) for key, value in payload.items()}
+    _emit(payload, args.format)
     return 0
 
 

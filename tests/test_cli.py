@@ -268,6 +268,43 @@ def test_fading_paper_command(capsys, two_state_json):
     assert payload["units"] == "nats"
 
 
+def _strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN and Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("units", ["nats", "bits"])
+def test_fading_paper_infinite_inr_is_null(capsys, two_state_json, units):
+    code, out, _ = run_capture(
+        capsys, ["fading-paper", "--input", two_state_json, "--inr", "inf", "--units", units]
+    )
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["inr"] is None
+    assert payload["units"] == units
+    code, out, _ = run_capture(
+        capsys, ["fading-paper", "--input", two_state_json, "--inr", "inf", "--format", "csv"]
+    )
+    assert code == 0
+    assert out.splitlines()[1].startswith("inf,")
+
+
+@pytest.mark.parametrize("max_states", ["1025", "10000000000"])
+def test_verify_refuses_max_states_above_1024(capsys, monkeypatch, max_states):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("fadegap.cli.random_distribution", no_trial)
+    code, out, err = run_capture(capsys, ["verify", "--max-states", max_states])
+    assert code == 1
+    assert out == ""
+    assert "max-states: must be at most 1024" in err
+
+
 def test_verify_small_run(capsys):
     code, out, _ = run_capture(
         capsys, ["verify", "--trials", "5", "--seed", "3", "--max-states", "4"]

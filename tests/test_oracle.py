@@ -1,8 +1,11 @@
+import json
 import math
+import pathlib
+import random
 
 import pytest
 
-from conftest import random_channels
+from conftest import high_snr_ladder, random_channels, reference_brute_force
 from fadegap import (
     FadingDistribution,
     ValidationError,
@@ -54,14 +57,115 @@ def test_deterministic():
     assert a == b
 
 
+def test_search_stops_where_rounding_ends_the_refinement():
+    ch = prepare(FadingDistribution((31.0, 2.5, 0.04, 0.001, 7e2), (0.2,) * 5))
+    coarse = brute_force_expected_capacity(ch, ORACLE_TOL)
+    fine = brute_force_expected_capacity(ch, 1e-300)
+    assert 0 < fine.resolution < 1e-15
+    assert fine.iterations > coarse.iterations
+    assert fine.value == pytest.approx(coarse.value, abs=1e-15)
+
+
+def test_value_never_falls_as_the_tolerance_tightens():
+    # each round keeps the incumbents on their grids, so the rounds that a
+    # finer tolerance adds can only gain, up to the rounding of the value
+    tols = (1e-1, 1e-3, 1e-5, ORACLE_TOL)
+    for dist in random_channels(200, seed=0):
+        ch = prepare(dist)
+        values = [brute_force_expected_capacity(ch, tol).value for tol in tols]
+        assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+
 def test_certifies_closed_form_on_random_channels():
-    # plus two channels that defeated the coordinate ascent: the optimum of
-    # the 18th draw of seed 0 skips a state, where single-coordinate moves
-    # stall, and that of seed 3345769749 sits on slice endpoints, which the
-    # golden-section search alone never evaluates
+    # plus two channels that defeated an earlier coordinate ascent: the
+    # optimum of the 18th draw of seed 0 skips a state, and that of seed
+    # 3345769749 sits on slice endpoints; high-SNR ladders, on which a grid
+    # that is not geometric near zero lands percents low; and a channel
+    # whose optimal beta_1 = 1e-20 - 2e-30 needs cells narrowed relative to
+    # it, not to the budget
     hard = random_channels(18, seed=0)[-1:] + random_channels(1, seed=3345769749)
+    hard += [high_snr_ladder(k) for k in (4, 16, 32)]
+    hard += [FadingDistribution((1e30, 1e20), (0.5, 0.5))]
     for dist in random_channels(40, seed=13, max_states=5) + hard:
         c_exp = analyze(dist).c_exp
         oracle = brute_force_expected_capacity(prepare(dist), ORACLE_TOL).value
         assert certify.oracle_certification(c_exp, oracle).ok
         assert certify.oracle_not_above_closed_form(c_exp, oracle).ok
+
+
+def extreme_gains(rng: random.Random, shape: int, k: int):
+    if shape == 0:  # near the bottom of the float range
+        return [1e-300 * 10 ** rng.uniform(0, 3) for _ in range(k)]
+    if shape == 1:  # tied to within 1e-9
+        g = 10 ** rng.uniform(-3, 3)
+        return [g * (1 + 1e-9 * rng.uniform(-1, 1)) for _ in range(k)]
+    if shape == 2:  # spread over 60 decades
+        return [10 ** rng.uniform(-30, 30) for _ in range(k)]
+    return [10 ** rng.uniform(-3, 3) for _ in range(k - 1)] + [0]
+
+
+def extreme_channels(n: int, seed: int):
+    """Channels at the edges of the float range, K in 2..5, cycling through
+    the four shapes of extreme_gains, with flat-Dirichlet probabilities."""
+    rng = random.Random(seed)
+    channels = []
+    for i in range(n):
+        k = rng.randint(2, 5)
+        raw = [rng.expovariate(1.0) for _ in range(k)]
+        total = sum(raw)
+        gains = extreme_gains(rng, i % 4, k)
+        channels.append(FadingDistribution(tuple(gains), tuple(x / total for x in raw)))
+    return channels
+
+
+#: The differential populations: verify's two, and the extreme corpus.
+POPULATIONS = {
+    "verify-seed-0": lambda: random_channels(200, seed=0),
+    "verify-seed-7-k8": lambda: random_channels(50, seed=7, max_states=8),
+    "extreme": lambda: extreme_channels(24, seed=5),
+}
+
+#: The reference search's value on every channel of POPULATIONS; rewrite it
+#: with ``PYTHONPATH=src python tests/test_oracle.py``.
+REFERENCE_VALUES = pathlib.Path(__file__).parent / "golden" / "oracle_reference.json"
+
+
+def reference_values():
+    """Population name -> the reference search's value on each channel."""
+    return {
+        name: [reference_brute_force(prepare(d), ORACLE_TOL).value for d in population()]
+        for name, population in POPULATIONS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def stored_reference():
+    return json.loads(REFERENCE_VALUES.read_text())
+
+
+@pytest.mark.parametrize("name", POPULATIONS)
+def test_never_below_the_reference_search(name, stored_reference):
+    """Differential check against the former grid and coordinate-ascent
+    search: never more than 1e-12 below it, never above the closed form."""
+    dists = POPULATIONS[name]()
+    assert len(dists) == len(stored_reference[name])
+    for dist, reference in zip(dists, stored_reference[name]):
+        c_exp = analyze(dist).c_exp
+        value = brute_force_expected_capacity(prepare(dist), ORACLE_TOL).value
+        assert value >= reference - 1e-12, (dist, value, reference)
+        assert certify.oracle_not_above_closed_form(c_exp, value).ok
+        assert value == pytest.approx(c_exp, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", POPULATIONS)
+def test_stored_values_are_the_reference_search(name, stored_reference):
+    """Every eighth stored value, recomputed by the reference search, which
+    is too slow to rerun on whole populations in the suite."""
+    dists = POPULATIONS[name]()[::8]
+    for dist, stored in zip(dists, stored_reference[name][::8]):
+        value = reference_brute_force(prepare(dist), ORACLE_TOL).value
+        assert value == pytest.approx(stored, rel=1e-14, abs=0)
+
+
+if __name__ == "__main__":
+    REFERENCE_VALUES.write_text(json.dumps(reference_values(), indent=1) + "\n")
