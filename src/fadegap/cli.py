@@ -14,8 +14,10 @@ bytes on stdout.
 """
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import random
 import sys
 
@@ -47,7 +49,13 @@ _FP_NAT_FIELDS = (
 
 
 def _json_safe(x):
-    if x is None or isinstance(x, (int, str, bool)):
+    """x with every non-finite number, nested in dicts, lists and tuples,
+    replaced by None and every other non-int number by its float."""
+    if isinstance(x, dict):
+        return {key: _json_safe(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    if x is None or isinstance(x, (int, str)):
         return x
     xf = float(x)
     return xf if math.isfinite(xf) else None
@@ -77,61 +85,43 @@ def _load_distribution(path) -> FadingDistribution:
     return FadingDistribution(gains=tuple(payload["gains"]), probs=tuple(payload["probs"]))
 
 
-def _convert_units(payload: dict, nat_fields, units: str) -> dict:
-    payload = dict(payload)
+def _report_payload(report, nat_fields, units: str) -> dict:
+    """The report's fields in field order, nat_fields in the chosen units,
+    followed by the units."""
+    payload = dataclasses.asdict(report)
     if units == "bits":
         for field in nat_fields:
-            if payload.get(field) is not None:
-                payload[field] = payload[field] / LN2
+            payload[field] /= LN2
     payload["units"] = units
     return payload
 
 
 def _capacity_payload(dist: FadingDistribution, units: str) -> dict:
     analysis = full_analysis(dist)
-    report = analysis.report
-    payload = {
-        "c_erg": report.c_erg,
-        "c_exp": report.c_exp,
-        "additive_gap": report.additive_gap,
-        "multiplicative_gap": report.multiplicative_gap,
-        "entropy": report.entropy,
-        "lemma2_terms": [_json_safe(v) for v in report.lemma2_terms],
-        "lemma3_terms": [_json_safe(v) for v in report.lemma3_terms],
-        "active_states": list(report.active_states),
-        "epsilon_applied": _json_safe(report.epsilon_applied),
-        "boundary_breakpoints": [_json_safe(v) for v in report.boundary_breakpoints],
-    }
-    payload = _convert_units(payload, _CAPACITY_NAT_FIELDS, units)
-    payload["channel"] = {
-        "gains": [_json_safe(g) for g in analysis.channel.gains],
-        "probs": [_json_safe(p) for p in analysis.channel.probs],
-    }
+    payload = _report_payload(analysis.report, _CAPACITY_NAT_FIELDS, units)
+    payload["channel"] = {"gains": analysis.channel.gains, "probs": analysis.channel.probs}
     if analysis.chain is not None:
-        payload["chain"] = {
-            "pi": list(analysis.chain.pi),
-            "breakpoints": [_json_safe(z) for z in analysis.chain.breakpoints],
-            "s": analysis.chain.s,
-            "w": analysis.chain.w,
-        }
+        payload["chain"] = dataclasses.asdict(analysis.chain)
         rates = layer_rates(analysis.channel, analysis.allocation)
         if units == "bits":
             rates = tuple(r / LN2 for r in rates)
         payload["allocation"] = {
-            "beta": [_json_safe(b) for b in analysis.allocation.beta],
-            "lambda": [_json_safe(v) for v in analysis.allocation.lam],
-            "per_state_rate": [_json_safe(r) for r in rates],
+            "beta": analysis.allocation.beta,
+            "lambda": analysis.allocation.lam,
+            "per_state_rate": rates,
         }
     return payload
 
 
 def _emit(payload: dict, fmt: str) -> None:
+    """Print payload as indented JSON with non-finite values as null, or as
+    a CSV header and row of its scalar fields with None as an empty field."""
     if fmt == "csv":
-        scalars = [(k, v) for k, v in payload.items() if isinstance(v, (int, float, str))]
-        print(",".join(k for k, _ in scalars))
-        print(",".join(repr(v) if isinstance(v, float) else str(v) for _, v in scalars))
+        scalars = {k: v for k, v in payload.items() if not isinstance(v, (list, tuple, dict))}
+        print(",".join(scalars))
+        print(",".join("" if v is None else str(v) for v in scalars.values()))
     else:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_json_safe(payload), indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +258,7 @@ def _cmd_family(args) -> int:
     build = additive_family if args.kind == "additive" else multiplicative_family
     dist = build(args.states, args.d)
     if args.emit == "dist":
-        payload = {
-            "gains": [_json_safe(g) for g in dist.gains],
-            "probs": [_json_safe(p) for p in dist.probs],
-        }
-        print(json.dumps(payload, indent=2))
+        _emit({"gains": dist.gains, "probs": dist.probs}, "json")
     else:
         _emit(_capacity_payload(dist, args.units), "json")
     return 0
@@ -286,9 +272,12 @@ def _cmd_sweep(args) -> int:
     csv_text = sweep_to_csv(sweep(args.kind, args.states, d_values))
     if args.out is None:
         sys.stdout.write(csv_text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(csv_text)
+    except OSError as exc:
+        raise ValidationError(f"out: cannot write {args.out}: {exc}") from exc
     return 0
 
 
@@ -312,23 +301,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fading_paper(args) -> int:
-    dist = _load_distribution(args.input)
-    report = fading_paper_report(dist, args.inr)
-    payload = {
-        "inr": report.inr,
-        "achievable_rate": report.achievable_rate,
-        "c_erg_lower": report.c_erg_lower,
-        "c_erg_upper": report.c_erg_upper,
-        "c_exp_fp": report.c_exp_fp,
-        "gap_lower": report.gap_lower,
-        "gap_upper": report.gap_upper,
-        "gap_lower_raw": report.gap_lower_raw,
-    }
-    payload = _convert_units(payload, _FP_NAT_FIELDS, args.units)
-    if args.format == "json":
-        # an infinite inr serializes as null; CSV keeps its repr
-        payload = {key: _json_safe(value) for key, value in payload.items()}
-    _emit(payload, args.format)
+    report = fading_paper_report(_load_distribution(args.input), args.inr)
+    _emit(_report_payload(report, _FP_NAT_FIELDS, args.units), args.format)
     return 0
 
 
@@ -351,13 +325,20 @@ def run(argv=None) -> int:
         # validation failures here (--help keeps its clean exit).
         return 0 if not exc.code else 1
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull so that
+        # flush succeeds (the "Note on SIGPIPE" in the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def main() -> None:

@@ -196,9 +196,8 @@ def sweep(kind: str, K: int, d_values) -> list:
         raise ValidationError(f"sweep supports kinds {SWEEP_KINDS}, got {kind!r}")
     d_values = list(d_values)
     build = additive_family if kind == "additive" else multiplicative_family
-    for d in d_values:  # validate all points before analyzing any
-        build(K, d)
-    return [(d, analyze(build(K, d))) for d in d_values]
+    dists = [build(K, d) for d in d_values]  # validate all points before analyzing any
+    return [(d, analyze(dist)) for d, dist in zip(d_values, dists)]
 
 
 def sweep_to_csv(rows) -> str:

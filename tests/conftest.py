@@ -6,6 +6,7 @@ distribution family: K uniform, gains log-uniform in [1e-3, 1e3], flat
 Dirichlet probabilities.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -35,6 +36,15 @@ from fadegap.muf import TIE_RTOL
 
 ADDITIVE_D_GRID = (3, 10, 100, 1e4)
 MULTIPLICATIVE_D_GRID = (0.5, 2, 60, 1e4)
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN and Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def random_channels(n: int, seed: int, max_states: int = 5):

@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fadegap
+from conftest import strict_json
 from fadegap import multiplicative_family
 from fadegap.cli import run, verify_run
 from fadegap.fading_paper import LN2
@@ -73,6 +78,21 @@ def test_capacity_csv_format(capsys, two_state_json):
     header, row = out.strip().split("\n")
     fields = dict(zip(header.split(","), row.split(",")))
     assert float(fields["c_exp"]) == pytest.approx(0.8369882167858357, rel=1e-12)
+
+
+def test_capacity_csv_header_is_fixed(capsys, tmp_path):
+    # (4, 0) has a zero gain, so only it carries an epsilon_applied value
+    rows = []
+    for gains in ([4, 1], [4, 0]):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"gains": gains, "probs": [0.5, 0.5]}))
+        code, out, _ = run_capture(capsys, ["capacity", "--input", str(path), "--format", "csv"])
+        assert code == 0
+        rows.append(out.splitlines())
+    header = "c_erg,c_exp,additive_gap,multiplicative_gap,entropy,epsilon_applied,units"
+    assert rows[0][0] == rows[1][0] == header
+    assert rows[0][1].split(",")[5] == ""
+    assert float(rows[1][1].split(",")[5]) > 0
 
 
 def test_validation_failures_exit_1(capsys, tmp_path):
@@ -247,6 +267,18 @@ def test_sweep_stdout_and_file(capsys, tmp_path):
     assert out_path.read_text() == out
 
 
+@pytest.mark.parametrize(
+    "target", ["missing/rows.csv", ""], ids=["missing-directory", "directory"]
+)
+def test_sweep_to_unwritable_out_exits_1(capsys, tmp_path, target):
+    argv = ["sweep", "--kind", "additive", "--states", "3", "--d-values", "10",
+            "--out", str(tmp_path / target)]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out:")
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_bad_values(capsys):
     code, _, err = run_capture(
         capsys,
@@ -268,22 +300,13 @@ def test_fading_paper_command(capsys, two_state_json):
     assert payload["units"] == "nats"
 
 
-def _strict_json(text):
-    """json.loads that refuses the non-JSON constants NaN and Infinity."""
-
-    def refuse(constant):
-        raise ValueError(f"not JSON: {constant}")
-
-    return json.loads(text, parse_constant=refuse)
-
-
 @pytest.mark.parametrize("units", ["nats", "bits"])
 def test_fading_paper_infinite_inr_is_null(capsys, two_state_json, units):
     code, out, _ = run_capture(
         capsys, ["fading-paper", "--input", two_state_json, "--inr", "inf", "--units", units]
     )
     assert code == 0
-    payload = _strict_json(out)
+    payload = strict_json(out)
     assert payload["inr"] is None
     assert payload["units"] == units
     code, out, _ = run_capture(
@@ -346,3 +369,41 @@ def test_cli_output_matches_golden_bytes(capsys, monkeypatch, golden, argv, chan
     code, out, _ = run_capture(capsys, argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+_CLI = "import sys; from fadegap.cli import run; sys.exit(run(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "--format", "json"],
+        ["capacity", "--format", "csv"],
+        ["fading-paper"],
+        ["verify", "--trials", "1"],
+        ["family", "--kind", "additive", "--states", "3", "--d", "10"],
+        ["sweep", "--kind", "additive", "--states", "3", "--d-values", "10,100"],
+    ],
+    ids=["capacity-json", "capacity-csv", "fading-paper", "verify", "family", "sweep"],
+)
+def test_closed_stdout_exits_1_without_a_traceback(two_state_json, argv):
+    if argv[0] in ("capacity", "fading-paper"):
+        argv = argv + ["--input", two_state_json]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fadegap.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI, *argv],
+            stdin=subprocess.DEVNULL,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

@@ -20,6 +20,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import strict_json
 from fadegap import FadingDistribution, certify, full_analysis
 from fadegap.cli import run
 from fadegap.errors import InternalConsistencyError, ValidationError
@@ -93,8 +94,9 @@ def test_library_returns_a_certified_report_or_a_typed_error(channel):
     assert certify.multiplicative_gap_bound(analysis).ok
 
 
-def _assert_exit_contract(argv, text=""):
-    """run(argv) with text on stdin exits 0, 1 or 2 without a traceback."""
+def _assert_exit_contract(argv, text="", json_out=False):
+    """run(argv) with text on stdin exits 0, 1 or 2 without a traceback;
+    with json_out, an exit-0 stdout is strict JSON, with no NaN or Infinity."""
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(text)
@@ -106,13 +108,20 @@ def _assert_exit_contract(argv, text=""):
         sys.stdin = stdin
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 0 and json_out:
+        strict_json(out.getvalue())
 
 
 @settings(_SETTINGS, max_examples=60)
-@given(channels(exact=False), st.sampled_from(["capacity", "fading-paper"]))
-def test_cli_exits_0_1_or_2_without_a_traceback(channel, command):
+@given(
+    channels(exact=False),
+    st.sampled_from(["capacity", "fading-paper"]),
+    st.sampled_from(["json", "csv"]),
+)
+def test_cli_exits_0_1_or_2_without_a_traceback(channel, command, fmt):
     gains, probs = channel
-    _assert_exit_contract([command], json.dumps({"gains": list(gains), "probs": list(probs)}))
+    text = json.dumps({"gains": list(gains), "probs": list(probs)})
+    _assert_exit_contract([command, f"--format={fmt}"], text, json_out=fmt == "json")
 
 
 _KINDS = st.sampled_from(["additive", "multiplicative"])
@@ -130,7 +139,7 @@ _D = st.one_of(
 def test_family_report_exits_0_1_or_2_without_a_traceback(kind, states, d):
     # the = form keeps argparse from reading a negative value as a flag
     argv = ["family", f"--kind={kind}", f"--states={states}", f"--d={d!r}", "--emit=report"]
-    _assert_exit_contract(argv)
+    _assert_exit_contract(argv, json_out=True)
 
 
 @settings(_SETTINGS, max_examples=30)

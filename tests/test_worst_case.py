@@ -178,6 +178,18 @@ def test_sweep_empty_and_invalid():
         sweep("high_snr", 4, (10,))
 
 
+def test_sweep_builds_each_distribution_once(monkeypatch):
+    calls = []
+
+    def counting(K, d):
+        calls.append(d)
+        return additive_family(K, d)
+
+    monkeypatch.setattr("fadegap.worst_case.additive_family", counting)
+    sweep("additive", 3, (10, 100, 1000))
+    assert calls == [10, 100, 1000]
+
+
 def test_sweep_csv_round_trip():
     rows = sweep("additive", 3, (10, 100))
     text = sweep_to_csv(rows)
