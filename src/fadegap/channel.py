@@ -15,6 +15,7 @@ the degenerate worst-case families rely on.
 
 import bisect
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
@@ -46,20 +47,27 @@ class FadingDistribution:
 
     gains and probs must have equal length K >= 1, every probability must be
     positive with total within 1e-9 of one, and every gain must be
-    nonnegative and finite.  Every value must be a number that converts to a
-    finite float, and a positive one to a positive float: an int or Fraction
-    beyond the double-precision range is refused, and so is a positive one
-    below its normal range, since exact ratios of such values would overflow
-    where they meet a float.  Order is irrelevant; :func:`prepare`
-    canonicalizes it.
+    nonnegative and finite.  Every value must be a float, a subclass
+    included, or a rational number (an int, a bool, a Fraction), and must
+    convert to a finite float, and a positive one to a positive float: an
+    int or Fraction beyond the double-precision range is refused, and so is
+    a positive one below its normal range, since exact ratios of such values
+    would overflow where they meet a float.  Order is irrelevant;
+    :func:`prepare` canonicalizes it.
     """
 
     gains: tuple
     probs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "gains", tuple(self.gains))
-        object.__setattr__(self, "probs", tuple(self.probs))
+        for field in ("gains", "probs"):
+            values = getattr(self, field)
+            try:
+                object.__setattr__(self, field, tuple(values))
+            except TypeError:
+                raise ValidationError(
+                    f"{field}: expected a sequence of numbers, got {type(values).__name__}"
+                ) from None
         if len(self.gains) == 0:
             raise ValidationError("gains: need at least one fading state")
         if len(self.gains) != len(self.probs):
@@ -92,7 +100,14 @@ def _underflows(x, as_float):
 
 
 def _as_float(field, k, x):
-    """x as a float; a NaN, or a value beyond the double-precision range, is refused."""
+    """x as a float; a value that is neither a float nor a rational number
+    (a Decimal, complex, str or None, a numpy float32), a NaN, or a value
+    beyond the double-precision range, is refused.  The pipeline mixes
+    every value with floats, which only these types meet exactly."""
+    if not isinstance(x, (float, numbers.Rational)):
+        raise ValidationError(
+            f"{field}: state {k} is {x!r}, not a float or a rational number"
+        )
     try:
         as_float = float(x)
     except OverflowError:

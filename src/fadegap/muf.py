@@ -18,6 +18,7 @@ the crossing points and tie decisions are exact.
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .channel import PreparedChannel
 from .errors import ValidationError
@@ -112,6 +113,15 @@ def _crossing(n, f, k, l):
     return f[k] / (f[l] - f[k]) * (n[l] - n[k]) - n[k]
 
 
+def budget_edges(ch: PreparedChannel) -> tuple:
+    """The budget edges 0 and 1 as the numbers the channel's breakpoints
+    compare with fastest, and exactly as with any other 0 and 1: ints for
+    an exact channel, since a Fraction converts a float it meets, floats
+    otherwise, since CPython specializes a float's comparison only with a
+    float."""
+    return (0, 1) if isinstance(ch.gains[0], Fraction) else (0.0, 1.0)
+
+
 def build_chain(ch: PreparedChannel) -> MufChain:
     """Construct the dominating-envelope chain of a prepared channel.
 
@@ -170,11 +180,12 @@ def build_chain(ch: PreparedChannel) -> MufChain:
 
     # s and w as the largest segment indices whose takeover point is <= 0
     # and < 1, in one pass (a point <= 0 is also < 1)
+    zero, one = budget_edges(ch)
     s = w = 0
     for i, z in enumerate(breakpoints, start=1):
-        if z < 1:
+        if z < one:
             w = i
-            if z <= 0:
+            if z <= zero:
                 s = i
     breakpoints.append(inf)
 

@@ -70,6 +70,31 @@ def high_snr_ladder(k: int, snr: float = 1e12) -> FadingDistribution:
     return high_snr_instance([1 - (j - 1) / k for j in range(1, k + 1)], [1 / k] * k, snr)
 
 
+def extreme_gains(rng: random.Random, shape: int, k: int):
+    if shape == 0:  # near the bottom of the float range
+        return [1e-300 * 10 ** rng.uniform(0, 3) for _ in range(k)]
+    if shape == 1:  # tied to within 1e-9
+        g = 10 ** rng.uniform(-3, 3)
+        return [g * (1 + 1e-9 * rng.uniform(-1, 1)) for _ in range(k)]
+    if shape == 2:  # spread over 60 decades
+        return [10 ** rng.uniform(-30, 30) for _ in range(k)]
+    return [10 ** rng.uniform(-3, 3) for _ in range(k - 1)] + [0]
+
+
+def extreme_channels(n: int, seed: int):
+    """Channels at the edges of the float range, K in 2..5, cycling through
+    the four shapes of extreme_gains, with flat-Dirichlet probabilities."""
+    rng = random.Random(seed)
+    channels = []
+    for i in range(n):
+        k = rng.randint(2, 5)
+        raw = [rng.expovariate(1.0) for _ in range(k)]
+        total = sum(raw)
+        gains = extreme_gains(rng, i % 4, k)
+        channels.append(FadingDistribution(tuple(gains), tuple(x / total for x in raw)))
+    return channels
+
+
 def greedy_chain(ch) -> MufChain:
     """Reference envelope chain by direct search, O(K * chain length).
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,37 @@ def test_prepare_degenerate_single_zero_state():
 def test_distribution_validation_errors(gains, probs, match):
     with pytest.raises(ValidationError, match=match):
         FadingDistribution(gains, probs)
+
+
+@pytest.mark.parametrize(
+    "gains, probs, match",
+    [
+        ((Decimal(2), Decimal(1)), (0.5, 0.5), "gains: state 1 is Decimal"),
+        ((2.0, 1.0), (Decimal("0.5"), Decimal("0.5")), "probs: state 1 is Decimal"),
+        (("2", 1.0), (0.5, 0.5), "gains: state 1 is '2'"),
+        ((2.0, None), (0.5, 0.5), "gains: state 2 is None"),
+        ((2.0, 1j), (0.5, 0.5), "gains: state 2 is 1j"),
+        ((2.0, 1.0), (0.5, "0.5"), "probs: state 2 is '0.5'"),
+        (5, (1.0,), "gains: expected a sequence of numbers, got int"),
+        ((1.0,), None, "probs: expected a sequence of numbers, got NoneType"),
+    ],
+    ids=[
+        "decimal-gains", "decimal-probs", "str", "none", "complex", "str-prob", "int",
+        "none-probs",
+    ],
+)
+def test_non_real_entry_is_a_validation_error(gains, probs, match):
+    with pytest.raises(ValidationError, match=match):
+        FadingDistribution(gains, probs)
+
+
+class _Gain(float):
+    pass
+
+
+def test_float_subclasses_and_rationals_are_accepted():
+    report = analyze(FadingDistribution((_Gain(4.0), True), (Fraction(1, 2), 0.5)))
+    assert report == analyze(FadingDistribution((4.0, 1), (0.5, 0.5)))
 
 
 @pytest.mark.parametrize(

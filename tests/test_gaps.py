@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
+import json
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from conftest import high_snr_ladder, random_channels
+from conftest import extreme_channels, family_points, high_snr_ladder, random_channels
 from fadegap import (
     FadingDistribution,
     ValidationError,
@@ -12,6 +15,7 @@ from fadegap import (
     certify,
     expected_rate_of,
     full_analysis,
+    low_snr_instance,
     multiplicative_family,
 )
 
@@ -208,3 +212,77 @@ def test_decoded_rate_factor_survives_overflowing_head():
 def test_zero_gain_epsilon_underflowing_to_zero_is_a_validation_error():
     with pytest.raises(ValidationError, match="zero gain underflows"):
         analyze(FadingDistribution((1e-320, 0.0), (0.5, 0.5)))
+
+
+def fraction_channels():
+    """Exact channels: hand-picked ones, some mixed with floats, then random
+    channels whose float gains and weights are taken exactly and normalised
+    as Fractions."""
+    half = Fraction(1, 2)
+    channels = [
+        FadingDistribution((Fraction(4), Fraction(1)), (half, half)),
+        FadingDistribution((Fraction(1), Fraction(0)), (half, half)),
+        FadingDistribution((Fraction(3), Fraction(2), Fraction(1)), (Fraction(1, 3),) * 3),
+        # the crossing of the two states lies on the budget edge 1, in
+        # Fractions and in floats
+        FadingDistribution((Fraction(4), Fraction(2, 3)), (half, half)),
+        FadingDistribution((Fraction(4), Fraction(2, 3)), (0.5, 0.5)),
+        FadingDistribution((4.0, 1.0, 0.0), (Fraction(1, 4), Fraction(1, 4), half)),
+    ]
+    for dist in random_channels(12, seed=11, max_states=6):
+        total = sum(map(Fraction, dist.probs))
+        probs = tuple(Fraction(p) / total for p in dist.probs)
+        channels.append(FadingDistribution(tuple(map(Fraction, dist.gains)), probs))
+    return channels
+
+
+#: The populations whose full analyses the digest golden pins, bit for bit.
+DIGEST_POPULATIONS = {
+    "long-ladder": lambda: [high_snr_ladder(k) for k in (128, 256, 512, 1024)],
+    "random-seed-0": lambda: random_channels(200, seed=0),
+    "random-k12": lambda: random_channels(2000, seed=12, max_states=12),
+    "families": lambda: [dist for _, dist in family_points()],
+    "low-snr": lambda: [
+        low_snr_instance(range(k, 0, -1), [1 / k] * k, snr)
+        for k in range(2, 7)
+        for snr in (1e-9, 1e-6, 1e-3, 0.1)
+    ],
+    "extreme": lambda: extreme_channels(24, seed=5),
+    "fraction": fraction_channels,
+}
+
+#: Digest of every channel of DIGEST_POPULATIONS; rewrite it with
+#: ``PYTHONPATH=src python tests/test_gaps.py``.
+DIGESTS = pathlib.Path(__file__).parent / "golden" / "analysis_digests.json"
+
+
+def analysis_digest(dist) -> str:
+    """First 16 hex digits of the sha256 of ``repr(full_analysis(dist))``, or
+    of the error's class and text when it raises."""
+    try:
+        text = repr(full_analysis(dist))
+    except Exception as exc:
+        text = f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def digests():
+    """Population name -> the digest of each of its channels."""
+    return {
+        name: [analysis_digest(dist) for dist in population()]
+        for name, population in DIGEST_POPULATIONS.items()
+    }
+
+
+def test_full_analysis_is_bit_identical_to_the_golden():
+    stored = json.loads(DIGESTS.read_text())
+    assert list(stored) == list(DIGEST_POPULATIONS)
+    for name, population in DIGEST_POPULATIONS.items():
+        dists = population()
+        assert len(dists) == len(stored[name]), name
+        for i, (dist, digest) in enumerate(zip(dists, stored[name])):
+            assert analysis_digest(dist) == digest, f"{name}[{i}]: {dist}"
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(digests(), indent=1) + "\n")
