@@ -184,10 +184,7 @@ class _Rung(NamedTuple):
 
     The rung evaluates a channel only when its inverse gains and
     probabilities lie strictly inside (lo, hi): for floats that range keeps
-    every intermediate a normal number, so rounding stays relative.  zero is
-    the 0 its numbers compare with fastest, exactly as with any other 0:
-    0.0 for floats, whose comparison CPython specializes only against a
-    float, and the int 0 for an mpf, which converts it faster than a float.
+    every intermediate a normal number, so rounding stays relative.
     """
 
     num: Callable
@@ -197,14 +194,13 @@ class _Rung(NamedTuple):
     unit: object
     lo: float
     hi: float
-    zero: object
 
 
 @functools.lru_cache(maxsize=None)
 def _rung(digits) -> _Rung:
     """Float arithmetic for ``digits=None``, else an mpmath context."""
     if digits is None:
-        return _Rung(float, math.log, math.log1p, math.fsum, 2.0**-53, 1e-100, 1e100, 0.0)
+        return _Rung(float, math.log, math.log1p, math.fsum, 2.0**-53, 1e-100, 1e100)
     import mpmath
 
     ctx = mpmath.mp.clone()
@@ -215,7 +211,7 @@ def _rung(digits) -> _Rung:
             return ctx.mpf(x.numerator) / x.denominator
         return ctx.mpf(x)
 
-    return _Rung(num, ctx.log, ctx.log1p, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf, 0)
+    return _Rung(num, ctx.log, ctx.log1p, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf)
 
 
 def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, rung: _Rung):
@@ -282,7 +278,7 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
         return None
     if not lo < min(ch.probs[:last]):
         return None
-    num, log, log1p, u, zero = rung.num, rung.log, rung.log1p, rung.unit, rung.zero
+    num, log, log1p, u = rung.num, rung.log, rung.log1p, rung.unit
     iota = 2 * u if exact_inputs else 0
     inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
     # floats and ints already are the float rung's numbers (an int input is
@@ -313,7 +309,9 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
     for b in active:
         fb, nb = f[b - 1], n[b - 1]
         df, dn = fb - fa, nb - na
-        if not (df > zero and dn > zero):
+        # against 0.0, not 0: CPython specializes a float's comparison only
+        # with a float, and an mpf compares with either exactly alike
+        if not (df > 0.0 and dn > 0.0):
             return None
         if head < inf:
             fac = head * df / dn

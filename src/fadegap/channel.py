@@ -63,11 +63,12 @@ class FadingDistribution:
         for field in ("gains", "probs"):
             values = getattr(self, field)
             try:
-                object.__setattr__(self, field, tuple(values))
+                it = iter(values)
             except TypeError:
                 raise ValidationError(
                     f"{field}: expected a sequence of numbers, got {type(values).__name__}"
                 ) from None
+            object.__setattr__(self, field, tuple(it))
         if len(self.gains) == 0:
             raise ValidationError("gains: need at least one fading state")
         if len(self.gains) != len(self.probs):

@@ -15,8 +15,10 @@ bytes on stdout.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import random
 import sys
@@ -135,7 +137,9 @@ def random_distribution(rng: random.Random, max_states: int = 5) -> FadingDistri
     k = rng.randint(2, max_states)
     gains = tuple(10 ** rng.uniform(-3.0, 3.0) for _ in range(k))
     raw = [rng.expovariate(1.0) for _ in range(k)]
-    total = sum(raw)
+    # a left fold, not sum(): since Python 3.12 sum() of floats is
+    # compensated, which would change these probabilities' bits by version
+    total = functools.reduce(operator.add, raw)
     probs = tuple(x / total for x in raw)
     return FadingDistribution(gains=gains, probs=probs)
 

@@ -15,7 +15,7 @@ from typing import Optional
 from .allocation import PowerAllocation, expected_capacity, optimal_allocation
 from .channel import FadingDistribution, PreparedChannel, entropy, ergodic_capacity, prepare
 from .errors import InternalConsistencyError, ValidationError
-from .muf import MufChain, budget_edges, build_chain
+from .muf import MufChain, build_chain
 
 __all__ = ["CapacityReport", "Analysis", "analyze", "full_analysis"]
 
@@ -116,10 +116,9 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
 
     # a breakpoint on a budget edge is rare; test for one before the scan
     bps = chain.breakpoints
-    zero, one = budget_edges(ch)
     boundary = ()
-    if zero in bps or one in bps:
-        boundary = tuple(float(z) for z in bps[1:-1] if z == zero or z == one)
+    if 0 in bps or 1 in bps:
+        boundary = tuple(float(z) for z in bps[1:-1] if z == 0 or z == 1)
 
     report = CapacityReport(
         c_erg=c_erg,

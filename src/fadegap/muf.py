@@ -113,15 +113,6 @@ def _crossing(n, f, k, l):
     return f[k] / (f[l] - f[k]) * (n[l] - n[k]) - n[k]
 
 
-def budget_edges(ch: PreparedChannel) -> tuple:
-    """The budget edges 0 and 1 as the numbers the channel's breakpoints
-    compare with fastest, and exactly as with any other 0 and 1: ints for
-    an exact channel, since a Fraction converts a float it meets, floats
-    otherwise, since CPython specializes a float's comparison only with a
-    float."""
-    return (0, 1) if isinstance(ch.gains[0], Fraction) else (0.0, 1.0)
-
-
 def build_chain(ch: PreparedChannel) -> MufChain:
     """Construct the dominating-envelope chain of a prepared channel.
 
@@ -179,8 +170,11 @@ def build_chain(ch: PreparedChannel) -> MufChain:
         pi.append(len(n))
 
     # s and w as the largest segment indices whose takeover point is <= 0
-    # and < 1, in one pass (a point <= 0 is also < 1)
-    zero, one = budget_edges(ch)
+    # and < 1, in one pass (a point <= 0 is also < 1).  The edges compare
+    # exactly as 0 and 1 do, and fastest: as floats, since CPython
+    # specializes a float's comparison only with a float, and as ints on an
+    # exact channel, where a Fraction would convert a float edge
+    zero, one = (0, 1) if isinstance(ch.gains[0], Fraction) else (0.0, 1.0)
     s = w = 0
     for i, z in enumerate(breakpoints, start=1):
         if z < one:

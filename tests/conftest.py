@@ -6,8 +6,10 @@ distribution family: K uniform, gains log-uniform in [1e-3, 1e3], flat
 Dirichlet probabilities.
 """
 
+import functools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -89,7 +91,7 @@ def extreme_channels(n: int, seed: int):
     for i in range(n):
         k = rng.randint(2, 5)
         raw = [rng.expovariate(1.0) for _ in range(k)]
-        total = sum(raw)
+        total = functools.reduce(operator.add, raw)  # as in random_distribution
         gains = extreme_gains(rng, i % 4, k)
         channels.append(FadingDistribution(tuple(gains), tuple(x / total for x in raw)))
     return channels

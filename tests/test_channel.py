@@ -107,6 +107,15 @@ def test_non_real_entry_is_a_validation_error(gains, probs, match):
         FadingDistribution(gains, probs)
 
 
+def test_type_error_raised_while_iterating_gains_propagates():
+    def gains():
+        yield 2.0
+        raise TypeError("broken source")
+
+    with pytest.raises(TypeError, match="broken source"):
+        FadingDistribution(gains(), (0.5, 0.5))
+
+
 class _Gain(float):
     pass
 

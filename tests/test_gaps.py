@@ -237,6 +237,8 @@ def fraction_channels():
 
 
 #: The populations whose full analyses the digest golden pins, bit for bit.
+#: Their generators normalise with a left fold rather than sum(), so every
+#: supported Python builds the same channels.
 DIGEST_POPULATIONS = {
     "long-ladder": lambda: [high_snr_ladder(k) for k in (128, 256, 512, 1024)],
     "random-seed-0": lambda: random_channels(200, seed=0),
