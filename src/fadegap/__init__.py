@@ -27,7 +27,6 @@ from .muf import (
 )
 from .oracle import OracleResult, brute_force_expected_capacity
 from .worst_case import (
-    FamilySpec,
     additive_family,
     high_snr_instance,
     low_snr_instance,
@@ -59,7 +58,6 @@ __all__ = [
     "Analysis",
     "analyze",
     "full_analysis",
-    "FamilySpec",
     "additive_family",
     "multiplicative_family",
     "high_snr_instance",

@@ -251,9 +251,9 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
     few units at most; the products of ``F_w n_a - F_a n_w`` itself can
     exceed ``F_w dn`` by ``n_a / dn``.
 
-    Each segment's factor is formed once, in the segment loop, by the
-    expressions of :func:`_decoded_rate_factors`, and returned per state
-    for :func:`_check_factors`.
+    Each segment's factor is formed once, in the segment loop, as
+    ``head * df / dn``, the expression :func:`_decoded_rate_factors` uses
+    for a finite head, and returned per state for :func:`_check_factors`.
 
     The segment loop keeps only what varies per segment: the factors, the
     logs and the terms.  The bounds are formed after it.  Without input
@@ -291,16 +291,14 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
     # the factors as _decoded_rate_factors forms them, one per segment
     top, f_w = n[-1] + 1, f[-1]
     head = top / f_w
-    inf = math.inf
     e_head = 2 * u + 2 * iota
     u2, u3 = 2 * u, 3 * u
     e_log = iota + u3  # a log's two units, the product's one, the input rounding
     # a factor's error before its differences' conditioning: the first
-    # segment's are against the zero origin, every later one's round once
+    # segment's are against the zero origin, every later one's round once;
+    # without input rounding at most 6u, far below _MAX_REL_ERR
     e_first, e_later = e_head + u2, e_head + u + u + u2
     single = len(active) == 1
-    if not iota and (e_first if single else e_later) > _MAX_REL_ERR:
-        return None
     # with input rounding each segment adds its own conditioning terms to
     # the bounds
     cond_p = cond_g = 0
@@ -313,10 +311,9 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
         # with a float, and an mpf compares with either exactly alike
         if not (df > 0.0 and dn > 0.0):
             return None
-        if head < inf:
-            fac = head * df / dn
-        else:
-            fac = top * (df / f_w) / dn if dn < inf else df / f_w
+        # head is finite: the float rung runs only on n and p inside
+        # (1e-100, 1e100), so head < 1e200, and an mpf does not overflow
+        fac = head * df / dn
         if iota:
             # the input rounding, amplified by the differences' conditioning
             c_f = iota * (fb + fa) / df

@@ -144,27 +144,6 @@ def random_distribution(rng: random.Random, max_states: int = 5) -> FadingDistri
     return FadingDistribution(gains=gains, probs=probs)
 
 
-class _Check:
-    def __init__(self, name: str):
-        self.name = name
-        self.failures = 0
-        self.trials = 0
-        self.worst = 0.0
-
-    def record(self, ok: bool, margin: float):
-        self.trials += 1
-        if not ok:
-            self.failures += 1
-        self.worst = max(self.worst, margin)
-
-    def line(self) -> str:
-        status = "PASS" if self.failures == 0 else "FAIL"
-        return (
-            f"{status} {self.name}: {self.trials - self.failures}/{self.trials}"
-            f" (worst deviation {self.worst:.3e})"
-        )
-
-
 def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
     """Randomized certification sweep; returns a summary with per-check lines.
 
@@ -173,7 +152,7 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
     and records the margin of every check in :mod:`fadegap.certify`.
     """
     rng = random.Random(seed)
-    checks = {}
+    tallies = {}  # check name -> (passed, failed, worst margin)
     for _ in range(trials):
         dist = random_distribution(rng, max_states)
         analysis = full_analysis(dist)
@@ -193,18 +172,23 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
             "envelope-maximality": certify.envelope_maximality(ch, analysis.chain),
             "fading-paper-brackets": certify.fading_paper_brackets(dist.gains, reports),
         }
-        for name, (ok, worst) in margins.items():
-            checks.setdefault(name, _Check(name)).record(ok, worst)
+        for name, (ok, margin) in margins.items():
+            passed, failed, worst = tallies.get(name, (0, 0, 0.0))
+            tallies[name] = (passed + ok, failed + (not ok), max(worst, margin))
 
-    lines = [c.line() for c in checks.values()]
-    failed = sum(c.failures for c in checks.values())
+    lines = [
+        f"{'FAIL' if failed else 'PASS'} {name}: {passed}/{passed + failed}"
+        f" (worst deviation {worst:.3e})"
+        for name, (passed, failed, worst) in tallies.items()
+    ]
+    failures = sum(failed for _, failed, _ in tallies.values())
     return {
         "trials": trials,
         "seed": seed,
         "max_states": max_states,
-        "failures": failed,
+        "failures": failures,
         "lines": lines,
-        "ok": failed == 0,
+        "ok": failures == 0,
     }
 
 

@@ -75,8 +75,10 @@ class MufChain:
 def muf_value(ch: PreparedChannel, k: int, z):
     """Marginal utility ``F_k / (n_k + z)`` of state k (1-based) at level z.
 
-    Only defined on z > -n_k, where the value is strictly positive.
+    Only defined for 1 <= k <= K and z > -n_k, where it is strictly positive.
     """
+    if not 1 <= k <= ch.num_states:
+        raise ValidationError(f"muf_value needs 1 <= k <= K, got k={k}")
     n = ch.inverse_gains[k - 1]
     if not z > -n:
         raise ValidationError(f"marginal utility of state {k} undefined at z={z} <= -n_k")

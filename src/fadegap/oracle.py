@@ -120,12 +120,6 @@ def brute_force_expected_capacity(ch: PreparedChannel, tol: float) -> OracleResu
     if ch.degenerate:
         raise ValidationError("cannot search a degenerate zero-gain channel")
 
-    if ch.num_states == 1:
-        beta = (1.0,)
-        return OracleResult(
-            value=expected_rate_of(ch, beta), beta=beta, iterations=0, resolution=0.0
-        )
-
     g = [float(x) for x in ch.gains]
     f = [float(x) for x in ch.cum_probs]
     coefficients = list(zip(g, f, g[1:], f[1:]))
@@ -138,7 +132,8 @@ def brute_force_expected_capacity(ch: PreparedChannel, tol: float) -> OracleResu
         evaluations += sum(map(len, grids))
         windows = [_window(grid, i) for grid, i in zip(grids, path)]
         beta = tuple(w[1] for w in windows) + (1.0,)
-        resolution = max(_relative_cell(*w, first[1]) for w in windows)
+        # a one-state channel has no coordinate to search: resolution 0
+        resolution = max((_relative_cell(*w, first[1]) for w in windows), default=0.0)
         if resolution <= tol or not resolution < previous:
             break
         previous = resolution

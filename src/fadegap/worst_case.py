@@ -17,16 +17,13 @@ state ends up active.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .channel import FadingDistribution
 from .errors import ValidationError
 from .gaps import analyze
 
 __all__ = [
-    "FamilySpec",
     "additive_family",
     "multiplicative_family",
     "high_snr_instance",
@@ -37,7 +34,6 @@ __all__ = [
 ]
 
 SWEEP_KINDS = ("additive", "multiplicative")
-SNR_KINDS = ("high_snr", "low_snr")
 
 SWEEP_CSV_HEADER = "d,c_erg,c_exp,additive_gap,multiplicative_gap,entropy"
 
@@ -104,7 +100,8 @@ def multiplicative_family(K: int, d: float) -> FadingDistribution:
     return FadingDistribution(gains=gains, probs=probs)
 
 
-def _check_profile(values, probs, what: str):
+def _check_profile(values, probs, snr, what: str):
+    """Refuse a bad profile, then an snr that is not finite and positive."""
     if len(values) == 0:
         raise ValidationError(f"{what}: need at least one state")
     if len(values) != len(probs):
@@ -116,6 +113,9 @@ def _check_profile(values, probs, what: str):
         if prev is not None and not v < prev:
             raise ValidationError(f"{what}: entries must be strictly decreasing")
         prev = v
+    _check_finite("snr", snr)
+    if not snr > 0:
+        raise ValidationError(f"snr must be positive, got {snr}")
 
 
 def high_snr_instance(r, p, snr: float) -> FadingDistribution:
@@ -126,10 +126,7 @@ def high_snr_instance(r, p, snr: float) -> FadingDistribution:
     """
     r = tuple(r)
     p = tuple(p)
-    _check_profile(r, p, "high-SNR exponents")
-    _check_finite("snr", snr)
-    if not snr > 0:
-        raise ValidationError(f"snr must be positive, got {snr}")
+    _check_profile(r, p, snr, "high-SNR exponents")
     gains = _gains(lambda: [snr**rk for rk in r], f"snr = {snr}")
     return FadingDistribution(gains=gains, probs=p)
 
@@ -143,47 +140,9 @@ def low_snr_instance(alpha, p, snr: float) -> FadingDistribution:
     """
     alpha = tuple(alpha)
     p = tuple(p)
-    _check_profile(alpha, p, "low-SNR slopes")
-    _check_finite("snr", snr)
-    if not snr > 0:
-        raise ValidationError(f"snr must be positive, got {snr}")
+    _check_profile(alpha, p, snr, "low-SNR slopes")
     gains = _gains(lambda: [a * snr for a in alpha], f"snr = {snr}")
     return FadingDistribution(gains=gains, probs=p)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Declarative description of one generated instance.
-
-    kind selects the generator: the d-parameterized families take (K, d),
-    the SNR regimes take a profile (exponents r or slopes alpha), matching
-    probabilities, and an snr.
-    """
-
-    kind: str
-    K: int = 0
-    d: Optional[float] = None
-    profile: tuple = ()
-    probs: tuple = ()
-    snr: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in SWEEP_KINDS + SNR_KINDS:
-            raise ValidationError(f"unknown family kind {self.kind!r}")
-        self.build()  # validate eagerly
-
-    def build(self) -> FadingDistribution:
-        if self.kind in SWEEP_KINDS and self.d is None:
-            raise ValidationError(f"family kind {self.kind!r} requires the d parameter")
-        if self.kind in SNR_KINDS and self.snr is None:
-            raise ValidationError(f"family kind {self.kind!r} requires the snr parameter")
-        if self.kind == "additive":
-            return additive_family(self.K, self.d)
-        if self.kind == "multiplicative":
-            return multiplicative_family(self.K, self.d)
-        if self.kind == "high_snr":
-            return high_snr_instance(self.profile, self.probs, self.snr)
-        return low_snr_instance(self.profile, self.probs, self.snr)
 
 
 def sweep(kind: str, K: int, d_values) -> list:

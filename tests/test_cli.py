@@ -358,8 +358,20 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
             ["family", "--kind", "multiplicative", "--states", "4", "--d", "60", "--emit", "report"],
             None,
         ),
+        ("verify_200_seed0.txt", ["verify", "--trials", "200", "--seed", "0"], None),
+        (
+            "verify_50_seed7_k8.txt",
+            ["verify", "--trials", "50", "--seed", "7", "--max-states", "8"],
+            None,
+        ),
     ],
-    ids=["two-state", "tiny-gains", "multiplicative-family"],
+    ids=[
+        "two-state",
+        "tiny-gains",
+        "multiplicative-family",
+        "verify-200-seed0",
+        "verify-50-seed7-k8",
+    ],
 )
 def test_cli_output_matches_golden_bytes(capsys, monkeypatch, golden, argv, channel):
     # full stdout, allocation.per_state_rate included, as pinned before the

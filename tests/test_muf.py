@@ -50,6 +50,13 @@ def test_muf_value_outside_domain(two_state):
         muf_value(two_state, 2, -1.5)
 
 
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_muf_value_rejects_bad_state_index(two_state, k):
+    # 0 and -1 would index states 2 and 1 from the end, 3 past it
+    with pytest.raises(ValidationError, match=f"got k={k}"):
+        muf_value(two_state, k, 0.5)
+
+
 def test_intersection_two_state(two_state):
     # (F_1 n_2 - F_2 n_1) / (F_2 - F_1) = (0.5 - 0.25) / 0.5
     assert intersection(two_state, 1, 2) == pytest.approx(0.5, rel=1e-15)

@@ -7,6 +7,7 @@ import pytest
 from conftest import extreme_channels, high_snr_ladder, random_channels, reference_brute_force
 from fadegap import (
     FadingDistribution,
+    OracleResult,
     ValidationError,
     analyze,
     brute_force_expected_capacity,
@@ -27,11 +28,11 @@ def test_two_state_optimum():
 
 
 def test_single_state_needs_no_search():
-    ch = prepare(FadingDistribution((3,), (1.0,)))
-    result = brute_force_expected_capacity(ch, ORACLE_TOL)
-    assert result.value == pytest.approx(math.log(4), rel=1e-15)
-    assert result.beta == (1.0,)
-    assert result.iterations == 0
+    # the subnormal gain's inverse overflows, so the first grid sees n = inf
+    for gain, value in ((3, math.log(4)), (5e-324, 5e-324), (1e300, 690.7755278982137)):
+        ch = prepare(FadingDistribution((gain,), (1.0,)))
+        result = brute_force_expected_capacity(ch, ORACLE_TOL)
+        assert result == OracleResult(value=value, beta=(1.0,), iterations=0, resolution=0.0)
 
 
 def test_multiplicative_family_optimum_sits_at_zero():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from fadegap import (
-    FamilySpec,
     ValidationError,
     additive_family,
     analyze,
@@ -113,11 +112,19 @@ def test_snr_instances_reject_bad_profiles(profile):
         low_snr_instance(profile, probs, 0.1)
 
 
+@pytest.mark.parametrize("build", [high_snr_instance, low_snr_instance])
+def test_snr_instances_check_snr_after_the_profile(build):
+    for snr in (0.0, -1.0):
+        with pytest.raises(ValidationError, match=f"snr must be positive, got {snr}"):
+            build([2, 1], [0.5, 0.5], snr)
+    with pytest.raises(ValidationError, match="entries must be strictly decreasing"):
+        build([1, 2], [0.5, 0.5], math.nan)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: multiplicative_family(3, math.inf), "d must be finite"),
-        (lambda: FamilySpec("multiplicative", K=3, d=math.inf), "d must be finite"),
         (lambda: additive_family(3, math.inf), "d must be finite"),
         (lambda: multiplicative_family(3, math.nan), "d must be finite"),
         (lambda: additive_family(3, 1e200), "d = 1e+200 with K = 3: a gain overflows"),
@@ -129,7 +136,6 @@ def test_snr_instances_reject_bad_profiles(profile):
     ],
     ids=[
         "multiplicative-inf",
-        "spec-multiplicative-inf",
         "additive-inf",
         "multiplicative-nan",
         "additive-1e200",
@@ -143,19 +149,6 @@ def test_snr_instances_reject_bad_profiles(profile):
 def test_generators_refuse_non_finite_or_overflowing_parameters(build, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         build()
-
-
-def test_family_spec_dispatch_and_validation():
-    assert FamilySpec("additive", K=2, d=3.0).build().gains == (12.0, 3.0)
-    assert FamilySpec("multiplicative", K=1, d=4.0).build().gains == (Fraction(1, 4),)
-    family = FamilySpec("low_snr", profile=(2.0, 1.0), probs=(0.5, 0.5), snr=0.01)
-    assert family.build().gains == (0.02, 0.01)
-    with pytest.raises(ValidationError):
-        FamilySpec("nonsense", K=2, d=3.0)
-    with pytest.raises(ValidationError):
-        FamilySpec("additive", K=2)
-    with pytest.raises(ValidationError):
-        FamilySpec("high_snr", profile=(1.0, 0.5), probs=(0.5, 0.5))
 
 
 def test_sweep_additive_gap_grows():
