@@ -262,7 +262,9 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
     segment, so the ``e_lam`` charges are those constants weighted by the F
     differences the segments cover; the log errors ``|lr| * e_log`` come
     from the sum of ``|p_k lr_k| = p_k |lr_k|`` over the per-state terms,
-    and the grouped form's from the sum of its ``|terms|``.  Segment w
+    and the grouped form's from the sum of its ``|terms|``.  The loop notes
+    whether a term is negative; a ``|.|`` sum with none is the value sum, so
+    the per-state one is the per-state form itself, formed once.  Segment w
     keeps its own ``e_x / (1 + x)`` charge.  With input rounding each
     segment adds its conditioning terms in the loop.
 
@@ -302,6 +304,9 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
     # with input rounding each segment adds its own conditioning terms to
     # the bounds
     cond_p = cond_g = 0
+    # whether a per-state or grouped term is negative: without one, a |.|
+    # sum is the value sum
+    neg_p = neg_g = False
     lam, per_state, terms = [], [], []
     a, fa, na = 0, 0, 0
     for b in active:
@@ -350,6 +355,8 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
                 return None
             lr = log1p(x)
             err_w = df * (e_x / one_x)
+        if lr < 0.0:
+            neg_p = True
         # a one-state segment, the common case on long chains, needs no loop
         if b - a == 1:
             lam.append(fac)
@@ -360,6 +367,8 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
         if grouped:
             term = df * log(df / dn)
             terms.append(term)
+            if term < 0.0:
+                neg_g = True
             if iota:
                 cond_g += df * (c_f + c_n) + abs(term) * c_f
         a, fa, na = b, fb, nb
@@ -373,15 +382,16 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
     if not single:
         err_p += e_first * f_1 + e_later * (f[active[-2] - 1] - f_1)
     # the logs' errors, |p lr| = p |lr|
-    err_p += e_log * fsum(map(abs, per_state))
     per = fsum(per_state)
+    err_p += e_log * (fsum(map(abs, per_state)) if neg_p else per)
     err_p = _SLACK * (err_p + u * abs(per))
     if not grouped:
         return lam, per, err_p, None, None
     # per segment df (e_f + e_n + u) + |term| (e_f + 3u): e_f = e_n = 0 on
     # the first segment and u on every later one
     err_g = cond_g + u * f_1 + u3 * (f_w - f_1)
-    err_g += (u + u3) * fsum(map(abs, terms)) - u * abs(terms[0])
+    abs_terms = map(abs, terms) if neg_g else terms
+    err_g += (u + u3) * fsum(abs_terms) - u * abs(terms[0])
     lr = log(head)
     terms.append(f_w * lr)
     err_g += f_w * (e_head + abs(lr) * e_log)

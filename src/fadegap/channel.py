@@ -279,9 +279,18 @@ def ergodic_capacity(ch: PreparedChannel) -> float:
 
 
 def entropy(ch: PreparedChannel) -> float:
-    """Entropy -sum(p_k * ln(p_k)) of the state distribution, in nats."""
+    """Entropy -sum(p_k * ln(p_k)) of the state distribution, in nats.
+
+    A run of equal adjacent probabilities shares one ``p * ln(p)`` term, so a
+    uniform distribution takes one log; the terms are still subtracted state
+    by state, in order.
+    """
     total = 0.0
     log = math.log
+    # equal by value: a Fraction and the float it equals give the same term
+    prev = term = math.nan
     for p in ch.probs:
-        total -= p * log(p)
+        if p != prev:
+            prev, term = p, p * log(p)
+        total -= term
     return total + 0.0

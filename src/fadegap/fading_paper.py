@@ -11,12 +11,14 @@ hurt) together with the raw unclamped lower bound.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 # prepare is not called here; perfbench/tracing.py wraps fading_paper.prepare
 from .channel import FadingDistribution, ergodic_capacity, prepare  # noqa: F401
 from .errors import ValidationError
 from .gaps import full_analysis
+from .worst_case import _check_states
 
 __all__ = ["FadingPaperReport", "fading_paper_report", "worst_case_fp_bracket"]
 
@@ -82,6 +84,7 @@ def fading_paper_report(dist: FadingDistribution, inr: float) -> FadingPaperRepo
 def worst_case_fp_bracket(K: int) -> tuple:
     """Bracket [max(ln(K/2), 0), ln K] for the worst-case fading-paper
     additive loss over all K-state distributions and interference powers."""
-    if K < 1:
-        raise ValidationError(f"K must be at least 1, got {K}")
+    K = _check_states("worst-case bracket", K)
+    if K > sys.float_info.max:
+        raise ValidationError("worst-case bracket: K overflows double precision")
     return (max(math.log(K / 2), 0.0), math.log(K))

@@ -10,6 +10,7 @@ diagnostics whose sums bound A by ln K and M by K.
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .allocation import PowerAllocation, expected_capacity, optimal_allocation
@@ -114,11 +115,14 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
         lemma2.append(float((1 + g) / lk))
         lemma3.append(p * log1p(g) / c_exp)
 
-    # a breakpoint on a budget edge is rare; test for one before the scan
+    # a breakpoint on a budget edge is rare; test for one before the scan.
+    # The edges are typed as build_chain types them: floats compare fastest
+    # with floats, Fractions with ints, and exactly either way
     bps = chain.breakpoints
+    zero, one = (0, 1) if isinstance(ch.gains[0], Fraction) else (0.0, 1.0)
     boundary = ()
-    if 0 in bps or 1 in bps:
-        boundary = tuple(float(z) for z in bps[1:-1] if z == 0 or z == 1)
+    if zero in bps or one in bps:
+        boundary = tuple(float(z) for z in bps[1:-1] if z == zero or z == one)
 
     report = CapacityReport(
         c_erg=c_erg,

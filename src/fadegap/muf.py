@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import PreparedChannel
-from .errors import ValidationError
+from .errors import ValidationError, validated_index
 
 __all__ = [
     "MufChain",
@@ -77,6 +77,7 @@ def muf_value(ch: PreparedChannel, k: int, z):
 
     Only defined for 1 <= k <= K and z > -n_k, where it is strictly positive.
     """
+    k = validated_index("muf_value", "k", k)
     if not 1 <= k <= ch.num_states:
         raise ValidationError(f"muf_value needs 1 <= k <= K, got k={k}")
     n = ch.inverse_gains[k - 1]
@@ -94,6 +95,8 @@ def intersection(ch: PreparedChannel, k: int, l: int):
     gain overflowed crosses every other state at +inf, as in
     :func:`build_chain`, another overflowed one included.
     """
+    k = validated_index("intersection", "k", k)
+    l = validated_index("intersection", "l", l)
     if not 1 <= k < l <= ch.num_states:
         raise ValidationError(f"intersection needs 1 <= k < l <= K, got k={k}, l={l}")
     n = ch.inverse_gains

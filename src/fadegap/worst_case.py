@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .channel import FadingDistribution
-from .errors import ValidationError
+from .errors import ValidationError, validated_index
 from .gaps import analyze
 
 __all__ = [
@@ -44,6 +44,14 @@ def _check_finite(name: str, value):
         raise ValidationError(f"{name} must be finite, got {value}")
 
 
+def _check_states(what: str, K) -> int:
+    """K as an int; a non-integer K or one below 1 is refused, naming what."""
+    K = validated_index(what, "K", K)
+    if K < 1:
+        raise ValidationError(f"{what} needs K >= 1, got {K}")
+    return K
+
+
 def _gains(build, what: str) -> tuple:
     """The gains build() returns; a gain that overflows double precision
     (an OverflowError or an infinite float) is refused, naming what."""
@@ -63,8 +71,7 @@ def additive_family(K: int, d: float) -> FadingDistribution:
     K-term sum, keeping the relative error at one rounding even when the top
     gain reaches ~1e32.
     """
-    if K < 1:
-        raise ValidationError(f"additive family needs K >= 1, got {K}")
+    K = _check_states("additive family", K)
     _check_finite("d", d)
     if not d > max(K - 1, 2):
         raise ValidationError(f"additive family needs d > max(K-1, 2) = {max(K - 1, 2)}, got {d}")
@@ -82,8 +89,7 @@ def multiplicative_family(K: int, d: float) -> FadingDistribution:
     proportional to d^k, making cumulative probability exactly proportional
     to n_k.  Gains and probabilities come back as Fractions.
     """
-    if K < 1:
-        raise ValidationError(f"multiplicative family needs K >= 1, got {K}")
+    K = _check_states("multiplicative family", K)
     _check_finite("d", d)
     if not d > 0:
         raise ValidationError(f"multiplicative family needs d > 0, got {d}")

@@ -344,13 +344,25 @@ def differential_corpus():
     ]
 
 
+def has_negative_grouped_term(ch, active):
+    """Whether a grouped-form term ``df ln(df / dn)``, formed in floats, is
+    negative."""
+    f, n = ch.cum_probs, ch.inverse_gains
+    ends = [(0, 0)] + [(f[b - 1], n[b - 1]) for b in active]
+    diffs = [(fb - fa, nb - na) for (fa, na), (fb, nb) in zip(ends, ends[1:])]
+    return any(df * math.log(df / dn) < 0.0 for df, dn in diffs)
+
+
 @pytest.mark.parametrize("digits", [None, 60], ids=["float", "60-digit"])
 def test_evaluate_matches_the_reference_evaluation(digits):
     # forming each factor in the segment loop and the bounds after the loop
-    # change no factor or value, and a bound only in its last digits
+    # change no factor or value, and a bound only in its last digits; the
+    # grouped |.| sum takes both its branches
     rung = allocation._rung(digits)
+    negative = set()
     for dist in differential_corpus():
         args = evaluate_args(dist)
+        negative.add(has_negative_grouped_term(*args[:2]))
         for grouped in (True, False):
             new = allocation._evaluate(*args, grouped, rung)
             ref = reference_evaluate(*args, grouped, rung)
@@ -358,6 +370,20 @@ def test_evaluate_matches_the_reference_evaluation(digits):
                 assert_same_evaluation(new, ref)
             except AssertionError as exc:
                 raise AssertionError((dist, grouped)) from exc
+    assert negative == {False, True}
+
+
+def test_evaluate_bounds_take_negated_logs_in_absolute_value():
+    # a per-state log is not negative on any channel here; negating every
+    # log makes the per-state |.| sum differ from the value sum
+    rung = allocation._rung(None)._replace(
+        log=lambda x: -math.log(x), log1p=lambda x: -math.log1p(x)
+    )
+    for dist in differential_corpus():
+        args = evaluate_args(dist)
+        for grouped in (True, False):
+            new = allocation._evaluate(*args, grouped, rung)
+            assert_same_evaluation(new, reference_evaluate(*args, grouped, rung))
 
 
 def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -196,6 +197,31 @@ def test_entropy_values():
         FadingDistribution(tuple(2.0**k for k in range(8)), (1 / 8,) * 8)
     )
     assert entropy(uniform8) == pytest.approx(math.log(8), rel=1e-15)
+
+
+def left_fold_entropy(probs):
+    total = 0.0
+    for p in probs:
+        total -= p * math.log(p)
+    return total + 0.0
+
+
+@pytest.mark.parametrize(
+    "gains, probs",
+    [
+        # distinct objects, as parsed from JSON
+        ((7, 6, 5, 4, 3, 2, 1), json.loads(json.dumps([1 / 7] * 7))),
+        ((3, 2, 1), (Fraction(1, 4), 0.25, 0.5)),
+        # sorted by gain, the equal probabilities alternate
+        ((1, 2, 3, 4), (0.1, 0.4, 0.1, 0.4)),
+        ((4, 3, 2, 1), (Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3))),
+    ],
+    ids=["uniform-floats", "fraction-beside-float", "equal-apart", "fractions"],
+)
+def test_entropy_is_the_left_fold_bit_for_bit(gains, probs):
+    # a run of equal probabilities shares one term; the sum does not change
+    ch = prepare(FadingDistribution(gains, tuple(probs)))
+    assert entropy(ch).hex() == left_fold_entropy(ch.probs).hex()
 
 
 @given(channel_distributions(max_states=8))

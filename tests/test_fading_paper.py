@@ -89,3 +89,8 @@ def test_worst_case_bracket():
     assert worst_case_fp_bracket(1) == (0.0, 0.0)
     with pytest.raises(ValidationError):
         worst_case_fp_bracket(0)
+    # no distribution has 2.5 states; 10**400 / 2 overflows a float
+    with pytest.raises(ValidationError, match="needs an integer K, got K=2.5"):
+        worst_case_fp_bracket(2.5)
+    with pytest.raises(ValidationError, match="K overflows double precision"):
+        worst_case_fp_bracket(10**400)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,10 +51,11 @@ def test_muf_value_outside_domain(two_state):
         muf_value(two_state, 2, -1.5)
 
 
-@pytest.mark.parametrize("k", [0, -1, 3])
+@pytest.mark.parametrize("k", [0, -1, 3, 1.5, "1"])
 def test_muf_value_rejects_bad_state_index(two_state, k):
-    # 0 and -1 would index states 2 and 1 from the end, 3 past it
-    with pytest.raises(ValidationError, match=f"got k={k}"):
+    # 0 and -1 would index states 2 and 1 from the end, 3 past it; 1.5 and
+    # "1" are no index at all
+    with pytest.raises(ValidationError, match=re.escape(f"got k={k!r}")):
         muf_value(two_state, k, 0.5)
 
 
@@ -87,6 +89,8 @@ def test_intersection_rejects_bad_indices(two_state):
         intersection(two_state, 2, 1)
     with pytest.raises(ValidationError):
         intersection(two_state, 1, 1)
+    with pytest.raises(ValidationError, match=re.escape("got l=2.0")):
+        intersection(two_state, 1, 2.0)
 
 
 def test_build_chain_two_state(two_state):

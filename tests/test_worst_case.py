@@ -133,6 +133,11 @@ def test_snr_instances_check_snr_after_the_profile(build):
         (lambda: high_snr_instance([2, 1], [0.5, 0.5], math.inf), "snr must be finite"),
         (lambda: low_snr_instance([2, 1], [0.5, 0.5], 1e308), "snr = 1e+308: a gain overflows"),
         (lambda: sweep("additive", 3, [10, 1e200]), "d = 1e+200 with K = 3: a gain overflows"),
+        (lambda: additive_family(2.5, 10.0), "additive family needs an integer K, got K=2.5"),
+        (
+            lambda: multiplicative_family(2.5, 10.0),
+            "multiplicative family needs an integer K, got K=2.5",
+        ),
     ],
     ids=[
         "multiplicative-inf",
@@ -144,6 +149,8 @@ def test_snr_instances_check_snr_after_the_profile(build):
         "high-snr-inf",
         "low-snr-1e308",
         "sweep-1e200",
+        "additive-K2.5",
+        "multiplicative-K2.5",
     ],
 )
 def test_generators_refuse_non_finite_or_overflowing_parameters(build, message):
