@@ -111,34 +111,41 @@ def per_state_multiplicative_terms(analysis) -> Margin:
 
 
 def chain_ordering_properties(ch, chain) -> Margin:
-    """The three ordering properties of the envelope chain, in O(K^2).
+    """A certificate that the chain is the lower envelope of the lines
+    ``(z + n_k) / F_k``, from at most 2K crossings.
 
-    1. Each chosen crossing point minimizes over all later states.
-    2. Interior crossing points are non-decreasing along the chain.
-    3. Each chosen crossing point dominates the crossings from earlier states
-       into the same chain state.
+    1. Shape: pi rises strictly from 1 to K; otherwise the margin is
+       ``(False, inf)``.
+    2. Each interior breakpoint z_i, between the chain states a = pi[i-1]
+       and b = pi[i], lies at or below ``z_{a,l}`` for every l in a+1..b and
+       at or above ``z_{l,b}`` for every l in a..b-1.  Both families hold
+       z_i against ``z_{a,b}``, so the breakpoint is the crossing it stands
+       for; in exact arithmetic the two are one inequality per skipped
+       state, but on near-tied gains they round apart, so both are kept.
+    3. Interior breakpoints are non-decreasing along the chain.
+
+    Complete: 1-3 make the chain concave and below each of its own lines,
+    and a skipped state l between a and b has a slope between theirs, so
+    its line minus the chain is convex with its minimum at z_i.
 
     States whose inverse gain overflowed cross every state at +inf
     (:func:`~fadegap.muf.intersection`), so two equal crossings, infinite
     ones included, are no gap; a NaN or +inf gap fails.
     """
+    pi, points = chain.pi, chain.breakpoints
+    rising = all(a < b for a, b in zip(pi, pi[1:]))
+    if not (rising and pi and pi[0] == 1 and pi[-1] == ch.num_states):
+        return Margin(False, math.inf)
     gaps = []  # (excess, z it is measured against)
-    segments = chain.segment_count
-    for i in range(1, segments):
-        z = chain.breakpoints[i]
-        prev = chain.pi[i - 1]
-        for l in range(prev + 1, ch.num_states + 1):
-            gaps.append((_gap(z, intersection(ch, prev, l)), z))
-        for l in range(1, chain.pi[i]):
-            if l != prev:
-                gaps.append((_gap(intersection(ch, l, chain.pi[i]), z), z))
-    inner = chain.breakpoints[1:segments]
+    for a, b, z in zip(pi, pi[1:], points[1:]):
+        gaps += [(_gap(z, intersection(ch, a, l)), z) for l in range(a + 1, b + 1)]
+        gaps += [(_gap(intersection(ch, l, b), z), z) for l in range(a, b)]
+    inner = points[1 : len(pi)]
     gaps += [(_gap(a, b), b) for a, b in zip(inner, inner[1:])]
     ok = all(
         g <= max(CHAIN_ATOL, CHAIN_RTOL * abs(float(z))) and g < math.inf for g, z in gaps
     )
     return Margin(ok, _worst(g for g, _ in gaps))
-
 
 
 def envelope_maximality(ch, chain) -> Margin:

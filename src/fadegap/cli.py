@@ -34,8 +34,8 @@ from .worst_case import additive_family, multiplicative_family, sweep, sweep_to_
 
 __all__ = ["main", "run", "random_distribution", "verify_run"]
 
-#: Largest --max-states verify accepts: the largest K whose high-SNR ladder
-#: the oracle is certified on, and a bound on the K a trial may draw.
+#: Largest --max-states verify accepts, and a bound on the K a trial may
+#: draw; CI certifies the oracle on high-SNR ladders up to K = 4096.
 VERIFY_MAX_STATES = 1024
 
 _CAPACITY_NAT_FIELDS = ("c_erg", "c_exp", "additive_gap", "entropy")

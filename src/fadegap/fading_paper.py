@@ -11,6 +11,7 @@ hurt) together with the raw unclamped lower bound.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -52,8 +53,8 @@ def fading_paper_report(dist: FadingDistribution, inr: float) -> FadingPaperRepo
     [C_erg - ln 2, C_erg] floored at zero, and the loss bracket is
     [max(A - ln 2, 0), A] for the interference-free additive gap A.
     """
-    if not inr >= 0:
-        raise ValidationError(f"inr must be nonnegative, got {inr}")
+    if not (isinstance(inr, numbers.Real) and inr >= 0):
+        raise ValidationError(f"inr must be a nonnegative real number, got {inr!r}")
     analysis = full_analysis(dist)
     ch, report = analysis.channel, analysis.report
 

@@ -20,6 +20,7 @@ loses value, and the search is fully deterministic.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .allocation import expected_rate_of
@@ -115,8 +116,8 @@ def brute_force_expected_capacity(ch: PreparedChannel, tol: float) -> OracleResu
     rate of the returned beta, recomputed through the shared objective
     evaluator, and iterations counts the phi evaluations.
     """
-    if not tol > 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not (isinstance(tol, numbers.Real) and tol > 0):
+        raise ValidationError(f"tol must be a positive real number, got {tol!r}")
     if ch.degenerate:
         raise ValidationError("cannot search a degenerate zero-gain channel")
 

@@ -17,6 +17,7 @@ state ends up active.
 """
 
 import math
+import numbers
 from fractions import Fraction
 
 from .channel import FadingDistribution
@@ -39,7 +40,9 @@ SWEEP_CSV_HEADER = "d,c_erg,c_exp,additive_gap,multiplicative_gap,entropy"
 
 
 def _check_finite(name: str, value):
-    """Refuse a NaN or infinite generator parameter, naming it."""
+    """Refuse a non-real, NaN or infinite generator parameter, naming it."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     if not -math.inf < value < math.inf:
         raise ValidationError(f"{name} must be finite, got {value}")
 

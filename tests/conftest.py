@@ -32,6 +32,7 @@ from fadegap.allocation import (
     _decoded_rate_factors,
     expected_rate_of,
 )
+from fadegap.certify import CHAIN_ATOL, CHAIN_RTOL, Margin, _gap, _worst
 from fadegap.cli import random_distribution
 from fadegap.errors import InternalConsistencyError, ValidationError
 from fadegap.muf import TIE_RTOL
@@ -97,6 +98,28 @@ def extreme_channels(n: int, seed: int):
     return channels
 
 
+def fraction_channels():
+    """Exact channels: hand-picked ones, some mixed with floats, then random
+    channels whose float gains and weights are taken exactly and normalised
+    as Fractions."""
+    half = Fraction(1, 2)
+    channels = [
+        FadingDistribution((Fraction(4), Fraction(1)), (half, half)),
+        FadingDistribution((Fraction(1), Fraction(0)), (half, half)),
+        FadingDistribution((Fraction(3), Fraction(2), Fraction(1)), (Fraction(1, 3),) * 3),
+        # the crossing of the two states lies on the budget edge 1, in
+        # Fractions and in floats
+        FadingDistribution((Fraction(4), Fraction(2, 3)), (half, half)),
+        FadingDistribution((Fraction(4), Fraction(2, 3)), (0.5, 0.5)),
+        FadingDistribution((4.0, 1.0, 0.0), (Fraction(1, 4), Fraction(1, 4), half)),
+    ]
+    for dist in random_channels(12, seed=11, max_states=6):
+        total = sum(map(Fraction, dist.probs))
+        probs = tuple(Fraction(p) / total for p in dist.probs)
+        channels.append(FadingDistribution(tuple(map(Fraction, dist.gains)), probs))
+    return channels
+
+
 def greedy_chain(ch) -> MufChain:
     """Reference envelope chain by direct search, O(K * chain length).
 
@@ -137,6 +160,40 @@ def greedy_chain(ch) -> MufChain:
     breakpoints.append(math.inf)
 
     return MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
+
+
+def reference_chain_ordering(ch, chain) -> Margin:
+    """certify.chain_ordering_properties as it stood before the O(K)
+    certificate: the three ordering properties of the envelope chain, in
+    O(K^2).
+
+    1. Each chosen crossing point minimizes over all later states.
+    2. Interior crossing points are non-decreasing along the chain.
+    3. Each chosen crossing point dominates the crossings from earlier states
+       into the same chain state.
+
+    States whose inverse gain overflowed cross every state at +inf
+    (:func:`~fadegap.muf.intersection`), so two equal crossings, infinite
+    ones included, are no gap; a NaN or +inf gap fails.  The certificate
+    must equal it on every computed chain and fail every corrupted chain
+    it fails.
+    """
+    gaps = []  # (excess, z it is measured against)
+    segments = chain.segment_count
+    for i in range(1, segments):
+        z = chain.breakpoints[i]
+        prev = chain.pi[i - 1]
+        for l in range(prev + 1, ch.num_states + 1):
+            gaps.append((_gap(z, intersection(ch, prev, l)), z))
+        for l in range(1, chain.pi[i]):
+            if l != prev:
+                gaps.append((_gap(intersection(ch, l, chain.pi[i]), z), z))
+    inner = chain.breakpoints[1:segments]
+    gaps += [(_gap(a, b), b) for a, b in zip(inner, inner[1:])]
+    ok = all(
+        g <= max(CHAIN_ATOL, CHAIN_RTOL * abs(float(z))) and g < math.inf for g, z in gaps
+    )
+    return Margin(ok, _worst(g for g, _ in gaps))
 
 
 _ctx = mpmath.mp.clone()

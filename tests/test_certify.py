@@ -5,8 +5,16 @@ from dataclasses import replace
 
 import pytest
 
-from fadegap import FadingDistribution, certify, closed_form_routes, fading_paper_report
-from fadegap import full_analysis
+from conftest import (
+    extreme_channels,
+    family_points,
+    fraction_channels,
+    high_snr_ladder,
+    random_channels,
+    reference_chain_ordering,
+)
+from fadegap import FadingDistribution, ValidationError, build_chain, certify
+from fadegap import closed_form_routes, fading_paper_report, full_analysis, intersection, prepare
 from fadegap.fading_paper import LN2
 
 #: Three states, all on the envelope chain, so swapping its two interior
@@ -119,3 +127,98 @@ def test_chain_ordering_fails_a_corrupted_chain_with_an_overflowed_state():
     for corrupted in (nan_point, skipped):
         assert not certify.chain_ordering_properties(ch, corrupted).ok
     assert math.isnan(certify.chain_ordering_properties(ch, nan_point).worst)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda b: ((1, 2, 3), b[:2] + (0.425, b[3])),
+        lambda b: ((1, 2, 3), b[:2] + (0.7999992, b[3])),
+        lambda b: ((1, 2), b[:2] + b[3:]),
+        lambda b: ((2, 3), (-0.1,) + b[2:]),
+    ],
+    ids=["breakpoint-0.425", "breakpoint-0.7999992", "drops-state-3", "drops-state-1"],
+)
+def test_chain_ordering_fails_what_the_all_pairs_scan_passes(corrupt):
+    # breakpoints -0.01, 0.05, 0.8; the scan passes each of these chains:
+    # a moved breakpoint stays below every crossing from state 2 and above
+    # the one from state 1 into state 3, and a missing end state is never
+    # compared
+    a = full_analysis(DIST)
+    ch, chain = a.channel, a.chain
+    assert chain.pi == (1, 2, 3)
+    pi, breakpoints = corrupt(chain.breakpoints)
+    corrupted = replace(chain, pi=pi, breakpoints=breakpoints, w=len(pi))
+    assert reference_chain_ordering(ch, corrupted).ok
+    assert not certify.chain_ordering_properties(ch, corrupted).ok
+
+
+def test_chain_ordering_certifies_a_4096_state_ladder():
+    # the all-pairs scan takes about half a minute here
+    a = full_analysis(high_snr_ladder(4096))
+    assert a.chain.segment_count == 4096
+    assert certify.chain_ordering_properties(a.channel, a.chain) == (True, 0.0)
+
+
+@pytest.fixture(scope="module")
+def differential_chains():
+    """(label, channel, chain) of every computed chain of the differential
+    populations; a channel that prepare refuses has none."""
+    populations = {
+        "random": random_channels(500, 0, 12),
+        "extreme": extreme_channels(200, 3),
+        "families": [dist for _, dist in family_points()],
+        "fraction": fraction_channels(),
+        "overflowed": OVERFLOWED,
+        "ladder": [high_snr_ladder(128), high_snr_ladder(256)],
+    }
+    chains = []
+    for name, dists in populations.items():
+        for i, dist in enumerate(dists):
+            try:
+                ch = prepare(dist)
+            except ValidationError:
+                continue
+            chains.append((f"{name}[{i}]", ch, build_chain(ch)))
+    return chains
+
+
+def test_chain_ordering_equals_the_all_pairs_scan_on_computed_chains(differential_chains):
+    for label, ch, chain in differential_chains:
+        margin = certify.chain_ordering_properties(ch, chain)
+        assert margin == reference_chain_ordering(ch, chain), label
+
+
+def _corruptions(ch, chain):
+    """Every pair of adjacent interior breakpoints swapped, every interior
+    breakpoint scaled by 1 - 1e-6, 1 + 1e-6 and 1 + 1e-10, every interior
+    chain state dropped with its neighbours' crossing in its place, and
+    every skipped state inserted with its crossings with its neighbours."""
+    pi, b = chain.pi, chain.breakpoints
+    for i in range(1, len(pi)):
+        for l in range(pi[i - 1] + 1, pi[i]):
+            crossings = (intersection(ch, pi[i - 1], l), intersection(ch, l, pi[i]))
+            inserted = b[:i] + crossings + b[i + 1 :]
+            yield "insert", replace(chain, pi=pi[:i] + (l,) + pi[i:], breakpoints=inserted)
+    for i in range(1, len(pi) - 1):
+        yield "swap", replace(chain, breakpoints=b[:i] + (b[i + 1], b[i]) + b[i + 2 :])
+        crossing = intersection(ch, pi[i - 1], pi[i + 1])
+        dropped = b[:i] + (crossing,) + b[i + 2 :]
+        yield "drop", replace(chain, pi=pi[:i] + pi[i + 1 :], breakpoints=dropped)
+    for i in range(1, len(pi)):
+        for factor in (1 - 1e-6, 1 + 1e-6, 1 + 1e-10):
+            scaled = b[:i] + (b[i] * factor,) + b[i + 1 :]
+            yield f"scale {factor!r}", replace(chain, breakpoints=scaled)
+
+
+def test_chain_ordering_fails_every_corrupted_chain_the_scan_fails(differential_chains):
+    refused = 0
+    for label, ch, chain in differential_chains:
+        if ch.num_states > 64:
+            continue
+        for kind, corrupted in _corruptions(ch, chain):
+            if not reference_chain_ordering(ch, corrupted).ok:
+                refused += 1
+                margin = certify.chain_ordering_properties(ch, corrupted)
+                assert not margin.ok, (label, kind, corrupted)
+    assert refused > 9000

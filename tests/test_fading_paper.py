@@ -65,6 +65,8 @@ def test_inr_invariance():
 def test_negative_inr_rejected():
     with pytest.raises(ValidationError):
         fading_paper_report(FadingDistribution((1,), (1.0,)), inr=-0.5)
+    with pytest.raises(ValidationError, match="inr must be a nonnegative real number, got None"):
+        fading_paper_report(FadingDistribution((1,), (1.0,)), inr=None)
 
 
 def test_bracket_and_width_on_random_channels():

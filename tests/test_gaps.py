@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import extreme_channels, family_points, high_snr_ladder, random_channels
+from conftest import (
+    extreme_channels,
+    family_points,
+    fraction_channels,
+    high_snr_ladder,
+    random_channels,
+)
 from fadegap import (
     FadingDistribution,
     ValidationError,
@@ -212,28 +218,6 @@ def test_decoded_rate_factor_survives_overflowing_head():
 def test_zero_gain_epsilon_underflowing_to_zero_is_a_validation_error():
     with pytest.raises(ValidationError, match="zero gain underflows"):
         analyze(FadingDistribution((1e-320, 0.0), (0.5, 0.5)))
-
-
-def fraction_channels():
-    """Exact channels: hand-picked ones, some mixed with floats, then random
-    channels whose float gains and weights are taken exactly and normalised
-    as Fractions."""
-    half = Fraction(1, 2)
-    channels = [
-        FadingDistribution((Fraction(4), Fraction(1)), (half, half)),
-        FadingDistribution((Fraction(1), Fraction(0)), (half, half)),
-        FadingDistribution((Fraction(3), Fraction(2), Fraction(1)), (Fraction(1, 3),) * 3),
-        # the crossing of the two states lies on the budget edge 1, in
-        # Fractions and in floats
-        FadingDistribution((Fraction(4), Fraction(2, 3)), (half, half)),
-        FadingDistribution((Fraction(4), Fraction(2, 3)), (0.5, 0.5)),
-        FadingDistribution((4.0, 1.0, 0.0), (Fraction(1, 4), Fraction(1, 4), half)),
-    ]
-    for dist in random_channels(12, seed=11, max_states=6):
-        total = sum(map(Fraction, dist.probs))
-        probs = tuple(Fraction(p) / total for p in dist.probs)
-        channels.append(FadingDistribution(tuple(map(Fraction, dist.gains)), probs))
-    return channels
 
 
 #: The populations whose full analyses the digest golden pins, bit for bit.

@@ -46,6 +46,8 @@ def test_rejects_bad_inputs():
     ch = prepare(FadingDistribution((4, 1), (0.5, 0.5)))
     with pytest.raises(ValidationError):
         brute_force_expected_capacity(ch, 0.0)
+    with pytest.raises(ValidationError, match="tol must be a positive real number, got None"):
+        brute_force_expected_capacity(ch, None)
     with pytest.raises(ValidationError):
         brute_force_expected_capacity(prepare(FadingDistribution((0,), (1.0,))), ORACLE_TOL)
 

@@ -39,6 +39,7 @@ def test_multiplicative_family_values():
     assert dist.gains == (Fraction(1, 2), Fraction(1, 6))
     assert dist.probs == (Fraction(1, 3), Fraction(2, 3))
     assert multiplicative_family(1, 4).gains == (Fraction(1, 4),)
+    assert multiplicative_family(2, Fraction(2)) == dist
 
 
 def test_multiplicative_family_rejects_nonpositive_d():
@@ -131,6 +132,9 @@ def test_snr_instances_check_snr_after_the_profile(build):
         (lambda: additive_family(200, 200.0), "d = 200.0 with K = 200: a gain overflows"),
         (lambda: high_snr_instance([2, 1], [0.5, 0.5], 1e300), "snr = 1e+300: a gain overflows"),
         (lambda: high_snr_instance([2, 1], [0.5, 0.5], math.inf), "snr must be finite"),
+        (lambda: additive_family(3, "5"), "d must be a real number, got '5'"),
+        (lambda: multiplicative_family(3, "5"), "d must be a real number, got '5'"),
+        (lambda: high_snr_instance((1.0,), (1.0,), "2"), "snr must be a real number, got '2'"),
         (lambda: low_snr_instance([2, 1], [0.5, 0.5], 1e308), "snr = 1e+308: a gain overflows"),
         (lambda: sweep("additive", 3, [10, 1e200]), "d = 1e+200 with K = 3: a gain overflows"),
         (lambda: additive_family(2.5, 10.0), "additive family needs an integer K, got K=2.5"),
@@ -147,6 +151,9 @@ def test_snr_instances_check_snr_after_the_profile(build):
         "additive-K200",
         "high-snr-1e300",
         "high-snr-inf",
+        "additive-str",
+        "multiplicative-str",
+        "high-snr-str",
         "low-snr-1e308",
         "sweep-1e200",
         "additive-K2.5",
