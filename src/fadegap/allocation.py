@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .channel import PreparedChannel
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, ValidationError, check_real, validated_tuple
 from .muf import MufChain
 
 __all__ = [
@@ -523,11 +523,12 @@ def expected_rate_of(ch: PreparedChannel, beta) -> float:
     shared by the brute-force certifier and feasibility tests and does not
     touch the envelope machinery.
     """
-    beta = tuple(beta)
+    beta = validated_tuple("beta", beta)
     if len(beta) != ch.num_states:
         raise ValidationError(f"beta must have {ch.num_states} entries, got {len(beta)}")
     prev = 0.0
     for k, b in enumerate(beta, start=1):
+        check_real(f"beta: entry {k}", b)
         if not (prev <= b <= 1):
             raise ValidationError(f"beta is infeasible at state {k}: {beta}")
         prev = b

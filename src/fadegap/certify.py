@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .allocation import ROUTE_RTOL
 from .fading_paper import LN2
-from .muf import dominating_muf, intersection, muf_value
+from .muf import dominating_muf, intersection
 
 __all__ = [
     "Margin",
@@ -149,15 +149,15 @@ def chain_ordering_properties(ch, chain) -> Margin:
 
 
 def envelope_maximality(ch, chain) -> Margin:
-    """The envelope value and state match the best utility on a uniform grid
-    of ENVELOPE_SAMPLES points spanning (-n_1, 10 n_K].
+    """The envelope value and state match the best utility ``F_k / (n_k + z)``
+    on a uniform grid of ENVELOPE_SAMPLES points spanning (-n_1, 10 n_K].
 
     The grid spans the finite inverse gains only: a state whose inverse gain
     overflowed has utility 0 at every finite z, so it is never best.  With
     no other state every utility is 0, the grid spans (-1, 10], and the
     deviation is the envelope value itself.
     """
-    k_states, n = ch.num_states, ch.inverse_gains
+    k_states, n, f = ch.num_states, ch.inverse_gains, ch.cum_probs
     live = bisect.bisect_left(n, math.inf)
     n_1, n_k = (n[0], n[live - 1]) if live else (1.0, 1.0)
     span = 10 * n_k + n_1
@@ -165,7 +165,7 @@ def envelope_maximality(ch, chain) -> Margin:
     for j in range(1, ENVELOPE_SAMPLES + 1):
         z = -n_1 + span * j / ENVELOPE_SAMPLES
         value, state = dominating_muf(chain, ch, z)
-        best = max(muf_value(ch, k, z) for k in range(1, k_states + 1) if z > -n[k - 1])
+        best = max(fk / (nk + z) for nk, fk in zip(n, f) if z > -nk)
         deviations.append(abs(float(value - best)) / (float(best) or 1.0))
         ok = ok and 1 <= state <= k_states
     worst = max(deviations)

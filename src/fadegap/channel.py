@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, validated_tuple
 
 __all__ = [
     "FadingDistribution",
@@ -61,14 +61,7 @@ class FadingDistribution:
 
     def __post_init__(self):
         for field in ("gains", "probs"):
-            values = getattr(self, field)
-            try:
-                it = iter(values)
-            except TypeError:
-                raise ValidationError(
-                    f"{field}: expected a sequence of numbers, got {type(values).__name__}"
-                ) from None
-            object.__setattr__(self, field, tuple(it))
+            object.__setattr__(self, field, validated_tuple(field, getattr(self, field)))
         if len(self.gains) == 0:
             raise ValidationError("gains: need at least one fading state")
         if len(self.gains) != len(self.probs):

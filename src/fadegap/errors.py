@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer check that
-raises one."""
+"""Exception types shared across the package, and the argument checks that
+raise one."""
 
+import numbers
 import operator
 
 __all__ = ["ValidationError", "InternalConsistencyError"]
@@ -23,3 +24,22 @@ def validated_index(what: str, name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} needs an integer {name}, got {name}={value!r}") from None
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a value that is not a real number, naming it, before anything
+    compares it."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def validated_tuple(name: str, values) -> tuple:
+    """values as a tuple; a value that is not iterable (an int, None) is
+    refused with a ValidationError naming it."""
+    try:
+        it = iter(values)
+    except TypeError:
+        raise ValidationError(
+            f"{name}: expected a sequence of numbers, got {type(values).__name__}"
+        ) from None
+    return tuple(it)

@@ -55,7 +55,12 @@ def fading_paper_report(dist: FadingDistribution, inr: float) -> FadingPaperRepo
     """
     if not (isinstance(inr, numbers.Real) and inr >= 0):
         raise ValidationError(f"inr must be a nonnegative real number, got {inr!r}")
-    analysis = full_analysis(dist)
+    return _report_of(full_analysis(dist), inr)
+
+
+def _report_of(analysis, inr: float) -> FadingPaperReport:
+    """:func:`fading_paper_report` of the distribution the analysis came
+    from, for a checked inr."""
     ch, report = analysis.channel, analysis.report
 
     rate = 0.0

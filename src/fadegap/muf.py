@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import PreparedChannel
-from .errors import ValidationError, validated_index
+from .errors import ValidationError, check_real, validated_index
 
 __all__ = [
     "MufChain",
@@ -80,6 +80,7 @@ def muf_value(ch: PreparedChannel, k: int, z):
     k = validated_index("muf_value", "k", k)
     if not 1 <= k <= ch.num_states:
         raise ValidationError(f"muf_value needs 1 <= k <= K, got k={k}")
+    check_real("z", z)
     n = ch.inverse_gains[k - 1]
     if not z > -n:
         raise ValidationError(f"marginal utility of state {k} undefined at z={z} <= -n_k")
@@ -204,6 +205,7 @@ def dominating_muf(chain: MufChain, ch: PreparedChannel, z):
     Returns ``(u*(z), k)`` where k is the 1-based state index whose utility
     equals the pointwise maximum at z.
     """
+    check_real("z", z)
     if not z > chain.breakpoints[0]:
         raise ValidationError(f"envelope undefined at z={z} <= -n_1")
     i = _segment_index(chain, z)
@@ -218,6 +220,8 @@ def envelope_integral(chain: MufChain, ch: PreparedChannel, lo, hi) -> float:
     boundaries inside the range split the integration exactly, so the only
     error is the final float rounding of each log.
     """
+    check_real("lo", lo)
+    check_real("hi", hi)
     if not 0 <= lo <= hi:
         raise ValidationError(f"integration range must satisfy 0 <= lo <= hi, got [{lo}, {hi}]")
     total = 0.0

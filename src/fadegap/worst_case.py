@@ -17,11 +17,10 @@ state ends up active.
 """
 
 import math
-import numbers
 from fractions import Fraction
 
 from .channel import FadingDistribution
-from .errors import ValidationError, validated_index
+from .errors import ValidationError, check_real, validated_index, validated_tuple
 from .gaps import analyze
 
 __all__ = [
@@ -41,8 +40,7 @@ SWEEP_CSV_HEADER = "d,c_erg,c_exp,additive_gap,multiplicative_gap,entropy"
 
 def _check_finite(name: str, value):
     """Refuse a non-real, NaN or infinite generator parameter, naming it."""
-    if not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    check_real(name, value)
     if not -math.inf < value < math.inf:
         raise ValidationError(f"{name} must be finite, got {value}")
 
@@ -109,14 +107,18 @@ def multiplicative_family(K: int, d: float) -> FadingDistribution:
     return FadingDistribution(gains=gains, probs=probs)
 
 
-def _check_profile(values, probs, snr, what: str):
-    """Refuse a bad profile, then an snr that is not finite and positive."""
+def _check_profile(values, probs, snr, what: str) -> tuple:
+    """The profile and probabilities as tuples; refuse a bad profile, then an
+    snr that is not finite and positive."""
+    values = validated_tuple(what, values)
+    probs = validated_tuple("probs", probs)
     if len(values) == 0:
         raise ValidationError(f"{what}: need at least one state")
     if len(values) != len(probs):
         raise ValidationError(f"{what}: profile and probabilities differ in length")
     prev = None
-    for v in values:
+    for k, v in enumerate(values, start=1):
+        check_real(f"{what}: entry {k}", v)
         if not v > 0:
             raise ValidationError(f"{what}: entries must be positive, got {v}")
         if prev is not None and not v < prev:
@@ -125,6 +127,7 @@ def _check_profile(values, probs, snr, what: str):
     _check_finite("snr", snr)
     if not snr > 0:
         raise ValidationError(f"snr must be positive, got {snr}")
+    return values, probs
 
 
 def high_snr_instance(r, p, snr: float) -> FadingDistribution:
@@ -133,9 +136,7 @@ def high_snr_instance(r, p, snr: float) -> FadingDistribution:
     At large SNR every state becomes active and the additive gap approaches
     the entropy of the state distribution.
     """
-    r = tuple(r)
-    p = tuple(p)
-    _check_profile(r, p, snr, "high-SNR exponents")
+    r, p = _check_profile(r, p, snr, "high-SNR exponents")
     gains = _gains(lambda: [snr**rk for rk in r], f"snr = {snr}")
     return FadingDistribution(gains=gains, probs=p)
 
@@ -147,9 +148,7 @@ def low_snr_instance(alpha, p, snr: float) -> FadingDistribution:
     alpha_k) and the multiplicative gap approaches the per-unit-cost ratio
     sum(p alpha) / max(F alpha).
     """
-    alpha = tuple(alpha)
-    p = tuple(p)
-    _check_profile(alpha, p, snr, "low-SNR slopes")
+    alpha, p = _check_profile(alpha, p, snr, "low-SNR slopes")
     gains = _gains(lambda: [a * snr for a in alpha], f"snr = {snr}")
     return FadingDistribution(gains=gains, probs=p)
 
@@ -162,7 +161,7 @@ def sweep(kind: str, K: int, d_values) -> list:
     """
     if kind not in SWEEP_KINDS:
         raise ValidationError(f"sweep supports kinds {SWEEP_KINDS}, got {kind!r}")
-    d_values = list(d_values)
+    d_values = validated_tuple("d_values", d_values)
     build = additive_family if kind == "additive" else multiplicative_family
     dists = [build(K, d) for d in d_values]  # validate all points before analyzing any
     return [(d, analyze(dist)) for d, dist in zip(d_values, dists)]

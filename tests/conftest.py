@@ -6,6 +6,7 @@ distribution family: K uniform, gains log-uniform in [1e-3, 1e3], flat
 Dirichlet probabilities.
 """
 
+import bisect
 import functools
 import json
 import math
@@ -14,6 +15,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import strategies as st
 
 from fadegap import (
@@ -21,9 +23,12 @@ from fadegap import (
     MufChain,
     OracleResult,
     additive_family,
+    allocation,
+    dominating_muf,
     high_snr_instance,
     intersection,
     multiplicative_family,
+    muf_value,
 )
 from fadegap.allocation import (
     _MAX_REL_ERR,
@@ -32,7 +37,15 @@ from fadegap.allocation import (
     _decoded_rate_factors,
     expected_rate_of,
 )
-from fadegap.certify import CHAIN_ATOL, CHAIN_RTOL, Margin, _gap, _worst
+from fadegap.certify import (
+    CHAIN_ATOL,
+    CHAIN_RTOL,
+    ENVELOPE_RTOL,
+    ENVELOPE_SAMPLES,
+    Margin,
+    _gap,
+    _worst,
+)
 from fadegap.cli import random_distribution
 from fadegap.errors import InternalConsistencyError, ValidationError
 from fadegap.muf import TIE_RTOL
@@ -65,6 +78,20 @@ def family_points():
     for d in MULTIPLICATIVE_D_GRID:
         for k in range(1, 9):
             yield f"multiplicative[K={k},d={d}]", multiplicative_family(k, d)
+
+
+@pytest.fixture
+def disagreeing_closed_forms(monkeypatch):
+    """Every rung returns a grouped form 1e-6 relative off the per-state one,
+    with its own error bounds, so the first mpmath rung certifies a
+    disagreement."""
+    evaluate = allocation._evaluate
+
+    def disagreeing(*args):
+        lam, per, err_p, _, err_g = evaluate(*args)
+        return lam, per, err_p, per * (1 + 1e-6), err_g
+
+    monkeypatch.setattr(allocation, "_evaluate", disagreeing)
 
 
 def high_snr_ladder(k: int, snr: float = 1e12) -> FadingDistribution:
@@ -194,6 +221,28 @@ def reference_chain_ordering(ch, chain) -> Margin:
         g <= max(CHAIN_ATOL, CHAIN_RTOL * abs(float(z))) and g < math.inf for g, z in gaps
     )
     return Margin(ok, _worst(g for g, _ in gaps))
+
+
+def reference_envelope_maximality(ch, chain) -> Margin:
+    """certify.envelope_maximality as it stood when each utility came from
+    the public muf_value: the envelope value and state match the best
+    utility on a uniform grid of ENVELOPE_SAMPLES points spanning
+    (-n_1, 10 n_K].  The check must return the same margin, or raise the
+    same exception, on every chain, computed or corrupted.
+    """
+    k_states, n = ch.num_states, ch.inverse_gains
+    live = bisect.bisect_left(n, math.inf)
+    n_1, n_k = (n[0], n[live - 1]) if live else (1.0, 1.0)
+    span = 10 * n_k + n_1
+    ok, deviations = True, []
+    for j in range(1, ENVELOPE_SAMPLES + 1):
+        z = -n_1 + span * j / ENVELOPE_SAMPLES
+        value, state = dominating_muf(chain, ch, z)
+        best = max(muf_value(ch, k, z) for k in range(1, k_states + 1) if z > -n[k - 1])
+        deviations.append(abs(float(value - best)) / (float(best) or 1.0))
+        ok = ok and 1 <= state <= k_states
+    worst = max(deviations)
+    return Margin(ok and worst <= ENVELOPE_RTOL, worst)
 
 
 _ctx = mpmath.mp.clone()

@@ -100,6 +100,34 @@ def test_corrupted_allocation_is_detected(two_state):
         expected_capacity(ch, wrong_beta)
 
 
+def test_all_zero_beta_has_no_active_state(two_state):
+    ch, _, alloc = two_state
+    zero = PowerAllocation(beta=(0.0, 0.0), lam=alloc.lam)
+    with pytest.raises(ValidationError, match="no active state"):
+        expected_capacity(ch, zero)
+
+
+def test_certified_disagreement_of_the_closed_forms_raises(two_state, disagreeing_closed_forms):
+    ch, _, alloc = two_state
+    with pytest.raises(InternalConsistencyError, match="closed forms disagree"):
+        expected_capacity(ch, alloc)
+
+
+def test_closed_forms_that_never_settle_raise(two_state, monkeypatch):
+    # error bounds as wide as the value certify neither agreement nor
+    # disagreement on any rung
+    evaluate = allocation._evaluate
+
+    def unsettled(*args):
+        lam, per, _, grp, _ = evaluate(*args)
+        return lam, per, abs(per), grp, abs(grp)
+
+    monkeypatch.setattr(allocation, "_evaluate", unsettled)
+    ch, _, alloc = two_state
+    with pytest.raises(InternalConsistencyError, match="not settled at 960 digits"):
+        expected_capacity(ch, alloc)
+
+
 def test_expected_rate_examples(two_state):
     ch, _, _ = two_state
     assert expected_rate_of(ch, (0.0, 1.0)) == pytest.approx(math.log(2), rel=1e-15)
@@ -114,7 +142,18 @@ def test_expected_rate_examples(two_state):
 
 @pytest.mark.parametrize(
     "beta",
-    [(0.7, 0.3), (-0.1, 1.0), (0.5, 1.2), (0.5,), (0.1, 0.5, 1.0)],
+    [
+        (0.7, 0.3),
+        (-0.1, 1.0),
+        (0.5, 1.2),
+        (0.5,),
+        (0.1, 0.5, 1.0),
+        # no real numbers, or no sequence
+        ("a", 1.0),
+        (0.5, None),
+        None,
+        1.0,
+    ],
 )
 def test_expected_rate_rejects_infeasible_beta(two_state, beta):
     ch, _, _ = two_state

@@ -12,6 +12,7 @@ from conftest import (
     high_snr_ladder,
     random_channels,
     reference_chain_ordering,
+    reference_envelope_maximality,
 )
 from fadegap import FadingDistribution, ValidationError, build_chain, certify
 from fadegap import closed_form_routes, fading_paper_report, full_analysis, intersection, prepare
@@ -222,3 +223,36 @@ def test_chain_ordering_fails_every_corrupted_chain_the_scan_fails(differential_
                 margin = certify.chain_ordering_properties(ch, corrupted)
                 assert not margin.ok, (label, kind, corrupted)
     assert refused > 9000
+
+
+def _outcome(check, ch, chain) -> str:
+    """The check's margin, or the exception it raised, as text: a NaN worst
+    deviation equals itself only as text."""
+    try:
+        return repr(check(ch, chain))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_envelope_maximality_equals_the_reference_on_computed_chains(differential_chains):
+    for label, ch, chain in differential_chains:
+        margin = _outcome(certify.envelope_maximality, ch, chain)
+        assert margin == _outcome(reference_envelope_maximality, ch, chain), label
+
+
+def test_envelope_maximality_equals_the_reference_on_corrupted_chains(differential_chains):
+    # every 16th corrupted chain, which keeps each kind of corruption and
+    # each population while the reference's per-state muf_value calls stay
+    # within a few seconds
+    corrupted = [
+        (label, kind, ch, c)
+        for label, ch, chain in differential_chains
+        if ch.num_states <= 64
+        for kind, c in _corruptions(ch, chain)
+    ]
+    nonzero = 0
+    for label, kind, ch, c in corrupted[::16]:
+        margin = _outcome(certify.envelope_maximality, ch, c)
+        assert margin == _outcome(reference_envelope_maximality, ch, c), (label, kind)
+        nonzero += margin != repr(certify.Margin(True, 0.0))
+    assert nonzero > 100

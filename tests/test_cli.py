@@ -10,7 +10,7 @@ import pytest
 
 import fadegap
 from conftest import strict_json
-from fadegap import multiplicative_family
+from fadegap import certify, cli, multiplicative_family
 from fadegap.cli import run, verify_run
 from fadegap.fading_paper import LN2
 from fadegap.worst_case import SWEEP_CSV_HEADER
@@ -113,6 +113,14 @@ def test_validation_failures_exit_1(capsys, tmp_path):
 
     code, _, _ = run_capture(capsys, ["capacity", "--no-such-flag"])
     assert code == 1
+
+
+def test_internal_consistency_failure_exits_2(capsys, two_state_json, disagreeing_closed_forms):
+    code, out, err = run_capture(capsys, ["capacity", "--input", two_state_json])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal consistency failure: closed forms disagree")
+    assert "Traceback" not in err
 
 
 def test_family_emit_dist(capsys):
@@ -335,6 +343,31 @@ def test_verify_small_run(capsys):
     assert code == 0
     assert "PASS oracle-certification: 5/5" in out
     assert out.strip().endswith("0 failures")
+
+
+def test_verify_analyses_each_trial_once_beside_one_public_report(monkeypatch):
+    # one full_analysis in verify_run, one inside its fading_paper_report
+    # call; the reports at inr 1 and 1e6 come from verify_run's analysis,
+    # and muf_value is reached only through dominating_muf's samples
+    def recording(module, name):
+        """(args, result) of every call of module.name."""
+        calls, fn = [], getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((args, fn(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    analyses = recording(cli, "full_analysis")
+    public = recording(fadegap.fading_paper, "full_analysis")
+    reports = recording(cli, "_report_of")
+    utilities = recording(fadegap.muf, "muf_value")
+    assert verify_run(trials=3, seed=5)["ok"]
+    assert len(analyses) == len(public) == 3
+    assert [id(args[0]) for args, _ in reports] == [id(a) for _, a in analyses for _ in range(2)]
+    assert len(utilities) == 3 * certify.ENVELOPE_SAMPLES
 
 
 def test_verify_run_is_seed_deterministic():

@@ -16,6 +16,7 @@ from conftest import (
 )
 from fadegap import (
     FadingDistribution,
+    InternalConsistencyError,
     ValidationError,
     analyze,
     certify,
@@ -213,6 +214,20 @@ def test_decoded_rate_factor_survives_overflowing_head():
     # the epsilon substitute is subnormal, so its inverse gain overflows
     assert analysis.channel.inverse_gains[1] == math.inf
     assert_finite_report(analysis)
+
+
+@pytest.mark.parametrize(
+    "c_exp, error, message",
+    [
+        (0.0, ValidationError, "expected capacity underflows double precision"),
+        (2.0, InternalConsistencyError, "expected capacity 2.0 exceeds ergodic capacity"),
+    ],
+)
+def test_full_analysis_refuses_an_impossible_expected_capacity(monkeypatch, c_exp, error, message):
+    # C_erg of this channel is ln(10) / 2 = 1.15 nats
+    monkeypatch.setattr("fadegap.gaps.expected_capacity", lambda ch, alloc: c_exp)
+    with pytest.raises(error, match=message):
+        full_analysis(FadingDistribution((4, 1), (0.5, 0.5)))
 
 
 def test_zero_gain_epsilon_underflowing_to_zero_is_a_validation_error():

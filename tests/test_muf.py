@@ -19,6 +19,7 @@ from fadegap import (
     build_chain,
     certify,
     dominating_muf,
+    envelope_integral,
     intersection,
     muf_value,
     multiplicative_family,
@@ -51,12 +52,20 @@ def test_muf_value_outside_domain(two_state):
         muf_value(two_state, 2, -1.5)
 
 
-@pytest.mark.parametrize("k", [0, -1, 3, 1.5, "1"])
-def test_muf_value_rejects_bad_state_index(two_state, k):
+@pytest.mark.parametrize(
+    "k, z, message",
+    [pytest.param(k, 0.5, f"got k={k!r}", id=str(k)) for k in (0, -1, 3, 1.5, "1")]
+    + [
+        pytest.param(1, z, f"z must be a real number, got {z!r}", id=f"z={z!r}")
+        for z in ("x", None, 1j)
+    ],
+)
+def test_muf_value_rejects_bad_state_index(two_state, k, z, message):
     # 0 and -1 would index states 2 and 1 from the end, 3 past it; 1.5 and
-    # "1" are no index at all
-    with pytest.raises(ValidationError, match=re.escape(f"got k={k!r}")):
-        muf_value(two_state, k, 0.5)
+    # "1" are no index at all; a z that is no real number is refused before
+    # it is compared
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        muf_value(two_state, k, z)
 
 
 def test_intersection_two_state(two_state):
@@ -145,6 +154,24 @@ def test_dominating_muf_rejects_pole(two_state):
     chain = build_chain(two_state)
     with pytest.raises(ValidationError):
         dominating_muf(chain, two_state, -0.25)
+    for z in (None, "1", 1j):
+        with pytest.raises(ValidationError, match=re.escape(f"z must be a real number, got {z!r}")):
+            dominating_muf(chain, two_state, z)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, message",
+    [
+        (-0.5, 1.0, "integration range must satisfy 0 <= lo <= hi, got [-0.5, 1.0]"),
+        (0.75, 0.25, "integration range must satisfy 0 <= lo <= hi, got [0.75, 0.25]"),
+        (math.nan, 1.0, "integration range must satisfy 0 <= lo <= hi, got [nan, 1.0]"),
+        ("a", 1, "lo must be a real number, got 'a'"),
+        (0, None, "hi must be a real number, got None"),
+    ],
+)
+def test_envelope_integral_rejects_bad_range(two_state, lo, hi, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        envelope_integral(build_chain(two_state), two_state, lo, hi)
 
 
 def test_chain_ordering_properties_on_random_channels():

@@ -102,14 +102,28 @@ def test_low_snr_regime_has_single_active_state():
 
 
 @pytest.mark.parametrize(
-    "profile",
-    [(0.5, 1.0), (1.0, 1.0), (1.0, -0.5), ()],
+    "profile, probs, message",
+    [
+        ((0.5, 1.0), (0.5, 0.5), "entries must be strictly decreasing"),
+        ((1.0, 1.0), (0.5, 0.5), "entries must be strictly decreasing"),
+        ((1.0, -0.5), (0.5, 0.5), "entries must be positive, got -0.5"),
+        ((), (), "need at least one state"),
+        ((2.0, 1.0), (1.0,), "profile and probabilities differ in length"),
+        # refused before an entry is compared or the profile iterated
+        (("1",), (1.0,), "entry 1 must be a real number, got '1'"),
+        ((None,), (1.0,), "entry 1 must be a real number, got None"),
+        ((2.0, 1j), (0.5, 0.5), "entry 2 must be a real number, got 1j"),
+        (5, (1.0,), ": expected a sequence of numbers, got int"),
+        (None, (1.0,), ": expected a sequence of numbers, got NoneType"),
+        ((1.0,), 5, "probs: expected a sequence of numbers, got int"),
+    ],
+    ids=[f"profile{i}" for i in range(4)]
+    + ["length", "str-entry", "none-entry", "complex-entry", "int", "none", "int-probs"],
 )
-def test_snr_instances_reject_bad_profiles(profile):
-    probs = (1 / len(profile),) * len(profile) if profile else ()
-    with pytest.raises(ValidationError):
+def test_snr_instances_reject_bad_profiles(profile, probs, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         high_snr_instance(profile, probs, 10.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         low_snr_instance(profile, probs, 0.1)
 
 
@@ -183,6 +197,10 @@ def test_sweep_empty_and_invalid():
         sweep("additive", 4, (10, 2.5))
     with pytest.raises(ValidationError):
         sweep("high_snr", 4, (10,))
+    with pytest.raises(ValidationError, match="d_values: expected a sequence of numbers"):
+        sweep("additive", 3, None)
+    with pytest.raises(ValidationError, match="d must be a real number, got 'x'"):
+        sweep("additive", 3, (10, "x"))
 
 
 def test_sweep_builds_each_distribution_once(monkeypatch):
