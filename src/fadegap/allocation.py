@@ -136,11 +136,11 @@ def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))``, zero for every state
     with an empty layer.  Their sum weighted by ``F_k`` is the expected
     rate of the allocation."""
-    zero = Fraction(0) if isinstance(ch.gains[0], Fraction) else 0.0
     beta = alloc.beta
-    # log1p takes a Fraction as its float()
+    # log1p takes a Fraction as its float(); (b - 0) / (n_1 + 0) is exact
+    # in floats and in Fractions alike
     log1p = math.log1p
-    steps = zip(beta, itertools.chain((zero,), beta), ch.inverse_gains)
+    steps = zip(beta, itertools.chain((0,), beta), ch.inverse_gains)
     return tuple([log1p((b - prev) / (nk + prev)) for b, prev, nk in steps])
 
 
@@ -526,15 +526,12 @@ def expected_rate_of(ch: PreparedChannel, beta) -> float:
     beta = validated_tuple("beta", beta)
     if len(beta) != ch.num_states:
         raise ValidationError(f"beta must have {ch.num_states} entries, got {len(beta)}")
+    total = 0.0
     prev = 0.0
-    for k, b in enumerate(beta, start=1):
+    for k, (g, f, b) in enumerate(zip(ch.gains, ch.cum_probs, beta), start=1):
         check_real(f"beta: entry {k}", b)
         if not (prev <= b <= 1):
             raise ValidationError(f"beta is infeasible at state {k}: {beta}")
-        prev = b
-    total = 0.0
-    prev = 0.0
-    for g, f, b in zip(ch.gains, ch.cum_probs, beta):
         gf = float(g)
         total += float(f) * math.log1p((b - prev) * gf / (1 + prev * gf))
         prev = b

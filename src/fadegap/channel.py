@@ -160,12 +160,7 @@ def _zero_gain_epsilon(gains, cum_probs):
     """Substitute for a zero smallest gain, small enough that the zero state
     provably receives no power: half of min_k F_k / ((1 - F_k) + n_k) over
     the positive states."""
-    bound = None
-    for g, f in zip(gains[:-1], cum_probs[:-1]):
-        cand = f / ((1 - f) + 1 / g)
-        if bound is None or cand < bound:
-            bound = cand
-    return bound / 2
+    return min(f / ((1 - f) + 1 / g) for g, f in zip(gains[:-1], cum_probs[:-1])) / 2
 
 
 def prepare(dist: FadingDistribution) -> PreparedChannel:
@@ -175,6 +170,8 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     The single-state zero-gain channel is returned with ``degenerate=True``
     rather than rejected: both capacities are exactly zero for it.
     """
+    if not isinstance(dist, FadingDistribution):
+        raise ValidationError(f"prepare needs a FadingDistribution, got {type(dist).__name__}")
     pairs = sorted(zip(dist.gains, dist.probs), key=itemgetter(0), reverse=True)
     gains, probs = _merge_duplicates(pairs)
 
@@ -260,8 +257,6 @@ def ergodic_capacity(ch: PreparedChannel) -> float:
     contributes exactly zero even though the prepared channel carries the
     epsilon substitute.
     """
-    if ch.degenerate:
-        return 0.0
     gains = ch.gains if ch.epsilon_applied is None else ch.gains[:-1]
     total = 0.0
     log1p = math.log1p

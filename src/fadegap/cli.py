@@ -26,7 +26,7 @@ import sys
 from . import certify
 from .allocation import closed_form_routes, layer_rates
 from .channel import FadingDistribution
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, ValidationError, validated_index
 from .fading_paper import LN2, _report_of, fading_paper_report
 from .gaps import full_analysis
 from .oracle import brute_force_expected_capacity
@@ -134,6 +134,9 @@ def _emit(payload: dict, fmt: str) -> None:
 def random_distribution(rng: random.Random, max_states: int = 5) -> FadingDistribution:
     """One random channel: K uniform in 2..max_states, gains log-uniform in
     [1e-3, 1e3], probabilities flat-Dirichlet (normalized unit exponentials)."""
+    max_states = validated_index("random_distribution", "max_states", max_states)
+    if max_states < 2:
+        raise ValidationError(f"max-states: must be at least 2, got {max_states}")
     k = rng.randint(2, max_states)
     gains = tuple(10 ** rng.uniform(-3.0, 3.0) for _ in range(k))
     raw = [rng.expovariate(1.0) for _ in range(k)]
@@ -153,6 +156,9 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
     report at inr 0 comes from the public :func:`fading_paper_report`, the
     ones at inr 1 and 1e6 from the trial's own analysis.
     """
+    trials = validated_index("verify", "trials", trials)
+    if trials < 1:
+        raise ValidationError(f"trials: must be positive, got {trials}")
     rng = random.Random(seed)
     tallies = {}  # check name -> (passed, failed, worst margin)
     for _ in range(trials):
@@ -273,10 +279,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ValidationError(f"trials: must be positive, got {args.trials}")
-    if args.max_states < 2:
-        raise ValidationError(f"max-states: must be at least 2, got {args.max_states}")
     if args.max_states > VERIFY_MAX_STATES:
         raise ValidationError(
             f"max-states: must be at most {VERIFY_MAX_STATES}, got {args.max_states}"

@@ -15,7 +15,8 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-# prepare is not called here; perfbench/tracing.py wraps fading_paper.prepare
+# prepare and ergodic_capacity are not called here; perfbench/tracing.py
+# wraps fading_paper.prepare and fading_paper.ergodic_capacity
 from .channel import FadingDistribution, ergodic_capacity, prepare  # noqa: F401
 from .errors import ValidationError
 from .gaps import full_analysis
@@ -63,16 +64,16 @@ def _report_of(analysis, inr: float) -> FadingPaperReport:
     from, for a checked inr."""
     ch, report = analysis.channel, analysis.report
 
+    # the original gains, as ergodic_capacity reads them; a zero gain is
+    # never above 1
+    gains = ch.gains if ch.epsilon_applied is None else ch.gains[:-1]
     rate = 0.0
-    last = ch.num_states - 1
-    for k, (g, p) in enumerate(zip(ch.gains, ch.probs)):
-        if k == last and (ch.epsilon_applied is not None or ch.degenerate):
-            continue
+    for g, p in zip(gains, ch.probs):
         gf = float(g)
         if gf > 1:
             rate += float(p) * math.log(gf)
 
-    c_erg = ergodic_capacity(ch)
+    c_erg = report.c_erg
     c_erg_lower = max(c_erg - LN2, 0.0)
     gap_raw = report.additive_gap - LN2
     return FadingPaperReport(

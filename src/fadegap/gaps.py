@@ -85,23 +85,18 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
     c_erg = ergodic_capacity(ch)
 
     # A single state carries no uncertainty, so the delay constraint is free,
-    # C_exp = C_erg, and the gaps are exactly zero and one.
-    single = ch.num_states == 1
-    c_exp = c_erg if single else expected_capacity(ch, alloc)
+    # C_exp = C_erg, and the gaps below are exactly zero and one.
+    c_exp = c_erg if ch.num_states == 1 else expected_capacity(ch, alloc)
     if c_exp == 0:
         # positive but below the smallest float; the gaps divide by it
         raise ValidationError("expected capacity underflows double precision")
-    if single:
-        additive = 0.0
-        multiplicative = 1.0
-    else:
-        additive = c_erg - c_exp
-        if additive < -GAP_DUST_ATOL:
-            raise InternalConsistencyError(
-                f"expected capacity {c_exp} exceeds ergodic capacity {c_erg}"
-            )
-        additive = max(additive, 0.0)
-        multiplicative = max(c_erg / c_exp, 1.0)
+    additive = c_erg - c_exp
+    if additive < -GAP_DUST_ATOL:
+        raise InternalConsistencyError(
+            f"expected capacity {c_exp} exceeds ergodic capacity {c_erg}"
+        )
+    additive = max(additive, 0.0)
+    multiplicative = max(c_erg / c_exp, 1.0)
 
     # inverse gains ascend, so the ones that overflowed (subnormal gains)
     # come last; their terms are the limits in g.  A Fraction meets a float

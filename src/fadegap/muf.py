@@ -141,7 +141,7 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     most once: O(K) chord ratios and crossings, each crossing the expression
     of :func:`_crossing`, which :func:`intersection` returns.
     """
-    if ch.degenerate or not ch.gains[-1] > 0:
+    if not ch.gains[-1] > 0:
         raise ValidationError("chain construction needs strictly positive gains; run prepare() first")
 
     n, f = ch.inverse_gains, ch.cum_probs
@@ -208,9 +208,9 @@ def dominating_muf(chain: MufChain, ch: PreparedChannel, z):
     check_real("z", z)
     if not z > chain.breakpoints[0]:
         raise ValidationError(f"envelope undefined at z={z} <= -n_1")
-    i = _segment_index(chain, z)
-    state = chain.pi[i - 1]
-    return muf_value(ch, state, z), state
+    # z > -n_1 >= -n_k, so the utility of the state k is defined
+    k = chain.pi[_segment_index(chain, z) - 1]
+    return ch.cum_probs[k - 1] / (ch.inverse_gains[k - 1] + z), k
 
 
 def envelope_integral(chain: MufChain, ch: PreparedChannel, lo, hi) -> float:

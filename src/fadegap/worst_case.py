@@ -17,11 +17,12 @@ state ends up active.
 """
 
 import math
+import numbers
 from fractions import Fraction
 
 from .channel import FadingDistribution
 from .errors import ValidationError, check_real, validated_index, validated_tuple
-from .gaps import analyze
+from .gaps import CapacityReport, analyze
 
 __all__ = [
     "additive_family",
@@ -54,14 +55,18 @@ def _check_states(what: str, K) -> int:
 
 
 def _gains(build, what: str) -> tuple:
-    """The gains build() returns; a gain that overflows double precision
-    (an OverflowError or an infinite float) is refused, naming what."""
+    """The gains build() returns from a positive profile; a gain that
+    overflows double precision (an OverflowError or an infinite float) or
+    underflows it (a zero) is refused, naming what.  A subnormal gain is
+    kept, as FadingDistribution keeps it."""
     try:
         gains = tuple(build())
     except OverflowError:
         gains = (math.inf,)
     if math.inf in gains:
         raise ValidationError(f"{what}: a gain overflows double precision")
+    if 0 in gains:
+        raise ValidationError(f"{what}: a gain underflows double precision")
     return gains
 
 
@@ -168,9 +173,22 @@ def sweep(kind: str, K: int, d_values) -> list:
 
 
 def sweep_to_csv(rows) -> str:
-    """Serialize sweep rows to CSV with full round-trip float precision."""
+    """Serialize sweep rows to CSV with full round-trip float precision.
+
+    Each row is a real d paired with a CapacityReport, as :func:`sweep`
+    returns them; anything else is refused, naming the row.
+    """
     lines = [SWEEP_CSV_HEADER]
-    for d, report in rows:
+    for k, row in enumerate(validated_tuple("rows", rows), start=1):
+        d, report = row if isinstance(row, (tuple, list)) and len(row) == 2 else (None, None)
+        if not (isinstance(d, numbers.Real) and isinstance(report, CapacityReport)):
+            raise ValidationError(f"rows: row {k} is not a real d paired with a CapacityReport")
+        try:
+            d = float(d)
+        except OverflowError:
+            raise ValidationError(
+                f"rows: the d of row {k} lies beyond the double-precision range"
+            ) from None
         lines.append(
             ",".join(
                 repr(float(v))

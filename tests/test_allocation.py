@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -252,13 +253,31 @@ def test_float_rung_settles_an_ordinary_channel(two_state, rungs_used):
     assert rungs_used == [allocation._rung(None)]
 
 
+def _ill_conditioned_fraction():
+    """Exact channel whose second segment's F and n differences are 1e-10
+    of their ends: the conditioning of its Fraction inputs' rounding passes
+    _MAX_REL_ERR on the float rung."""
+    e = Fraction(1, 10**10)
+    gains = tuple(1 / n for n in (Fraction(1), 1 + 3 * e / 2, Fraction(4)))
+    return FadingDistribution(gains, (Fraction(1, 2), e / 2, Fraction(1, 2) - e / 2))
+
+
+def test_float_rung_refuses_an_ill_conditioned_fraction_segment():
+    ch, _, alloc = pipeline(_ill_conditioned_fraction())
+    active = alloc.active_states
+    assert allocation._evaluate(ch, active, True, True, allocation._rung(None)) is None
+    assert allocation._evaluate(ch, active, True, True, allocation._rung(60)) is not None
+    assert expected_capacity(ch, alloc) == 0.34657359028185675
+
+
 @pytest.mark.parametrize(
     "dist",
     [
         low_snr_instance((5, 3, 1), (0.2, 0.3, 0.5), 1e-6),
         multiplicative_family(4, 1e4),
+        _ill_conditioned_fraction(),
     ],
-    ids=["low-snr-1e-6", "multiplicative-4-1e4"],
+    ids=["low-snr-1e-6", "multiplicative-4-1e4", "ill-conditioned-fraction"],
 )
 def test_escalating_channels_match_reference(dist, rungs_used):
     ch, _, alloc = pipeline(dist)

@@ -10,7 +10,7 @@ import pytest
 
 import fadegap
 from conftest import strict_json
-from fadegap import certify, cli, multiplicative_family
+from fadegap import cli, multiplicative_family
 from fadegap.cli import run, verify_run
 from fadegap.fading_paper import LN2
 from fadegap.worst_case import SWEEP_CSV_HEADER
@@ -336,6 +336,21 @@ def test_verify_refuses_max_states_above_1024(capsys, monkeypatch, max_states):
     assert "max-states: must be at most 1024" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", "0"], "error: trials: must be positive, got 0\n"),
+        (["--max-states", "1"], "error: max-states: must be at least 2, got 1\n"),
+    ],
+    ids=["trials-0", "max-states-1"],
+)
+def test_verify_refuses_too_few_trials_or_states(capsys, flags, message):
+    code, out, err = run_capture(capsys, ["verify", *flags])
+    assert code == 1
+    assert out == ""
+    assert err == message
+
+
 def test_verify_small_run(capsys):
     code, out, _ = run_capture(
         capsys, ["verify", "--trials", "5", "--seed", "3", "--max-states", "4"]
@@ -348,7 +363,7 @@ def test_verify_small_run(capsys):
 def test_verify_analyses_each_trial_once_beside_one_public_report(monkeypatch):
     # one full_analysis in verify_run, one inside its fading_paper_report
     # call; the reports at inr 1 and 1e6 come from verify_run's analysis,
-    # and muf_value is reached only through dominating_muf's samples
+    # and the envelope samples of dominating_muf never call muf_value
     def recording(module, name):
         """(args, result) of every call of module.name."""
         calls, fn = [], getattr(module, name)
@@ -367,7 +382,7 @@ def test_verify_analyses_each_trial_once_beside_one_public_report(monkeypatch):
     assert verify_run(trials=3, seed=5)["ok"]
     assert len(analyses) == len(public) == 3
     assert [id(args[0]) for args, _ in reports] == [id(a) for _, a in analyses for _ in range(2)]
-    assert len(utilities) == 3 * certify.ENVELOPE_SAMPLES
+    assert len(utilities) == 0
 
 
 def test_verify_run_is_seed_deterministic():
@@ -391,6 +406,16 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
             ["family", "--kind", "multiplicative", "--states", "4", "--d", "60", "--emit", "report"],
             None,
         ),
+        # the zero-gain substitute (about 5e5) is above 1 and must not add
+        # to the achievable rate
+        (
+            "fading_paper_zero_gain.csv",
+            ["fading-paper", "--format", "csv"],
+            {"gains": [1e9, 0], "probs": [0.999999, 1e-6]},
+        ),
+        ("capacity_zero_gain.json", ["capacity"], {"gains": [0], "probs": [1]}),
+        ("fading_paper_zero_gain.json", ["fading-paper"], {"gains": [0], "probs": [1]}),
+        ("capacity_single_state.json", ["capacity"], {"gains": [3], "probs": [1]}),
         ("verify_200_seed0.txt", ["verify", "--trials", "200", "--seed", "0"], None),
         (
             "verify_50_seed7_k8.txt",
@@ -402,6 +427,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         "two-state",
         "tiny-gains",
         "multiplicative-family",
+        "fading-paper-zero-gain-substitute",
+        "capacity-degenerate",
+        "fading-paper-degenerate",
+        "capacity-single-state",
         "verify-200-seed0",
         "verify-50-seed7-k8",
     ],

@@ -14,15 +14,26 @@ import contextlib
 import io
 import json
 import math
+import random
+import re
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import strict_json
-from fadegap import FadingDistribution, certify, full_analysis
-from fadegap.cli import run
+from fadegap import (
+    FadingDistribution,
+    analyze,
+    certify,
+    fading_paper_report,
+    full_analysis,
+    prepare,
+    sweep_to_csv,
+)
+from fadegap.cli import random_distribution, run, verify_run
 from fadegap.errors import InternalConsistencyError, ValidationError
 
 _SETTINGS = settings(
@@ -148,3 +159,51 @@ def test_sweep_exits_0_1_or_2_without_a_traceback(kind, states, ds):
     d_values = ",".join(map(repr, ds))
     argv = ["sweep", f"--kind={kind}", f"--states={states}", f"--d-values={d_values}"]
     _assert_exit_contract(argv)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: analyze(None), "prepare needs a FadingDistribution, got NoneType"),
+        (lambda: full_analysis(None), "prepare needs a FadingDistribution, got NoneType"),
+        (
+            lambda: fading_paper_report(None, 0.0),
+            "prepare needs a FadingDistribution, got NoneType",
+        ),
+        (lambda: prepare("x"), "prepare needs a FadingDistribution, got str"),
+        (lambda: sweep_to_csv(None), "rows: expected a sequence of numbers, got NoneType"),
+        (
+            lambda: sweep_to_csv([(1.0, None)]),
+            "rows: row 1 is not a real d paired with a CapacityReport",
+        ),
+        (lambda: sweep_to_csv([None]), "rows: row 1 is not a real d paired with a CapacityReport"),
+        (
+            lambda: sweep_to_csv([(10**400, analyze(FadingDistribution((1.0,), (1.0,))))]),
+            "rows: the d of row 1 lies beyond the double-precision range",
+        ),
+        (lambda: verify_run(3, 0, 1), "max-states: must be at least 2, got 1"),
+        (
+            lambda: random_distribution(random.Random(0), 1),
+            "max-states: must be at least 2, got 1",
+        ),
+        (lambda: verify_run(2.5), "verify needs an integer trials, got trials=2.5"),
+        (lambda: verify_run(0), "trials: must be positive, got 0"),
+    ],
+    ids=[
+        "analyze-None",
+        "full_analysis-None",
+        "fading_paper_report-None",
+        "prepare-str",
+        "sweep_to_csv-None",
+        "sweep_to_csv-row-None-report",
+        "sweep_to_csv-row-None",
+        "sweep_to_csv-huge-d",
+        "verify_run-max-states-1",
+        "random_distribution-max-states-1",
+        "verify_run-trials-2.5",
+        "verify_run-trials-0",
+    ],
+)
+def test_a_wrong_argument_raises_a_validation_error(call, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()

@@ -156,6 +156,14 @@ def test_snr_instances_check_snr_after_the_profile(build):
             lambda: multiplicative_family(2.5, 10.0),
             "multiplicative family needs an integer K, got K=2.5",
         ),
+        (
+            lambda: low_snr_instance((1e-200, 1e-250), (0.5, 0.5), 1e-200),
+            "snr = 1e-200: a gain underflows double precision",
+        ),
+        (
+            lambda: high_snr_instance((2.0, 1.0), (0.5, 0.5), 1e-200),
+            "snr = 1e-200: a gain underflows double precision",
+        ),
     ],
     ids=[
         "multiplicative-inf",
@@ -172,11 +180,19 @@ def test_snr_instances_check_snr_after_the_profile(build):
         "sweep-1e200",
         "additive-K2.5",
         "multiplicative-K2.5",
+        "low-snr-underflow",
+        "high-snr-underflow",
     ],
 )
 def test_generators_refuse_non_finite_or_overflowing_parameters(build, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         build()
+
+
+def test_snr_instances_keep_subnormal_gains():
+    # a subnormal gain is nonzero, and FadingDistribution keeps it
+    assert low_snr_instance((1.0, 0.5), (0.5, 0.5), 1e-310).gains == (1e-310, 5e-311)
+    assert high_snr_instance((2.0, 1.0), (0.5, 0.5), 1e-155).gains == (1e-310, 1e-155)
 
 
 def test_sweep_additive_gap_grows():
