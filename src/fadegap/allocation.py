@@ -48,7 +48,13 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .channel import PreparedChannel
-from .errors import InternalConsistencyError, ValidationError, check_real, validated_tuple
+from .errors import (
+    InternalConsistencyError,
+    ValidationError,
+    check_instance,
+    check_real,
+    validated_tuple,
+)
 from .muf import MufChain
 
 __all__ = [
@@ -113,6 +119,8 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     states split the budget at the chain breakpoints, and everything from
     the weakest active state on rides at the full budget.
     """
+    check_instance("optimal_allocation", "ch", ch, PreparedChannel)
+    check_instance("optimal_allocation", "chain", chain, MufChain)
     k_states = ch.num_states
     pi, bps, s, w = chain.pi, chain.breakpoints, chain.s, chain.w
     one = Fraction(1) if isinstance(ch.gains[0], Fraction) else 1.0
@@ -136,6 +144,8 @@ def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))``, zero for every state
     with an empty layer.  Their sum weighted by ``F_k`` is the expected
     rate of the allocation."""
+    check_instance("layer_rates", "ch", ch, PreparedChannel)
+    check_instance("layer_rates", "alloc", alloc, PowerAllocation)
     beta = alloc.beta
     # log1p takes a Fraction as its float(); (b - 0) / (n_1 + 0) is exact
     # in floats and in Fractions alike
@@ -498,6 +508,8 @@ def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     value from the rung that settled their comparison (the same rung or a
     lower one); the agreement gate itself is not applied.
     """
+    check_instance("closed_form_routes", "ch", ch, PreparedChannel)
+    check_instance("closed_form_routes", "alloc", alloc, PowerAllocation)
     per_state, grouped, _ = _routes(ch, alloc)
     return float(per_state), float(grouped)
 
@@ -508,6 +520,8 @@ def expected_capacity(ch: PreparedChannel, alloc: PowerAllocation) -> float:
     Evaluates both closed forms and raises InternalConsistencyError if they
     disagree beyond ROUTE_RTOL relative; returns the per-state form.
     """
+    check_instance("expected_capacity", "ch", ch, PreparedChannel)
+    check_instance("expected_capacity", "alloc", alloc, PowerAllocation)
     per_state, grouped, agree = _routes(ch, alloc)
     if not agree:
         raise InternalConsistencyError(
@@ -523,6 +537,7 @@ def expected_rate_of(ch: PreparedChannel, beta) -> float:
     shared by the brute-force certifier and feasibility tests and does not
     touch the envelope machinery.
     """
+    check_instance("expected_rate_of", "ch", ch, PreparedChannel)
     beta = validated_tuple("beta", beta)
     if len(beta) != ch.num_states:
         raise ValidationError(f"beta must have {ch.num_states} entries, got {len(beta)}")

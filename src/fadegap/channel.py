@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .errors import ValidationError, validated_tuple
+from .errors import ValidationError, check_instance, validated_tuple
 
 __all__ = [
     "FadingDistribution",
@@ -170,8 +170,7 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     The single-state zero-gain channel is returned with ``degenerate=True``
     rather than rejected: both capacities are exactly zero for it.
     """
-    if not isinstance(dist, FadingDistribution):
-        raise ValidationError(f"prepare needs a FadingDistribution, got {type(dist).__name__}")
+    check_instance("prepare", "dist", dist, FadingDistribution)
     pairs = sorted(zip(dist.gains, dist.probs), key=itemgetter(0), reverse=True)
     gains, probs = _merge_duplicates(pairs)
 
@@ -257,6 +256,7 @@ def ergodic_capacity(ch: PreparedChannel) -> float:
     contributes exactly zero even though the prepared channel carries the
     epsilon substitute.
     """
+    check_instance("ergodic_capacity", "ch", ch, PreparedChannel)
     gains = ch.gains if ch.epsilon_applied is None else ch.gains[:-1]
     total = 0.0
     log1p = math.log1p
@@ -273,6 +273,7 @@ def entropy(ch: PreparedChannel) -> float:
     uniform distribution takes one log; the terms are still subtracted state
     by state, in order.
     """
+    check_instance("entropy", "ch", ch, PreparedChannel)
     total = 0.0
     log = math.log
     # equal by value: a Fraction and the float it equals give the same term

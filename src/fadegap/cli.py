@@ -23,7 +23,6 @@ import os
 import random
 import sys
 
-from . import certify
 from .allocation import closed_form_routes, layer_rates
 from .channel import FadingDistribution
 from .errors import InternalConsistencyError, ValidationError, validated_index
@@ -156,6 +155,8 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
     report at inr 0 comes from the public :func:`fading_paper_report`, the
     ones at inr 1 and 1e6 from the trial's own analysis.
     """
+    from . import certify
+
     trials = validated_index("verify", "trials", trials)
     if trials < 1:
         raise ValidationError(f"trials: must be positive, got {trials}")

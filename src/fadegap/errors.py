@@ -27,10 +27,23 @@ def validated_index(what: str, name: str, value) -> int:
 
 
 def check_real(name: str, value) -> None:
-    """Refuse a value that is not a real number, naming it, before anything
-    compares it."""
+    """Refuse a value that is not a real number, or one (an int, a Fraction)
+    beyond the float range, naming it, before anything compares it.  An
+    infinite float passes."""
     if not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} lies beyond the double-precision range") from None
+
+
+def check_instance(what: str, name: str, value, cls) -> None:
+    """Refuse a value that is not a cls, naming what and the argument."""
+    if not isinstance(value, cls):
+        raise ValidationError(
+            f"{what} needs a {cls.__name__}, got {type(value).__name__} for {name}"
+        )
 
 
 def validated_tuple(name: str, values) -> tuple:

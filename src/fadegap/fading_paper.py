@@ -18,7 +18,7 @@ from dataclasses import dataclass
 # prepare and ergodic_capacity are not called here; perfbench/tracing.py
 # wraps fading_paper.prepare and fading_paper.ergodic_capacity
 from .channel import FadingDistribution, ergodic_capacity, prepare  # noqa: F401
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .gaps import full_analysis
 from .worst_case import _check_states
 
@@ -56,6 +56,7 @@ def fading_paper_report(dist: FadingDistribution, inr: float) -> FadingPaperRepo
     """
     if not (isinstance(inr, numbers.Real) and inr >= 0):
         raise ValidationError(f"inr must be a nonnegative real number, got {inr!r}")
+    check_real("inr", inr)
     return _report_of(full_analysis(dist), inr)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import PreparedChannel
-from .errors import ValidationError, check_real, validated_index
+from .errors import ValidationError, check_instance, check_real, validated_index
 
 __all__ = [
     "MufChain",
@@ -77,6 +77,7 @@ def muf_value(ch: PreparedChannel, k: int, z):
 
     Only defined for 1 <= k <= K and z > -n_k, where it is strictly positive.
     """
+    check_instance("muf_value", "ch", ch, PreparedChannel)
     k = validated_index("muf_value", "k", k)
     if not 1 <= k <= ch.num_states:
         raise ValidationError(f"muf_value needs 1 <= k <= K, got k={k}")
@@ -96,6 +97,7 @@ def intersection(ch: PreparedChannel, k: int, l: int):
     gain overflowed crosses every other state at +inf, as in
     :func:`build_chain`, another overflowed one included.
     """
+    check_instance("intersection", "ch", ch, PreparedChannel)
     k = validated_index("intersection", "k", k)
     l = validated_index("intersection", "l", l)
     if not 1 <= k < l <= ch.num_states:
@@ -141,6 +143,7 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     most once: O(K) chord ratios and crossings, each crossing the expression
     of :func:`_crossing`, which :func:`intersection` returns.
     """
+    check_instance("build_chain", "ch", ch, PreparedChannel)
     if not ch.gains[-1] > 0:
         raise ValidationError("chain construction needs strictly positive gains; run prepare() first")
 
@@ -205,6 +208,8 @@ def dominating_muf(chain: MufChain, ch: PreparedChannel, z):
     Returns ``(u*(z), k)`` where k is the 1-based state index whose utility
     equals the pointwise maximum at z.
     """
+    check_instance("dominating_muf", "chain", chain, MufChain)
+    check_instance("dominating_muf", "ch", ch, PreparedChannel)
     check_real("z", z)
     if not z > chain.breakpoints[0]:
         raise ValidationError(f"envelope undefined at z={z} <= -n_1")
@@ -220,6 +225,8 @@ def envelope_integral(chain: MufChain, ch: PreparedChannel, lo, hi) -> float:
     boundaries inside the range split the integration exactly, so the only
     error is the final float rounding of each log.
     """
+    check_instance("envelope_integral", "chain", chain, MufChain)
+    check_instance("envelope_integral", "ch", ch, PreparedChannel)
     check_real("lo", lo)
     check_real("hi", hi)
     if not 0 <= lo <= hi:

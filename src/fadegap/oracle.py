@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .allocation import expected_rate_of
 from .channel import PreparedChannel
-from .errors import ValidationError
+from .errors import ValidationError, check_instance
 
 __all__ = ["OracleResult", "brute_force_expected_capacity"]
 
@@ -116,6 +116,7 @@ def brute_force_expected_capacity(ch: PreparedChannel, tol: float) -> OracleResu
     rate of the returned beta, recomputed through the shared objective
     evaluator, and iterations counts the phi evaluations.
     """
+    check_instance("brute_force_expected_capacity", "ch", ch, PreparedChannel)
     if not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValidationError(f"tol must be a positive real number, got {tol!r}")
     if ch.degenerate:

@@ -183,12 +183,7 @@ def sweep_to_csv(rows) -> str:
         d, report = row if isinstance(row, (tuple, list)) and len(row) == 2 else (None, None)
         if not (isinstance(d, numbers.Real) and isinstance(report, CapacityReport)):
             raise ValidationError(f"rows: row {k} is not a real d paired with a CapacityReport")
-        try:
-            d = float(d)
-        except OverflowError:
-            raise ValidationError(
-                f"rows: the d of row {k} lies beyond the double-precision range"
-            ) from None
+        check_real(f"rows: the d of row {k}", d)
         lines.append(
             ",".join(
                 repr(float(v))

@@ -1,0 +1,152 @@
+"""The package root: ``import fadegap`` loads the analysis pipeline only, and
+every public name still resolves from it.
+
+Each check runs in a fresh interpreter, since this process has long since
+imported the rest of the package.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import fadegap
+
+#: Submodules ``import fadegap`` loads; everything else waits for first use.
+PIPELINE = {"errors", "channel", "muf", "allocation", "gaps"}
+
+#: Modules the analysis pipeline must not pull in.
+DEFERRED = ["fadegap.oracle", "fadegap.worst_case", "fadegap.fading_paper"]
+DEFERRED += ["fadegap.certify", "fadegap.cli", "mpmath"]
+
+#: ``fadegap.__all__``, in order.
+PUBLIC_NAMES = [
+    "FadingDistribution",
+    "PreparedChannel",
+    "prepare",
+    "ergodic_capacity",
+    "entropy",
+    "MufChain",
+    "muf_value",
+    "intersection",
+    "build_chain",
+    "dominating_muf",
+    "envelope_integral",
+    "PowerAllocation",
+    "optimal_allocation",
+    "expected_capacity",
+    "closed_form_routes",
+    "expected_rate_of",
+    "CapacityReport",
+    "Analysis",
+    "analyze",
+    "full_analysis",
+    "additive_family",
+    "multiplicative_family",
+    "high_snr_instance",
+    "low_snr_instance",
+    "sweep",
+    "sweep_to_csv",
+    "OracleResult",
+    "brute_force_expected_capacity",
+    "FadingPaperReport",
+    "fading_paper_report",
+    "worst_case_fp_bracket",
+    "ValidationError",
+    "InternalConsistencyError",
+    "__version__",
+]
+
+
+def fresh(code: str):
+    """The JSON value a fresh interpreter prints after running code."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fadegap.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_only_the_analysis_pipeline():
+    loaded = fresh("import fadegap\nprint(json.dumps(sorted(sys.modules)))")
+    package = {m.removeprefix("fadegap.") for m in loaded if m.startswith("fadegap.")}
+    assert package == PIPELINE
+    assert "fadegap" in loaded
+    assert not set(DEFERRED) & set(loaded)
+
+
+def test_import_of_the_cli_defers_the_certification_layer():
+    loaded = fresh("import fadegap.cli\nprint(json.dumps(sorted(sys.modules)))")
+    assert "fadegap.cli" in loaded
+    assert "fadegap.certify" not in loaded
+
+
+def test_every_public_name_is_its_submodules_object():
+    mismatched = fresh(
+        """
+import importlib
+import fadegap
+mismatched = []
+for name in fadegap.__all__:
+    value = getattr(fadegap, name)
+    home = getattr(value, "__module__", None) or "fadegap"
+    if getattr(importlib.import_module(home), name) is not value:
+        mismatched.append(name)
+print(json.dumps(mismatched))
+"""
+    )
+    assert mismatched == []
+
+
+def test_star_import_binds_every_public_name():
+    missing = fresh(
+        """
+import fadegap
+from fadegap import *
+print(json.dumps([name for name in fadegap.__all__ if name not in globals()]))
+"""
+    )
+    assert missing == []
+
+
+def test_dir_lists_every_public_name():
+    facts = fresh(
+        """
+import fadegap
+print(json.dumps([sorted(set(fadegap.__all__) - set(dir(fadegap))), hasattr(fadegap, "nope")]))
+"""
+    )
+    assert facts == [[], False]
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error():
+    message = fresh(
+        """
+import fadegap
+try:
+    fadegap.nope
+except AttributeError as exc:
+    print(json.dumps(str(exc)))
+"""
+    )
+    assert message == "module 'fadegap' has no attribute 'nope'"
+
+
+def test_submodules_import_from_the_package():
+    names = fresh(
+        """
+from fadegap import cli, fading_paper, gaps, worst_case
+print(json.dumps([m.__name__ for m in (cli, fading_paper, gaps, worst_case)]))
+"""
+    )
+    assert names == ["fadegap.cli", "fadegap.fading_paper", "fadegap.gaps", "fadegap.worst_case"]
+
+
+def test_public_names_keep_their_order():
+    assert fadegap.__all__ == PUBLIC_NAMES

@@ -27,12 +27,25 @@ from conftest import strict_json
 from fadegap import (
     FadingDistribution,
     analyze,
+    brute_force_expected_capacity,
+    build_chain,
     certify,
+    closed_form_routes,
+    dominating_muf,
+    entropy,
+    envelope_integral,
+    ergodic_capacity,
+    expected_capacity,
+    expected_rate_of,
     fading_paper_report,
     full_analysis,
+    intersection,
+    muf_value,
+    optimal_allocation,
     prepare,
     sweep_to_csv,
 )
+from fadegap.allocation import layer_rates
 from fadegap.cli import random_distribution, run, verify_run
 from fadegap.errors import InternalConsistencyError, ValidationError
 
@@ -161,6 +174,12 @@ def test_sweep_exits_0_1_or_2_without_a_traceback(kind, states, ds):
     _assert_exit_contract(argv)
 
 
+_DIST = FadingDistribution((4.0, 1.0), (0.5, 0.5))
+_CH = prepare(_DIST)
+_CHAIN = build_chain(_CH)
+_ALLOC = optimal_allocation(_CH, _CHAIN)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -188,6 +207,27 @@ def test_sweep_exits_0_1_or_2_without_a_traceback(kind, states, ds):
         ),
         (lambda: verify_run(2.5), "verify needs an integer trials, got trials=2.5"),
         (lambda: verify_run(0), "trials: must be positive, got 0"),
+        (lambda: muf_value(_CH, 1, 10**400), "z lies beyond the double-precision range"),
+        (
+            lambda: muf_value(_CH, 1, Fraction(10**400, 3)),
+            "z lies beyond the double-precision range",
+        ),
+        (
+            lambda: dominating_muf(_CHAIN, _CH, 10**400),
+            "z lies beyond the double-precision range",
+        ),
+        (
+            lambda: envelope_integral(_CHAIN, _CH, 0, 10**400),
+            "hi lies beyond the double-precision range",
+        ),
+        (
+            lambda: fading_paper_report(_DIST, 10**400),
+            "inr lies beyond the double-precision range",
+        ),
+        (
+            lambda: build_chain(_DIST),
+            "build_chain needs a PreparedChannel, got FadingDistribution for ch",
+        ),
     ],
     ids=[
         "analyze-None",
@@ -202,8 +242,50 @@ def test_sweep_exits_0_1_or_2_without_a_traceback(kind, states, ds):
         "random_distribution-max-states-1",
         "verify_run-trials-2.5",
         "verify_run-trials-0",
+        "muf_value-huge-z",
+        "muf_value-huge-fraction-z",
+        "dominating_muf-huge-z",
+        "envelope_integral-huge-hi",
+        "fading_paper_report-huge-inr",
+        "build_chain-distribution",
     ],
 )
 def test_a_wrong_argument_raises_a_validation_error(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         call()
+
+
+def test_an_infinite_float_stays_accepted():
+    assert muf_value(_CH, 1, math.inf) == 0.0
+    assert dominating_muf(_CHAIN, _CH, math.inf) == (0.0, 2)
+
+
+#: (stage, arguments with one None, the class it needs there, that argument)
+_NONE_ARGUMENTS = [
+    (build_chain, (None,), "PreparedChannel", "ch"),
+    (optimal_allocation, (_CH, None), "MufChain", "chain"),
+    (optimal_allocation, (None, _CHAIN), "PreparedChannel", "ch"),
+    (expected_capacity, (_CH, None), "PowerAllocation", "alloc"),
+    (closed_form_routes, (None, _ALLOC), "PreparedChannel", "ch"),
+    (layer_rates, (_CH, None), "PowerAllocation", "alloc"),
+    (expected_rate_of, (None, (0.5, 1.0)), "PreparedChannel", "ch"),
+    (ergodic_capacity, (None,), "PreparedChannel", "ch"),
+    (entropy, (None,), "PreparedChannel", "ch"),
+    (intersection, (None, 1, 2), "PreparedChannel", "ch"),
+    (muf_value, (None, 1, 0.5), "PreparedChannel", "ch"),
+    (dominating_muf, (None, _CH, 0.5), "MufChain", "chain"),
+    (envelope_integral, (_CHAIN, None, 0, 1), "PreparedChannel", "ch"),
+    (brute_force_expected_capacity, (None, 1e-7), "PreparedChannel", "ch"),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, args, cls, name",
+    _NONE_ARGUMENTS,
+    ids=[f"{stage.__name__}-{name}" for stage, _, _, name in _NONE_ARGUMENTS],
+)
+def test_a_stage_refuses_a_prepared_argument_of_the_wrong_type(stage, args, cls, name):
+    message = f"{stage.__name__} needs a {cls}, got NoneType for {name}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        stage(*args)
+
