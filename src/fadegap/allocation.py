@@ -55,7 +55,7 @@ from .errors import (
     check_real,
     validated_tuple,
 )
-from .muf import MufChain
+from .muf import MufChain, check_chain_fits
 
 __all__ = [
     "PowerAllocation",
@@ -121,8 +121,14 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     """
     check_instance("optimal_allocation", "ch", ch, PreparedChannel)
     check_instance("optimal_allocation", "chain", chain, MufChain)
+    check_chain_fits("optimal_allocation", chain, ch)
     k_states = ch.num_states
     pi, bps, s, w = chain.pi, chain.breakpoints, chain.s, chain.w
+    if not 1 <= s <= w <= len(pi):
+        raise ValidationError(
+            f"optimal_allocation needs a chain with 1 <= s <= w <= {len(pi)},"
+            f" got s={s}, w={w}"
+        )
     one = Fraction(1) if isinstance(ch.gains[0], Fraction) else 1.0
 
     beta = [one - one] * (pi[s - 1] - 1)
@@ -146,12 +152,24 @@ def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     rate of the allocation."""
     check_instance("layer_rates", "ch", ch, PreparedChannel)
     check_instance("layer_rates", "alloc", alloc, PowerAllocation)
+    _check_allocation_fits("layer_rates", ch, alloc)
     beta = alloc.beta
     # log1p takes a Fraction as its float(); (b - 0) / (n_1 + 0) is exact
     # in floats and in Fractions alike
     log1p = math.log1p
     steps = zip(beta, itertools.chain((0,), beta), ch.inverse_gains)
     return tuple([log1p((b - prev) / (nk + prev)) for b, prev, nk in steps])
+
+
+def _check_allocation_fits(what: str, ch: PreparedChannel, alloc: PowerAllocation) -> None:
+    """Refuse an allocation without one power and one factor per state of
+    ch, naming what."""
+    k_states = ch.num_states
+    if not len(alloc.beta) == len(alloc.lam) == k_states:
+        raise ValidationError(
+            f"{what} needs an allocation of {k_states} states, got"
+            f" {len(alloc.beta)} powers and {len(alloc.lam)} factors"
+        )
 
 
 def _decoded_rate_factors(n, f, frontier) -> list:
@@ -510,6 +528,7 @@ def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     """
     check_instance("closed_form_routes", "ch", ch, PreparedChannel)
     check_instance("closed_form_routes", "alloc", alloc, PowerAllocation)
+    _check_allocation_fits("closed_form_routes", ch, alloc)
     per_state, grouped, _ = _routes(ch, alloc)
     return float(per_state), float(grouped)
 
@@ -522,6 +541,7 @@ def expected_capacity(ch: PreparedChannel, alloc: PowerAllocation) -> float:
     """
     check_instance("expected_capacity", "ch", ch, PreparedChannel)
     check_instance("expected_capacity", "alloc", alloc, PowerAllocation)
+    _check_allocation_fits("expected_capacity", ch, alloc)
     per_state, grouped, agree = _routes(ch, alloc)
     if not agree:
         raise InternalConsistencyError(

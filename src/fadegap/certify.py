@@ -11,8 +11,10 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from .allocation import ROUTE_RTOL
+from .channel import PreparedChannel
+from .errors import check_instance
 from .fading_paper import LN2
-from .muf import dominating_muf, intersection
+from .muf import MufChain, dominating_muf, intersection
 
 __all__ = [
     "Margin",
@@ -132,6 +134,8 @@ def chain_ordering_properties(ch, chain) -> Margin:
     (:func:`~fadegap.muf.intersection`), so two equal crossings, infinite
     ones included, are no gap; a NaN or +inf gap fails.
     """
+    check_instance("chain_ordering_properties", "ch", ch, PreparedChannel)
+    check_instance("chain_ordering_properties", "chain", chain, MufChain)
     pi, points = chain.pi, chain.breakpoints
     rising = all(a < b for a, b in zip(pi, pi[1:]))
     if not (rising and pi and pi[0] == 1 and pi[-1] == ch.num_states):

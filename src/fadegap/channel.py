@@ -125,7 +125,7 @@ class PreparedChannel:
         cum_probs: ``F_k``, strictly increasing with ``F_K ~ 1``.
         epsilon_applied: substitute used for an input zero gain, or None.
         degenerate: True only for the single-state all-zero-gain channel,
-            which carries no information and admits no inverse gains.
+            which carries no information; its inverse gain is inf.
     """
 
     gains: tuple
@@ -165,23 +165,16 @@ def _zero_gain_epsilon(gains, cum_probs):
 
 def prepare(dist: FadingDistribution) -> PreparedChannel:
     """Canonicalize a distribution: sort descending, merge duplicate gains,
-    and substitute a positive epsilon for a zero smallest gain.
+    and substitute a positive epsilon for a zero smallest gain after a
+    positive one.
 
-    The single-state zero-gain channel is returned with ``degenerate=True``
-    rather than rejected: both capacities are exactly zero for it.
+    The single-state zero-gain channel keeps its zero gain, with inverse
+    gain inf, and is returned with ``degenerate=True`` rather than rejected:
+    both capacities are exactly zero for it.
     """
     check_instance("prepare", "dist", dist, FadingDistribution)
     pairs = sorted(zip(dist.gains, dist.probs), key=itemgetter(0), reverse=True)
     gains, probs = _merge_duplicates(pairs)
-
-    if len(gains) == 1 and gains[0] == 0:
-        return PreparedChannel(
-            gains=(gains[0],),
-            probs=(probs[0],),
-            inverse_gains=(math.inf,),
-            cum_probs=(probs[0],),
-            degenerate=True,
-        )
 
     # a probability below the resolution of the running sum leaves F_k equal
     # to F_{k-1}; two such states have no crossing, so the channel is refused
@@ -197,7 +190,7 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         cum.append(acc)
 
     epsilon = None
-    if gains[-1] == 0:
+    if gains[-1] == 0 and len(gains) > 1:
         epsilon = _zero_gain_epsilon(gains, cum)
         if epsilon == 0:
             raise ValidationError(
@@ -205,7 +198,8 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
             )
         gains[-1] = epsilon
 
-    inverse = [1 / g for g in gains]
+    # only the single zero-gain state is still zero
+    inverse = [1 / g for g in gains] if gains[-1] else [math.inf]
     # a float inverse below the normal range has lost bits, and the decoded
     # rate factors built on it overflow
     if inverse[0] < _FLOAT_MIN and isinstance(inverse[0], float):
@@ -222,6 +216,7 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         inverse_gains=tuple(inverse),
         cum_probs=tuple(cum),
         epsilon_applied=epsilon,
+        degenerate=not gains[-1],
     )
 
 
@@ -241,8 +236,9 @@ def _check_overflowed_inverses(gains, inverse, cum):
             )
         # a float one is inf, a state taken to receive no power; that holds
         # when a finite state's utility beats its F_k g_k / (1 + g_k) at
-        # z = 1, the end of the budget where the weaker state fares best
-        if finite and not best > cum[k] * gains[k]:
+        # z = 1, the end of the budget where the weaker state fares best.
+        # With no finite state best is 0, so only a single state passes
+        if len(inverse) > 1 and not best > cum[k] * gains[k]:
             raise ValidationError(
                 f"gains: the inverse of the gain {gains[k]} of state {k + 1} overflows"
                 " double precision, and the state may receive power"

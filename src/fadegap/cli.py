@@ -33,7 +33,7 @@ from .worst_case import additive_family, multiplicative_family, sweep, sweep_to_
 
 __all__ = ["main", "run", "random_distribution", "verify_run"]
 
-#: Largest --max-states verify accepts, and a bound on the K a trial may
+#: Largest max_states verify_run accepts, and a bound on the K a trial may
 #: draw; CI certifies the oracle on high-SNR ladders up to K = 4096.
 VERIFY_MAX_STATES = 1024
 
@@ -160,6 +160,11 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
     trials = validated_index("verify", "trials", trials)
     if trials < 1:
         raise ValidationError(f"trials: must be positive, got {trials}")
+    max_states = validated_index("verify", "max_states", max_states)
+    if max_states > VERIFY_MAX_STATES:
+        raise ValidationError(
+            f"max-states: must be at most {VERIFY_MAX_STATES}, got {max_states}"
+        )
     rng = random.Random(seed)
     tallies = {}  # check name -> (passed, failed, worst margin)
     for _ in range(trials):
@@ -280,10 +285,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_states > VERIFY_MAX_STATES:
-        raise ValidationError(
-            f"max-states: must be at most {VERIFY_MAX_STATES}, got {args.max_states}"
-        )
     summary = verify_run(trials=args.trials, seed=args.seed, max_states=args.max_states)
     for line in summary["lines"]:
         print(line)

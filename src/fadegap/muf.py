@@ -195,6 +195,18 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     return MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
 
 
+def check_chain_fits(what: str, chain: MufChain, ch: PreparedChannel) -> None:
+    """Refuse a chain that does not end at state K of ch, or whose
+    breakpoints are not one more than its states, naming what.  O(1): it
+    reads the ends of the chain a stage indexes, not the chain."""
+    pi, k_states = chain.pi, ch.num_states
+    if not (pi and pi[-1] == k_states and len(chain.breakpoints) == len(pi) + 1):
+        raise ValidationError(
+            f"{what} needs a chain that ends at state {k_states} of the channel,"
+            " with one more breakpoint than states"
+        )
+
+
 def _segment_index(chain: MufChain, z) -> int:
     """1-based envelope segment containing z; exact breakpoints belong to the
     higher segment (both neighbours agree in value there)."""
@@ -210,6 +222,7 @@ def dominating_muf(chain: MufChain, ch: PreparedChannel, z):
     """
     check_instance("dominating_muf", "chain", chain, MufChain)
     check_instance("dominating_muf", "ch", ch, PreparedChannel)
+    check_chain_fits("dominating_muf", chain, ch)
     check_real("z", z)
     if not z > chain.breakpoints[0]:
         raise ValidationError(f"envelope undefined at z={z} <= -n_1")
@@ -227,6 +240,7 @@ def envelope_integral(chain: MufChain, ch: PreparedChannel, lo, hi) -> float:
     """
     check_instance("envelope_integral", "chain", chain, MufChain)
     check_instance("envelope_integral", "ch", ch, PreparedChannel)
+    check_chain_fits("envelope_integral", chain, ch)
     check_real("lo", lo)
     check_real("hi", hi)
     if not 0 <= lo <= hi:

@@ -119,8 +119,6 @@ def brute_force_expected_capacity(ch: PreparedChannel, tol: float) -> OracleResu
     check_instance("brute_force_expected_capacity", "ch", ch, PreparedChannel)
     if not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValidationError(f"tol must be a positive real number, got {tol!r}")
-    if ch.degenerate:
-        raise ValidationError("cannot search a degenerate zero-gain channel")
 
     g = [float(x) for x in ch.gains]
     f = [float(x) for x in ch.cum_probs]
@@ -134,7 +132,8 @@ def brute_force_expected_capacity(ch: PreparedChannel, tol: float) -> OracleResu
         evaluations += sum(map(len, grids))
         windows = [_window(grid, i) for grid, i in zip(grids, path)]
         beta = tuple(w[1] for w in windows) + (1.0,)
-        # a one-state channel has no coordinate to search: resolution 0
+        # a one-state channel, the zero-gain one included, has no
+        # coordinate to search: resolution 0
         resolution = max((_relative_cell(*w, first[1]) for w in windows), default=0.0)
         if resolution <= tol or not resolution < previous:
             break

@@ -40,8 +40,12 @@ SWEEP_CSV_HEADER = "d,c_erg,c_exp,additive_gap,multiplicative_gap,entropy"
 
 
 def _check_finite(name: str, value):
-    """Refuse a non-real, NaN or infinite generator parameter, naming it."""
+    """Refuse a generator parameter that is not a real number, or neither a
+    float nor a rational number (a numpy float32, which FadingDistribution
+    refuses), or is NaN or infinite, naming it."""
     check_real(name, value)
+    if not isinstance(value, (float, numbers.Rational)):
+        raise ValidationError(f"{name} must be a float or a rational number, got {value!r}")
     if not -math.inf < value < math.inf:
         raise ValidationError(f"{name} must be finite, got {value}")
 

@@ -24,11 +24,14 @@ from fadegap import (
     OracleResult,
     additive_family,
     allocation,
+    build_chain,
     dominating_muf,
     high_snr_instance,
     intersection,
     multiplicative_family,
     muf_value,
+    optimal_allocation,
+    prepare,
 )
 from fadegap.allocation import (
     _MAX_REL_ERR,
@@ -123,6 +126,22 @@ def extreme_channels(n: int, seed: int):
         gains = extreme_gains(rng, i % 4, k)
         channels.append(FadingDistribution(tuple(gains), tuple(x / total for x in raw)))
     return channels
+
+
+def assert_accepted_channel_has_no_nan(dist):
+    """If prepare accepts dist, its chain has no NaN breakpoint and its
+    allocation no NaN power or factor.  The zero-gain channel has no chain."""
+    try:
+        ch = prepare(dist)
+    except ValidationError:
+        return
+    if ch.degenerate:
+        return
+    chain = build_chain(ch)
+    alloc = optimal_allocation(ch, chain)
+    # NaN is the one value unequal to itself
+    for values in (chain.breakpoints, alloc.beta, alloc.lam):
+        assert all(x == x for x in values), (dist, chain, alloc)
 
 
 def fraction_channels():

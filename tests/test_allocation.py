@@ -270,6 +270,24 @@ def test_float_rung_refuses_an_ill_conditioned_fraction_segment():
     assert expected_capacity(ch, alloc) == 0.34657359028185675
 
 
+def test_float_rung_refuses_a_segment_whose_f_difference_rounds_to_zero(rungs_used):
+    # F_1 = 1/2 and F_2 = 1/2 + 1e-30 round to the same float, so the float
+    # rung's second segment has no F difference; 60 digits settle it
+    big = Fraction(10**90)
+    gains = (big, big * (1 - Fraction(1, 10**11)), Fraction(1))
+    tiny = Fraction(1, 10**30)
+    ch, _, alloc = pipeline(
+        FadingDistribution(gains, (Fraction(1, 2), tiny, Fraction(1, 2) - tiny))
+    )
+    assert float(ch.cum_probs[0]) == float(ch.cum_probs[1])
+    assert alloc.active_states == (1, 2)
+    value = expected_capacity(ch, alloc)
+    assert rungs_used == [allocation._rung(None), allocation._rung(60)]
+    assert allocation._evaluate(ch, (1, 2), True, True, allocation._rung(None)) is None
+    ref = float(reference_routes(ch, alloc)[0])
+    assert abs(value - ref) <= 1e-14 * ref
+
+
 @pytest.mark.parametrize(
     "dist",
     [

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import (
+    assert_accepted_channel_has_no_nan,
     extreme_channels,
     family_points,
     fraction_channels,
@@ -106,6 +107,15 @@ def test_envelope_maximality_holds_with_overflowed_states(dist):
     a = full_analysis(dist)
     assert a.channel.inverse_gains[-1] == math.inf
     assert certify.envelope_maximality(a.channel, a.chain) == (True, 0.0)
+
+
+def test_accepted_channels_have_no_nan_breakpoint_or_factor():
+    # prepare refuses the all-overflowed pair, whose chain would cross its
+    # two states at inf - inf = NaN
+    all_overflowed = FadingDistribution((1e-320, 5e-321), (0.5, 0.5))
+    only = FadingDistribution((1e-320,), (1.0,))
+    for dist in extreme_channels(200, 3) + OVERFLOWED + [all_overflowed, only]:
+        assert_accepted_channel_has_no_nan(dist)
 
 
 def test_envelope_maximality_fails_a_chain_that_skips_a_live_state():

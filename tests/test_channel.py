@@ -144,6 +144,13 @@ def test_float_subclasses_and_rationals_are_accepted():
             (Fraction(1, 10**10), 1 - Fraction(1, 10**10)),
             "state 2 .* has an inverse beyond the double-precision range",
         ),
+        # every inverse overflows: no finite state beats the first
+        (
+            (1e-320, 5e-321),
+            (0.5, 0.5),
+            "gain 1e-320 of state 1 overflows double precision, and the state may"
+            " receive power",
+        ),
     ],
 )
 def test_inverse_gain_outside_the_double_range_is_refused(gains, probs, match):

@@ -10,7 +10,7 @@ import pytest
 
 import fadegap
 from conftest import strict_json
-from fadegap import cli, multiplicative_family
+from fadegap import ValidationError, cli, multiplicative_family
 from fadegap.cli import run, verify_run
 from fadegap.fading_paper import LN2
 from fadegap.worst_case import SWEEP_CSV_HEADER
@@ -334,6 +334,15 @@ def test_verify_refuses_max_states_above_1024(capsys, monkeypatch, max_states):
     assert code == 1
     assert out == ""
     assert "max-states: must be at most 1024" in err
+
+
+def test_verify_run_refuses_max_states_above_1024_before_a_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("fadegap.cli.random_distribution", no_trial)
+    with pytest.raises(ValidationError, match="^max-states: must be at most 1024, got 2000$"):
+        verify_run(trials=1, max_states=2000)
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,10 @@ def test_envelope_integral_rejects_bad_range(two_state, lo, hi, message):
         envelope_integral(build_chain(two_state), two_state, lo, hi)
 
 
+def test_envelope_integral_over_an_empty_range_is_zero(two_state):
+    assert envelope_integral(build_chain(two_state), two_state, 0.5, 0.5) == 0.0
+
+
 def test_chain_ordering_properties_on_random_channels():
     for dist in random_channels(40, seed=21, max_states=8):
         ch = prepare(dist)

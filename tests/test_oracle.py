@@ -28,11 +28,14 @@ def test_two_state_optimum():
 
 
 def test_single_state_needs_no_search():
-    # the subnormal gain's inverse overflows, so the first grid sees n = inf
-    for gain, value in ((3, math.log(4)), (5e-324, 5e-324), (1e300, 690.7755278982137)):
-        ch = prepare(FadingDistribution((gain,), (1.0,)))
-        result = brute_force_expected_capacity(ch, ORACLE_TOL)
+    # the subnormal gain's inverse overflows, so the first grid sees n = inf;
+    # the zero gain's is inf too, and its rate is 0
+    cases = ((3, math.log(4)), (5e-324, 5e-324), (1e300, 690.7755278982137), (0, 0.0))
+    for gain, value in cases:
+        dist = FadingDistribution((gain,), (1.0,))
+        result = brute_force_expected_capacity(prepare(dist), ORACLE_TOL)
         assert result == OracleResult(value=value, beta=(1.0,), iterations=0, resolution=0.0)
+        assert result.value == analyze(dist).c_exp
 
 
 def test_multiplicative_family_optimum_sits_at_zero():
@@ -48,8 +51,6 @@ def test_rejects_bad_inputs():
         brute_force_expected_capacity(ch, 0.0)
     with pytest.raises(ValidationError, match="tol must be a positive real number, got None"):
         brute_force_expected_capacity(ch, None)
-    with pytest.raises(ValidationError):
-        brute_force_expected_capacity(prepare(FadingDistribution((0,), (1.0,))), ORACLE_TOL)
 
 
 def test_deterministic():

@@ -17,13 +17,14 @@ import math
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import strict_json
+from conftest import assert_accepted_channel_has_no_nan, strict_json
 from fadegap import (
     FadingDistribution,
     analyze,
@@ -118,6 +119,16 @@ def test_library_returns_a_certified_report_or_a_typed_error(channel):
     assert certify.multiplicative_gap_bound(analysis).ok
 
 
+@settings(_SETTINGS, max_examples=150)
+@given(channels())
+def test_an_accepted_channel_has_no_nan_breakpoint_or_factor(channel):
+    try:
+        dist = FadingDistribution(*channel)
+    except ValidationError:
+        return
+    assert_accepted_channel_has_no_nan(dist)
+
+
 def _assert_exit_contract(argv, text="", json_out=False):
     """run(argv) with text on stdin exits 0, 1 or 2 without a traceback;
     with json_out, an exit-0 stdout is strict JSON, with no NaN or Infinity."""
@@ -178,6 +189,17 @@ _DIST = FadingDistribution((4.0, 1.0), (0.5, 0.5))
 _CH = prepare(_DIST)
 _CHAIN = build_chain(_CH)
 _ALLOC = optimal_allocation(_CH, _CHAIN)
+_CH4 = prepare(FadingDistribution((8.0, 4.0, 2.0, 1.0), (0.25,) * 4))
+_CHAIN4 = build_chain(_CH4)
+_ALLOC4 = optimal_allocation(_CH4, _CHAIN4)
+_ZERO_GAIN = full_analysis(FadingDistribution((0,), (1.0,)))
+
+
+def _chain_misfit(stage, k_states):
+    return (
+        f"{stage} needs a chain that ends at state {k_states} of the channel,"
+        " with one more breakpoint than states"
+    )
 
 
 @pytest.mark.parametrize(
@@ -228,6 +250,55 @@ _ALLOC = optimal_allocation(_CH, _CHAIN)
             lambda: build_chain(_DIST),
             "build_chain needs a PreparedChannel, got FadingDistribution for ch",
         ),
+        (
+            lambda: expected_capacity(_CH4, replace(_ALLOC4, lam=_ALLOC4.lam[:2])),
+            "expected_capacity needs an allocation of 4 states, got 4 powers and 2 factors",
+        ),
+        (
+            lambda: expected_capacity(_CH4, _ALLOC),
+            "expected_capacity needs an allocation of 4 states, got 2 powers and 2 factors",
+        ),
+        (
+            lambda: expected_capacity(_CH, _ALLOC4),
+            "expected_capacity needs an allocation of 2 states, got 4 powers and 4 factors",
+        ),
+        (
+            lambda: closed_form_routes(_CH, _ALLOC4),
+            "closed_form_routes needs an allocation of 2 states, got 4 powers and 4 factors",
+        ),
+        (
+            lambda: layer_rates(_CH4, replace(_ALLOC4, beta=_ALLOC4.beta[:2])),
+            "layer_rates needs an allocation of 4 states, got 2 powers and 4 factors",
+        ),
+        (lambda: optimal_allocation(_CH, _CHAIN4), _chain_misfit("optimal_allocation", 2)),
+        (lambda: dominating_muf(_CHAIN4, _CH, 0.5), _chain_misfit("dominating_muf", 2)),
+        (lambda: envelope_integral(_CHAIN4, _CH, 0, 1), _chain_misfit("envelope_integral", 2)),
+        (
+            lambda: dominating_muf(
+                replace(_CHAIN4, breakpoints=_CHAIN4.breakpoints[:-1]), _CH4, 0.5
+            ),
+            _chain_misfit("dominating_muf", 4),
+        ),
+        (
+            lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=0)),
+            "optimal_allocation needs a chain with 1 <= s <= w <= 4, got s=0, w=3",
+        ),
+        (
+            lambda: optimal_allocation(_CH4, replace(_CHAIN4, w=0)),
+            "optimal_allocation needs a chain with 1 <= s <= w <= 4, got s=2, w=0",
+        ),
+        (
+            lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=3, w=2)),
+            "optimal_allocation needs a chain with 1 <= s <= w <= 4, got s=3, w=2",
+        ),
+        (
+            lambda: optimal_allocation(_CH4, replace(_CHAIN4, w=9)),
+            "optimal_allocation needs a chain with 1 <= s <= w <= 4, got s=2, w=9",
+        ),
+        (
+            lambda: certify.chain_ordering_properties(_ZERO_GAIN.channel, _ZERO_GAIN.chain),
+            "chain_ordering_properties needs a MufChain, got NoneType for chain",
+        ),
     ],
     ids=[
         "analyze-None",
@@ -248,6 +319,20 @@ _ALLOC = optimal_allocation(_CH, _CHAIN)
         "envelope_integral-huge-hi",
         "fading_paper_report-huge-inr",
         "build_chain-distribution",
+        "expected_capacity-short-lam",
+        "expected_capacity-fewer-states",
+        "expected_capacity-more-states",
+        "closed_form_routes-more-states",
+        "layer_rates-short-beta",
+        "optimal_allocation-longer-chain",
+        "dominating_muf-longer-chain",
+        "envelope_integral-longer-chain",
+        "dominating_muf-short-breakpoints",
+        "optimal_allocation-s-0",
+        "optimal_allocation-w-0",
+        "optimal_allocation-s-above-w",
+        "optimal_allocation-w-9",
+        "chain_ordering_properties-None",
     ],
 )
 def test_a_wrong_argument_raises_a_validation_error(call, message):
@@ -288,4 +373,3 @@ def test_a_stage_refuses_a_prepared_argument_of_the_wrong_type(stage, args, cls,
     message = f"{stage.__name__} needs a {cls}, got NoneType for {name}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         stage(*args)
-

@@ -1,4 +1,5 @@
 import math
+import numbers
 import re
 from fractions import Fraction
 
@@ -136,6 +137,25 @@ def test_snr_instances_check_snr_after_the_profile(build):
         build([1, 2], [0.5, 0.5], math.nan)
 
 
+class _Real:
+    """A real number that is neither a float nor a rational number, as a
+    numpy float32 is; CI installs no numpy."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def __float__(self):
+        return self.x
+
+    def __repr__(self):
+        return f"_Real({self.x!r})"
+
+
+numbers.Real.register(_Real)
+#: the refusal of a _Real parameter
+_NEITHER = "{} must be a float or a rational number, got _Real(10.0)"
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -164,6 +184,11 @@ def test_snr_instances_check_snr_after_the_profile(build):
             lambda: high_snr_instance((2.0, 1.0), (0.5, 0.5), 1e-200),
             "snr = 1e-200: a gain underflows double precision",
         ),
+        (lambda: additive_family(3, _Real(10.0)), _NEITHER.format("d")),
+        (lambda: multiplicative_family(3, _Real(10.0)), _NEITHER.format("d")),
+        (lambda: high_snr_instance((2.0, 1.0), (0.5, 0.5), _Real(10.0)), _NEITHER.format("snr")),
+        (lambda: low_snr_instance((2.0, 1.0), (0.5, 0.5), _Real(10.0)), _NEITHER.format("snr")),
+        (lambda: sweep("additive", 3, [_Real(10.0)]), _NEITHER.format("d")),
     ],
     ids=[
         "multiplicative-inf",
@@ -182,6 +207,11 @@ def test_snr_instances_check_snr_after_the_profile(build):
         "multiplicative-K2.5",
         "low-snr-underflow",
         "high-snr-underflow",
+        "additive-real",
+        "multiplicative-real",
+        "high-snr-real",
+        "low-snr-real",
+        "sweep-real",
     ],
 )
 def test_generators_refuse_non_finite_or_overflowing_parameters(build, message):
