@@ -14,13 +14,13 @@ The two forms are evaluated on a precision ladder: floats first, then
 mpmath at 60, 120, 240, 480 and 960 digits.  Each rung carries a
 first-order bound on its own error (per-operation rounding, the
 conditioning of the ``F_b - F_a`` and ``n_b - n_a`` differences, and the
-rounding of Fraction inputs) and decides three ways: agreement the bound
-certifies returns the per-state form, disagreement it certifies raises,
-and anything else moves up one rung.  A certified agreement is a fact
-about exact values, so it carries up: a higher rung then evaluates only
-the per-state form.  The per-state value comes from the rung that
-certified it to VALUE_RTOL, the grouped value from the rung that settled
-the agreement.  The cross-check of the stored decoded-rate factors
+rounding of Fraction inputs), evaluates both forms and decides alone,
+three ways: agreement and value the bounds certify return both forms,
+disagreement they certify raises, and anything else moves up one rung.
+The bounds shrink as the precision rises, so an agreement one rung
+certifies, every higher rung certifies too: no rung carries it to the
+next, and both values come from the rung that settles the channel.
+The cross-check of the stored decoded-rate factors
 against the ones the power vector implies is a statement about exact
 rationals, so it does not ride the ladder: it is decided once, after the
 first rung that evaluates, by bit equality with that rung's float factors
@@ -242,14 +242,12 @@ def _rung(digits) -> _Rung:
     return _Rung(num, ctx.log, ctx.log1p, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf)
 
 
-def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, rung: _Rung):
-    """The closed-form quantities a lower rung left open, on one rung, with
-    first-order error bounds.
+def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Rung):
+    """Both closed forms on one rung, with first-order error bounds.
 
-    The per-state form is always evaluated, the grouped form only when
-    grouped is true.  exact_inputs is true when an input the forms read is a
-    Fraction.  The bounds take every arithmetic operation as exact up to one
-    relative rounding ``unit`` and a log or log1p as exact up to two units of
+    exact_inputs is true when an input the forms read is a Fraction.  The
+    bounds take every arithmetic operation as exact up to one relative
+    rounding ``unit`` and a log or log1p as exact up to two units of
     its result; a Fraction input converts with relative error
     ``iota = 2 * unit``, which the differences amplify by their conditioning.
 
@@ -298,9 +296,7 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
 
     Returns ``(lam, per_state, err_per_state, grouped, err_grouped)``, lam
     the decoded-rate factors of states 1 .. active[-1] in the rung's
-    arithmetic.  grouped and err_grouped are None when the grouped form was
-    not asked for.  Returns None when the rung cannot evaluate the channel
-    at all.
+    arithmetic.  Returns None when the rung cannot evaluate the channel.
     """
     last = active[-1]
     lo, hi = rung.lo, rung.hi
@@ -392,13 +388,12 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
         else:
             lam += (fac,) * (b - a)
             per_state += [pk * lr for pk in p[a:b]]
-        if grouped:
-            term = df * log(df / dn)
-            terms.append(term)
-            if term < 0.0:
-                neg_g = True
-            if iota:
-                cond_g += df * (c_f + c_n) + abs(term) * c_f
+        term = df * log(df / dn)
+        terms.append(term)
+        if term < 0.0:
+            neg_g = True
+        if iota:
+            cond_g += df * (c_f + c_n) + abs(term) * c_f
         a, fa, na = b, fb, nb
 
     fsum = rung.fsum
@@ -413,8 +408,6 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, grouped, r
     per = fsum(per_state)
     err_p += e_log * (fsum(map(abs, per_state)) if neg_p else per)
     err_p = _SLACK * (err_p + u * abs(per))
-    if not grouped:
-        return lam, per, err_p, None, None
     # per segment df (e_f + e_n + u) + |term| (e_f + 3u): e_f = e_n = 0 on
     # the first segment and u on every later one
     err_g = cond_g + u * f_1 + u3 * (f_w - f_1)
@@ -464,20 +457,15 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     """Both closed forms and whether they agree, settled on the precision
     ladder.
 
-    Returns ``(per_state, grouped, agree)``: ``agree`` means the exact values
-    of the two forms lie within ROUTE_RTOL of each other and per_state
-    within VALUE_RTOL of its own exact value; not ``agree`` means they
-    certifiably differ by more than ROUTE_RTOL.  A disagreement is only
-    accepted from an mpmath rung, so a disagreement in floats moves up one
-    rung.
-
-    Only the agreement and the value climb.  A certified agreement is a
-    fact about exact values, so it carries up the ladder: a higher rung
-    then evaluates the per-state form alone.  per_state comes from the rung
-    that certified it, grouped from the rung that settled the agreement.
-    The decoded-rate factor cross-check is decided once, by
-    :func:`_check_factors` after the first rung that evaluates, and raises
-    there.
+    Returns ``(per_state, grouped, agree)`` from one rung: ``agree`` means
+    the exact values of the two forms lie within ROUTE_RTOL of each other
+    and per_state within VALUE_RTOL of its own exact value; not ``agree``
+    means they certifiably differ by more than ROUTE_RTOL.  Each rung
+    decides alone, and a rung that settles neither moves up one.  A
+    disagreement is only accepted from an mpmath rung, so a disagreement in
+    floats moves up too.  The decoded-rate factor cross-check is decided
+    once, by :func:`_check_factors` after the first rung that evaluates,
+    and raises there.
     """
     active = alloc.active_states
     if not active:
@@ -493,26 +481,21 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     kinds = {*map(type, ch.inverse_gains[:last]), *map(type, ch.probs[:last])}
     exact_inputs = not kinds <= {float, int}
     per = grp = None
-    agreed = False
     for digits in (None,) + _MP_DIGITS:
         rung = _rung(digits)
-        out = _evaluate(ch, active, exact_inputs, not agreed, rung)
+        out = _evaluate(ch, active, exact_inputs, rung)
         if out is None:
             continue
-        lam, rung_per, err_p, rung_grp, err_g = out
         if per is None:  # the first rung that evaluates
-            _check_factors(ch, alloc, active, None if exact_inputs else lam)
-        per = rung_per
-        if not agreed:
-            grp = rung_grp
-            diff = abs(per - grp)
-            scale = max(abs(per), abs(grp))
-            err = err_p + err_g + rung.unit * diff
-            agreed = diff + err <= ROUTE_RTOL * (scale - err)
-            if digits is not None and diff - err > ROUTE_RTOL * (scale + err):
-                return per, grp, False
-        if agreed and err_p <= VALUE_RTOL * abs(per):
+            _check_factors(ch, alloc, active, None if exact_inputs else out[0])
+        _, per, err_p, grp, err_g = out
+        diff = abs(per - grp)
+        scale = max(abs(per), abs(grp))
+        err = err_p + err_g + rung.unit * diff
+        if diff + err <= ROUTE_RTOL * (scale - err) and err_p <= VALUE_RTOL * abs(per):
             return per, grp, True
+        if digits is not None and diff - err > ROUTE_RTOL * (scale + err):
+            return per, grp, False
     raise InternalConsistencyError(
         f"closed forms not settled at {_MP_DIGITS[-1]} digits:"
         f" per-state {per} vs grouped {grp}"
@@ -522,9 +505,8 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
 def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     """The per-state and grouped closed forms as floats, for cross-checking.
 
-    The per-state value comes from the rung that certified it, the grouped
-    value from the rung that settled their comparison (the same rung or a
-    lower one); the agreement gate itself is not applied.
+    Both values come from the rung that settled the channel; the agreement
+    gate itself is not applied.
     """
     check_instance("closed_form_routes", "ch", ch, PreparedChannel)
     check_instance("closed_form_routes", "alloc", alloc, PowerAllocation)

@@ -33,9 +33,9 @@ __all__ = [
 #: Search resolution (in beta space) the oracle runs at to certify.
 ORACLE_TOL = 1e-7
 #: Largest distance between the oracle value and the closed form.
-ORACLE_ATOL = 1e-6
+ORACLE_ATOL = 1e-10
 #: How far the oracle may land above the closed form, which is the optimum.
-ORACLE_ABOVE_ATOL = 1e-9
+ORACLE_ABOVE_ATOL = 1e-10
 #: Slack on ``A <= ln K``, ``M <= K`` and the per-state lemma terms.
 BOUND_ATOL = 1e-9
 #: Relative slack of the chain ordering properties, floored for z near 0.

@@ -108,6 +108,19 @@ def test_all_zero_beta_has_no_active_state(two_state):
         expected_capacity(ch, zero)
 
 
+@pytest.mark.parametrize("route", [expected_capacity, closed_form_routes])
+def test_active_state_with_an_overflowed_inverse_gain_is_refused(route):
+    # the optimal allocation leaves a gain of 1e-320 inactive; a hand-built
+    # one that gives it power reaches the closed forms with n = inf
+    ch = prepare(FadingDistribution((2.0, 1e-320), (0.5, 0.5)))
+    alloc = PowerAllocation(beta=(0.5, 1.0), lam=(3.0, 1.0))
+    message = (
+        "gains: the inverse of the gain 1e-320 of active state 2 overflows double precision"
+    )
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        route(ch, alloc)
+
+
 def test_certified_disagreement_of_the_closed_forms_raises(two_state, disagreeing_closed_forms):
     ch, _, alloc = two_state
     with pytest.raises(InternalConsistencyError, match="closed forms disagree"):
@@ -265,8 +278,8 @@ def _ill_conditioned_fraction():
 def test_float_rung_refuses_an_ill_conditioned_fraction_segment():
     ch, _, alloc = pipeline(_ill_conditioned_fraction())
     active = alloc.active_states
-    assert allocation._evaluate(ch, active, True, True, allocation._rung(None)) is None
-    assert allocation._evaluate(ch, active, True, True, allocation._rung(60)) is not None
+    assert allocation._evaluate(ch, active, True, allocation._rung(None)) is None
+    assert allocation._evaluate(ch, active, True, allocation._rung(60)) is not None
     assert expected_capacity(ch, alloc) == 0.34657359028185675
 
 
@@ -283,7 +296,7 @@ def test_float_rung_refuses_a_segment_whose_f_difference_rounds_to_zero(rungs_us
     assert alloc.active_states == (1, 2)
     value = expected_capacity(ch, alloc)
     assert rungs_used == [allocation._rung(None), allocation._rung(60)]
-    assert allocation._evaluate(ch, (1, 2), True, True, allocation._rung(None)) is None
+    assert allocation._evaluate(ch, (1, 2), True, allocation._rung(None)) is None
     ref = float(reference_routes(ch, alloc)[0])
     assert abs(value - ref) <= 1e-14 * ref
 
@@ -304,21 +317,6 @@ def test_escalating_channels_match_reference(dist, rungs_used):
     ref = float(reference_routes(ch, alloc)[0])
     exact = math.log1p(float(1 / ch.inverse_gains[-1]))
     assert abs(value - ref) <= 1e-14 * abs(ref) or value == pytest.approx(exact, rel=1e-14)
-
-
-@pytest.fixture
-def evaluations(monkeypatch):
-    """``(grouped, rung)`` of each closed-form evaluation: whether a rung was
-    left to settle the agreement."""
-    calls = []
-    evaluate = allocation._evaluate
-
-    def recording(*args):
-        calls.append(args[-2:])
-        return evaluate(*args)
-
-    monkeypatch.setattr(allocation, "_evaluate", recording)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -344,24 +342,23 @@ def test_low_capacity_channels_settle_on_the_float_rung(dist, active, rungs_used
     assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
-def test_value_alone_climbs_past_the_float_rung(evaluations):
+def test_value_alone_climbs_past_the_float_rung(rungs_used):
     # two active states and a capacity of 0.02 nat: the float rung certifies
     # the route agreement, but not the value, whose stronger segment carries
-    # the absolute error of its factor's log
+    # the absolute error of its factor's log; the 60-digit rung settles both
+    # forms, and both values come from it
     ch, _, alloc = pipeline(FadingDistribution((0.08, 0.02), (0.251, 0.749)))
     value = expected_capacity(ch, alloc)
     assert alloc.active_states == (1, 2)
-    assert evaluations == [(True, allocation._rung(None)), (False, allocation._rung(60))]
+    assert rungs_used == [allocation._rung(None), allocation._rung(60)]
     ref = float(reference_routes(ch, alloc)[0])
     assert abs(value - ref) <= 1e-14 * abs(ref)
-    per_state, grouped = closed_form_routes(ch, alloc)
-    assert per_state == value
-    assert certify.closed_form_route_agreement(per_state, grouped).ok
+    assert closed_form_routes(ch, alloc) == (value, value)
 
 
 @pytest.mark.parametrize("sign, fails", [(1, True), (-1, False)])
 def test_factor_at_the_tolerance_is_decided_exactly_without_a_climb(
-    two_state, evaluations, sign, fails
+    two_state, rungs_used, sign, fails
 ):
     # a stored factor LAMBDA_RTOL off its exact value is beyond what the
     # float rung's rounding bounds could tell; the exact cross-check decides
@@ -375,7 +372,7 @@ def test_factor_at_the_tolerance_is_decided_exactly_without_a_climb(
     else:
         ref = float(reference_routes(ch, alloc)[0])
         assert abs(expected_capacity(ch, off) - ref) <= 1e-14 * ref
-    assert evaluations == [(True, allocation._rung(None))]
+    assert rungs_used == [allocation._rung(None)]
 
 
 def evaluate_args(dist):
@@ -403,10 +400,7 @@ def assert_same_evaluation(new, ref):
     lam, per, err_p, grp, err_g = new
     assert repr((lam, per, grp)) == repr((ref[0], ref[1], ref[3]))
     assert abs(err_p - ref[2]) <= BOUND_RTOL * ref[2]
-    if ref[4] is None:
-        assert err_g is None
-    else:
-        assert abs(err_g - ref[4]) <= BOUND_RTOL * ref[4]
+    assert abs(err_g - ref[4]) <= BOUND_RTOL * ref[4]
 
 
 def differential_corpus():
@@ -439,13 +433,11 @@ def test_evaluate_matches_the_reference_evaluation(digits):
     for dist in differential_corpus():
         args = evaluate_args(dist)
         negative.add(has_negative_grouped_term(*args[:2]))
-        for grouped in (True, False):
-            new = allocation._evaluate(*args, grouped, rung)
-            ref = reference_evaluate(*args, grouped, rung)
-            try:
-                assert_same_evaluation(new, ref)
-            except AssertionError as exc:
-                raise AssertionError((dist, grouped)) from exc
+        new = allocation._evaluate(*args, rung)
+        try:
+            assert_same_evaluation(new, reference_evaluate(*args, True, rung))
+        except AssertionError as exc:
+            raise AssertionError(dist) from exc
     assert negative == {False, True}
 
 
@@ -457,9 +449,8 @@ def test_evaluate_bounds_take_negated_logs_in_absolute_value():
     )
     for dist in differential_corpus():
         args = evaluate_args(dist)
-        for grouped in (True, False):
-            new = allocation._evaluate(*args, grouped, rung)
-            assert_same_evaluation(new, reference_evaluate(*args, grouped, rung))
+        new = allocation._evaluate(*args, rung)
+        assert_same_evaluation(new, reference_evaluate(*args, True, rung))
 
 
 def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):
@@ -469,21 +460,24 @@ def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):
     dists = differential_corpus() + [FadingDistribution((1e-300, 1e-301), (0.5, 0.5))]
     evaluate = allocation._evaluate
 
+    def reference(ch, active, exact_inputs, rung):
+        return reference_evaluate(ch, active, exact_inputs, True, rung)
+
     def climb(evaluate, ch, alloc):
-        calls = []
+        rungs = []
 
         def recording(*args):
-            calls.append(args[-2:])
+            rungs.append(args[-1])
             return evaluate(*args)
 
         monkeypatch.setattr(allocation, "_evaluate", recording)
-        return repr(allocation._routes(ch, alloc)), calls
+        return repr(allocation._routes(ch, alloc)), rungs
 
     for dist in dists:
         ch, _, alloc = pipeline(dist)
-        routes, calls = climb(evaluate, ch, alloc)
-        assert (routes, calls) == climb(reference_evaluate, ch, alloc), dist
-    assert calls[-1][-1] == allocation._rung(480)
+        routes, rungs = climb(evaluate, ch, alloc)
+        assert (routes, rungs) == climb(reference, ch, alloc), dist
+    assert rungs[-1] == allocation._rung(480)
 
 
 def with_factor(alloc, k, value):
@@ -495,7 +489,7 @@ def with_factor(alloc, k, value):
 def float_factors(ch, alloc):
     """The float rung's factors of the channel, as _routes hands them to
     _check_factors."""
-    return allocation._evaluate(ch, alloc.active_states, False, True, allocation._rung(None))[0]
+    return allocation._evaluate(ch, alloc.active_states, False, allocation._rung(None))[0]
 
 
 def test_factor_one_ulp_off_passes_the_per_state_cross_check(two_state, rungs_used):
@@ -511,13 +505,13 @@ def test_factor_one_ulp_off_passes_the_per_state_cross_check(two_state, rungs_us
     assert value == expected_capacity(ch, alloc)
 
 
-def test_factor_two_tolerances_off_fails_without_a_climb(two_state, evaluations):
+def test_factor_two_tolerances_off_fails_without_a_climb(two_state, rungs_used):
     ch, _, alloc = two_state
     off = with_factor(alloc, 1, alloc.lam[0] * (1 + 2 * allocation.LAMBDA_RTOL))
     with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 1"):
         expected_capacity(ch, off)
     # decided exactly after the first rung that evaluates
-    assert evaluations == [(True, allocation._rung(None))]
+    assert rungs_used == [allocation._rung(None)]
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])

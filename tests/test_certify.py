@@ -60,6 +60,16 @@ def test_check_fails_on_corrupted_input(inputs, name):
     assert not check(*corrupted).ok
 
 
+def test_oracle_gates_sit_at_the_oracle_resolution(inputs):
+    # the oracle lands within 1e-12 of the closed form on every certified
+    # population, so a gap of 1e-8, or an excess of 5e-10 above the
+    # optimum, is a fault the gates catch
+    c = inputs["oracle_certification"][0][0]
+    assert not certify.oracle_certification(c, c - 1e-8).ok
+    assert not certify.oracle_certification(c, c + 1e-8).ok
+    assert not certify.oracle_not_above_closed_form(c, c + 5e-10).ok
+
+
 @pytest.mark.parametrize(
     "name, field",
     [
