@@ -43,6 +43,7 @@ only when the float rung cannot settle a channel.
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -53,6 +54,7 @@ from .errors import (
     ValidationError,
     check_instance,
     check_real,
+    validated_index,
     validated_tuple,
 )
 from .muf import MufChain, check_chain_fits
@@ -123,7 +125,9 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     check_instance("optimal_allocation", "chain", chain, MufChain)
     check_chain_fits("optimal_allocation", chain, ch)
     k_states = ch.num_states
-    pi, bps, s, w = chain.pi, chain.breakpoints, chain.s, chain.w
+    pi, bps = chain.pi, chain.breakpoints
+    s = validated_index("optimal_allocation", "s", chain.s)
+    w = validated_index("optimal_allocation", "w", chain.w)
     if not 1 <= s <= w <= len(pi):
         raise ValidationError(
             f"optimal_allocation needs a chain with 1 <= s <= w <= {len(pi)},"
@@ -162,13 +166,23 @@ def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
 
 
 def _check_allocation_fits(what: str, ch: PreparedChannel, alloc: PowerAllocation) -> None:
-    """Refuse an allocation without one power and one factor per state of
-    ch, naming what."""
+    """Refuse an allocation whose powers and factors are not sequences of
+    one entry per state of ch, naming what."""
     k_states = ch.num_states
-    if not len(alloc.beta) == len(alloc.lam) == k_states:
+    beta, lam = alloc.beta, alloc.lam
+    # the tuples optimal_allocation builds skip the slower ABC check
+    if not (
+        (type(beta) is tuple or isinstance(beta, Sequence))
+        and (type(lam) is tuple or isinstance(lam, Sequence))
+    ):
+        raise ValidationError(
+            f"{what} needs an allocation whose powers and factors are sequences, got"
+            f" {type(beta).__name__} and {type(lam).__name__}"
+        )
+    if not len(beta) == len(lam) == k_states:
         raise ValidationError(
             f"{what} needs an allocation of {k_states} states, got"
-            f" {len(alloc.beta)} powers and {len(alloc.lam)} factors"
+            f" {len(beta)} powers and {len(lam)} factors"
         )
 
 

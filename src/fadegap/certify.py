@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 from .allocation import ROUTE_RTOL
 from .channel import PreparedChannel
-from .errors import check_instance
-from .fading_paper import LN2
-from .muf import MufChain, dominating_muf, intersection
+from .errors import ValidationError, check_instance
+from .gaps import LN2
+from .muf import MufChain, check_chain_fits, dominating_muf, intersection
 
 __all__ = [
     "Margin",
@@ -116,8 +116,9 @@ def chain_ordering_properties(ch, chain) -> Margin:
     """A certificate that the chain is the lower envelope of the lines
     ``(z + n_k) / F_k``, from at most 2K crossings.
 
-    1. Shape: pi rises strictly from 1 to K; otherwise the margin is
-       ``(False, inf)``.
+    1. Shape: pi rises strictly from 1 to K, with one more breakpoint
+       than states (:func:`~fadegap.muf.check_chain_fits`); otherwise the
+       margin is ``(False, inf)``.
     2. Each interior breakpoint z_i, between the chain states a = pi[i-1]
        and b = pi[i], lies at or below ``z_{a,l}`` for every l in a+1..b and
        at or above ``z_{l,b}`` for every l in a..b-1.  Both families hold
@@ -136,10 +137,11 @@ def chain_ordering_properties(ch, chain) -> Margin:
     """
     check_instance("chain_ordering_properties", "ch", ch, PreparedChannel)
     check_instance("chain_ordering_properties", "chain", chain, MufChain)
-    pi, points = chain.pi, chain.breakpoints
-    rising = all(a < b for a, b in zip(pi, pi[1:]))
-    if not (rising and pi and pi[0] == 1 and pi[-1] == ch.num_states):
+    try:
+        check_chain_fits("chain_ordering_properties", chain, ch)
+    except ValidationError:
         return Margin(False, math.inf)
+    pi, points = chain.pi, chain.breakpoints
     gaps = []  # (excess, z it is measured against)
     for a, b, z in zip(pi, pi[1:], points[1:]):
         gaps += [(_gap(z, intersection(ch, a, l)), z) for l in range(a + 1, b + 1)]

@@ -135,6 +135,20 @@ class PreparedChannel:
     epsilon_applied: Optional[object] = None
     degenerate: bool = False
 
+    def __post_init__(self):
+        gains, probs, inverse, cum = self.gains, self.probs, self.inverse_gains, self.cum_probs
+        if not (
+            isinstance(gains, tuple)
+            and isinstance(probs, tuple)
+            and isinstance(inverse, tuple)
+            and isinstance(cum, tuple)
+            and 0 < len(gains) == len(probs) == len(inverse) == len(cum)
+        ):
+            raise ValidationError(
+                "PreparedChannel needs gains, probs, inverse_gains and cum_probs as"
+                " tuples of one length K >= 1; build it with prepare()"
+            )
+
     @property
     def num_states(self) -> int:
         return len(self.gains)

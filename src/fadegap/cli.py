@@ -11,6 +11,10 @@ Input channels are JSON objects ``{"gains": [...], "probs": [...]}``.  All
 randomness in the package lives in ``verify``'s seeded generator; the core
 library is fully deterministic, so identical invocations produce identical
 bytes on stdout.
+
+Importing this module loads the analysis pipeline only, so ``capacity``
+runs without the rest: ``family``, ``sweep``, ``verify`` and
+``fading-paper`` import the modules they run when they run.
 """
 
 import argparse
@@ -26,10 +30,7 @@ import sys
 from .allocation import closed_form_routes, layer_rates
 from .channel import FadingDistribution
 from .errors import InternalConsistencyError, ValidationError, validated_index
-from .fading_paper import LN2, _report_of, fading_paper_report
-from .gaps import full_analysis
-from .oracle import brute_force_expected_capacity
-from .worst_case import additive_family, multiplicative_family, sweep, sweep_to_csv
+from .gaps import LN2, full_analysis
 
 __all__ = ["main", "run", "random_distribution", "verify_run"]
 
@@ -47,6 +48,19 @@ _FP_NAT_FIELDS = (
     "gap_upper",
     "gap_lower_raw",
 )
+
+
+def __getattr__(name):
+    """Serve a name the package loads on first use, such as
+    ``brute_force_expected_capacity`` or ``fading_paper_report``, through
+    the package's loader (PEP 562), and keep it: ``verify_run`` and the
+    ``fading-paper`` command call the one this module holds, a patched one
+    included."""
+    package = sys.modules[__package__]
+    if name not in package._ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
 
 
 def _json_safe(x):
@@ -156,7 +170,9 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
     ones at inr 1 and 1e6 from the trial's own analysis.
     """
     from . import certify
+    from .fading_paper import _report_of
 
+    cli = sys.modules[__name__]
     trials = validated_index("verify", "trials", trials)
     if trials < 1:
         raise ValidationError(f"trials: must be positive, got {trials}")
@@ -171,9 +187,9 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
         dist = random_distribution(rng, max_states)
         analysis = full_analysis(dist)
         ch, c_exp = analysis.channel, analysis.report.c_exp
-        oracle = brute_force_expected_capacity(ch, certify.ORACLE_TOL).value
+        oracle = cli.brute_force_expected_capacity(ch, certify.ORACLE_TOL).value
         routes = closed_form_routes(ch, analysis.allocation)
-        reports = [fading_paper_report(dist, 0.0)]
+        reports = [cli.fading_paper_report(dist, 0.0)]
         reports += [_report_of(analysis, inr) for inr in (1.0, 1e6)]
         margins = {
             "oracle-certification": certify.oracle_certification(c_exp, oracle),
@@ -258,6 +274,8 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .worst_case import additive_family, multiplicative_family
+
     build = additive_family if args.kind == "additive" else multiplicative_family
     dist = build(args.states, args.d)
     if args.emit == "dist":
@@ -268,6 +286,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .worst_case import sweep, sweep_to_csv
+
     try:
         d_values = [float(x) for x in args.d_values.split(",") if x.strip()]
     except ValueError as exc:
@@ -296,6 +316,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fading_paper(args) -> int:
+    fading_paper_report = sys.modules[__name__].fading_paper_report
     report = fading_paper_report(_load_distribution(args.input), args.inr)
     _emit(_report_payload(report, _FP_NAT_FIELDS, args.units), args.format)
     return 0

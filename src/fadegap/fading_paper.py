@@ -19,12 +19,10 @@ from dataclasses import dataclass
 # wraps fading_paper.prepare and fading_paper.ergodic_capacity
 from .channel import FadingDistribution, ergodic_capacity, prepare  # noqa: F401
 from .errors import ValidationError, check_real
-from .gaps import full_analysis
+from .gaps import LN2, full_analysis
 from .worst_case import _check_states
 
 __all__ = ["FadingPaperReport", "fading_paper_report", "worst_case_fp_bracket"]
-
-LN2 = math.log(2)
 
 
 @dataclass(frozen=True)

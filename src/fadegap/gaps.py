@@ -20,6 +20,9 @@ from .muf import MufChain, build_chain
 
 __all__ = ["CapacityReport", "Analysis", "analyze", "full_analysis"]
 
+#: Nats in one bit.
+LN2 = math.log(2)
+
 #: How negative a computed gap may be before it is considered a bug rather
 #: than floating-point dust (the true gaps are provably nonnegative).
 GAP_DUST_ATOL = 1e-9

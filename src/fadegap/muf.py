@@ -17,6 +17,7 @@ the crossing points and tie decisions are exact.
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -196,14 +197,20 @@ def build_chain(ch: PreparedChannel) -> MufChain:
 
 
 def check_chain_fits(what: str, chain: MufChain, ch: PreparedChannel) -> None:
-    """Refuse a chain that does not end at state K of ch, or whose
-    breakpoints are not one more than its states, naming what.  O(1): it
-    reads the ends of the chain a stage indexes, not the chain."""
+    """Refuse a chain whose states do not rise strictly from 1 to state K
+    of ch, or whose breakpoints are not one more than its states, naming
+    what.  Its one pass over the states runs in C."""
     pi, k_states = chain.pi, ch.num_states
-    if not (pi and pi[-1] == k_states and len(chain.breakpoints) == len(pi) + 1):
+    if not (
+        pi
+        and pi[0] == 1
+        and pi[-1] == k_states
+        and len(chain.breakpoints) == len(pi) + 1
+        and all(map(operator.lt, pi, pi[1:]))
+    ):
         raise ValidationError(
-            f"{what} needs a chain that ends at state {k_states} of the channel,"
-            " with one more breakpoint than states"
+            f"{what} needs a chain that rises strictly from state 1 to state {k_states}"
+            " of the channel, with one more breakpoint than states"
         )
 
 

@@ -157,14 +157,21 @@ def test_chain_ordering_fails_a_corrupted_chain_with_an_overflowed_state():
         lambda b: ((1, 2, 3), b[:2] + (0.7999992, b[3])),
         lambda b: ((1, 2), b[:2] + b[3:]),
         lambda b: ((2, 3), (-0.1,) + b[2:]),
+        lambda b: ((1, 2, 3), b[:-1]),
     ],
-    ids=["breakpoint-0.425", "breakpoint-0.7999992", "drops-state-3", "drops-state-1"],
+    ids=[
+        "breakpoint-0.425",
+        "breakpoint-0.7999992",
+        "drops-state-3",
+        "drops-state-1",
+        "drops-the-end-sentinel",
+    ],
 )
 def test_chain_ordering_fails_what_the_all_pairs_scan_passes(corrupt):
     # breakpoints -0.01, 0.05, 0.8; the scan passes each of these chains:
     # a moved breakpoint stays below every crossing from state 2 and above
-    # the one from state 1 into state 3, and a missing end state is never
-    # compared
+    # the one from state 1 into state 3, a missing end state is never
+    # compared, and a missing end sentinel is never read
     a = full_analysis(DIST)
     ch, chain = a.channel, a.chain
     assert chain.pi == (1, 2, 3)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -371,8 +372,9 @@ def test_verify_small_run(capsys):
 
 def test_verify_analyses_each_trial_once_beside_one_public_report(monkeypatch):
     # one full_analysis in verify_run, one inside its fading_paper_report
-    # call; the reports at inr 1 and 1e6 come from verify_run's analysis,
-    # and the envelope samples of dominating_muf never call muf_value
+    # call, whose report comes from that analysis; the reports at inr 1 and
+    # 1e6 come from verify_run's analysis, and the envelope samples of
+    # dominating_muf never call muf_value
     def recording(module, name):
         """(args, result) of every call of module.name."""
         calls, fn = [], getattr(module, name)
@@ -386,12 +388,40 @@ def test_verify_analyses_each_trial_once_beside_one_public_report(monkeypatch):
 
     analyses = recording(cli, "full_analysis")
     public = recording(fadegap.fading_paper, "full_analysis")
-    reports = recording(cli, "_report_of")
+    reports = recording(fadegap.fading_paper, "_report_of")
     utilities = recording(fadegap.muf, "muf_value")
     assert verify_run(trials=3, seed=5)["ok"]
     assert len(analyses) == len(public) == 3
-    assert [id(args[0]) for args, _ in reports] == [id(a) for _, a in analyses for _ in range(2)]
+    sources = [(p, a, a) for (_, p), (_, a) in zip(public, analyses)]
+    assert [id(args[0]) for args, _ in reports] == [id(x) for s in sources for x in s]
     assert len(utilities) == 0
+
+
+def test_verify_and_fading_paper_call_the_names_the_module_holds(monkeypatch, two_state_json):
+    # perfbench's tracer patches these two attributes of the cli module
+    calls = []
+    for name in ("brute_force_expected_capacity", "fading_paper_report"):
+        fn = getattr(cli, name)
+
+        def counting(*args, name=name, fn=fn):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert verify_run(trials=1)["ok"]
+    assert sorted(calls) == ["brute_force_expected_capacity", "fading_paper_report"]
+    assert run(["fading-paper", "--input", two_state_json]) == 0
+    assert calls[2:] == ["fading_paper_report"]
+
+
+def test_the_cli_serves_each_deferred_name_as_its_home_modules_object():
+    for name, module in fadegap._ON_FIRST_USE.items():
+        assert getattr(cli, name) is getattr(importlib.import_module(f"fadegap.{module}"), name)
+
+
+def test_an_unknown_cli_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'fadegap.cli' has no attribute 'nope'$"):
+        cli.nope
 
 
 def test_verify_run_is_seed_deterministic():

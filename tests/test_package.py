@@ -20,6 +20,9 @@ PIPELINE = {"errors", "channel", "muf", "allocation", "gaps"}
 DEFERRED = ["fadegap.oracle", "fadegap.worst_case", "fadegap.fading_paper"]
 DEFERRED += ["fadegap.certify", "fadegap.cli", "mpmath"]
 
+#: Modules ``fadegap.cli`` leaves to the subcommands that run them.
+CLI_DEFERRED = [m for m in DEFERRED if m != "fadegap.cli"]
+
 #: ``fadegap.__all__``, in order.
 PUBLIC_NAMES = [
     "FadingDistribution",
@@ -84,7 +87,27 @@ def test_import_loads_only_the_analysis_pipeline():
 def test_import_of_the_cli_defers_the_certification_layer():
     loaded = fresh("import fadegap.cli\nprint(json.dumps(sorted(sys.modules)))")
     assert "fadegap.cli" in loaded
-    assert "fadegap.certify" not in loaded
+    assert not set(CLI_DEFERRED) & set(loaded)
+
+
+def test_capacity_runs_on_the_analysis_pipeline_only(tmp_path):
+    path = tmp_path / "two_state.json"
+    path.write_text(json.dumps({"gains": [4, 1], "probs": [0.5, 0.5]}))
+    codes, loaded = fresh(
+        f"""
+import contextlib, io
+from fadegap import cli
+codes = []
+for units in ("nats", "bits"):
+    for fmt in ("json", "csv"):
+        argv = ["capacity", "--input", {str(path)!r}, "--units", units, "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.run(argv))
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+    )
+    assert codes == [0] * 4
+    assert not set(CLI_DEFERRED) & set(loaded)
 
 
 def test_every_public_name_is_its_submodules_object():

@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 from conftest import assert_accepted_channel_has_no_nan, strict_json
 from fadegap import (
     FadingDistribution,
+    PowerAllocation,
+    PreparedChannel,
     analyze,
     brute_force_expected_capacity,
     build_chain,
@@ -195,10 +197,16 @@ _ALLOC4 = optimal_allocation(_CH4, _CHAIN4)
 _ZERO_GAIN = full_analysis(FadingDistribution((0,), (1.0,)))
 
 
+_CHANNEL_MISFIT = (
+    "PreparedChannel needs gains, probs, inverse_gains and cum_probs as tuples of"
+    " one length K >= 1; build it with prepare()"
+)
+
+
 def _chain_misfit(stage, k_states):
     return (
-        f"{stage} needs a chain that ends at state {k_states} of the channel,"
-        " with one more breakpoint than states"
+        f"{stage} needs a chain that rises strictly from state 1 to state {k_states}"
+        " of the channel, with one more breakpoint than states"
     )
 
 
@@ -299,6 +307,48 @@ def _chain_misfit(stage, k_states):
             lambda: certify.chain_ordering_properties(_ZERO_GAIN.channel, _ZERO_GAIN.chain),
             "chain_ordering_properties needs a MufChain, got NoneType for chain",
         ),
+        (
+            lambda: dominating_muf(replace(_CHAIN4, pi=(1, 7, 3, 4)), _CH4, 0.5),
+            _chain_misfit("dominating_muf", 4),
+        ),
+        (
+            lambda: envelope_integral(replace(_CHAIN4, pi=(1, 7, 3, 4)), _CH4, 0, 1),
+            _chain_misfit("envelope_integral", 4),
+        ),
+        (
+            lambda: optimal_allocation(_CH4, replace(_CHAIN4, pi=(1, 7, 3, 4))),
+            _chain_misfit("optimal_allocation", 4),
+        ),
+        (
+            lambda: optimal_allocation(_CH4, replace(_CHAIN4, pi=(1, -2, 3, 4))),
+            _chain_misfit("optimal_allocation", 4),
+        ),
+        (
+            lambda: dominating_muf(replace(_CHAIN4, pi=(0, 2, 3, 4)), _CH4, -0.1),
+            _chain_misfit("dominating_muf", 4),
+        ),
+        (
+            lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=1.5)),
+            "optimal_allocation needs an integer s, got s=1.5",
+        ),
+        (
+            lambda: optimal_allocation(_CH4, replace(_CHAIN4, w="2")),
+            "optimal_allocation needs an integer w, got w='2'",
+        ),
+        (
+            lambda: expected_capacity(_CH4, PowerAllocation(beta=None, lam=_ALLOC4.lam)),
+            "expected_capacity needs an allocation whose powers and factors are sequences,"
+            " got NoneType and tuple",
+        ),
+        (
+            lambda: layer_rates(_CH4, replace(_ALLOC4, lam=None)),
+            "layer_rates needs an allocation whose powers and factors are sequences,"
+            " got tuple and NoneType",
+        ),
+        (lambda: build_chain(PreparedChannel(None, None, None, None)), _CHANNEL_MISFIT),
+        (lambda: ergodic_capacity(replace(_CH4, gains=None)), _CHANNEL_MISFIT),
+        (lambda: build_chain(PreparedChannel((), (), (), ())), _CHANNEL_MISFIT),
+        (lambda: build_chain(replace(_CH4, cum_probs=_CH4.cum_probs[:2])), _CHANNEL_MISFIT),
     ],
     ids=[
         "analyze-None",
@@ -333,6 +383,19 @@ def _chain_misfit(stage, k_states):
         "optimal_allocation-s-above-w",
         "optimal_allocation-w-9",
         "chain_ordering_properties-None",
+        "dominating_muf-pi-falls",
+        "envelope_integral-pi-falls",
+        "optimal_allocation-pi-falls",
+        "optimal_allocation-pi-negative",
+        "dominating_muf-pi-from-0",
+        "optimal_allocation-s-1.5",
+        "optimal_allocation-w-str",
+        "expected_capacity-beta-None",
+        "layer_rates-lam-None",
+        "build_chain-channel-of-None",
+        "ergodic_capacity-gains-None",
+        "build_chain-channel-of-0-states",
+        "build_chain-short-cum-probs",
     ],
 )
 def test_a_wrong_argument_raises_a_validation_error(call, message):
