@@ -43,7 +43,6 @@ only when the float rung cannot settle a channel.
 import functools
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -100,11 +99,20 @@ class PowerAllocation:
     lam: decoded-rate factors; state k reliably receives ln(lam[k-1]) nats.
         Exactly 1 for states below the weakest active state.
 
-    :func:`layer_rates` gives the rate each state's power layer carries.
+    beta and lam must be tuples of one length K >= 1.  :func:`layer_rates`
+    gives the rate each state's power layer carries.
     """
 
     beta: tuple
     lam: tuple
+
+    def __post_init__(self):
+        beta, lam = self.beta, self.lam
+        if not (isinstance(beta, tuple) and isinstance(lam, tuple) and 0 < len(beta) == len(lam)):
+            raise ValidationError(
+                "PowerAllocation needs beta and lam as tuples of one length K >= 1;"
+                " build it with optimal_allocation()"
+            )
 
     @property
     def active_states(self) -> tuple:
@@ -166,23 +174,11 @@ def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
 
 
 def _check_allocation_fits(what: str, ch: PreparedChannel, alloc: PowerAllocation) -> None:
-    """Refuse an allocation whose powers and factors are not sequences of
-    one entry per state of ch, naming what."""
-    k_states = ch.num_states
-    beta, lam = alloc.beta, alloc.lam
-    # the tuples optimal_allocation builds skip the slower ABC check
-    if not (
-        (type(beta) is tuple or isinstance(beta, Sequence))
-        and (type(lam) is tuple or isinstance(lam, Sequence))
-    ):
+    """Refuse an allocation that does not have one entry per state of ch,
+    naming what."""
+    if len(alloc.beta) != ch.num_states:
         raise ValidationError(
-            f"{what} needs an allocation whose powers and factors are sequences, got"
-            f" {type(beta).__name__} and {type(lam).__name__}"
-        )
-    if not len(beta) == len(lam) == k_states:
-        raise ValidationError(
-            f"{what} needs an allocation of {k_states} states, got"
-            f" {len(beta)} powers and {len(lam)} factors"
+            f"{what} needs an allocation of {ch.num_states} states, got one of {len(alloc.beta)}"
         )
 
 

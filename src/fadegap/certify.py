@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .allocation import ROUTE_RTOL
 from .channel import PreparedChannel
 from .errors import ValidationError, check_instance
-from .gaps import LN2
+from .gaps import LN2, Analysis
 from .muf import MufChain, check_chain_fits, dominating_muf, intersection
 
 __all__ = [
@@ -92,23 +92,27 @@ def closed_form_route_agreement(per_state: float, grouped: float) -> Margin:
 
 def additive_gap_bound(analysis) -> Margin:
     """``A <= ln K``."""
+    check_instance("additive_gap_bound", "analysis", analysis, Analysis)
     k_states = analysis.channel.num_states
     return _excess(analysis.report.additive_gap - math.log(k_states), BOUND_ATOL)
 
 
 def multiplicative_gap_bound(analysis) -> Margin:
     """``M <= K``."""
+    check_instance("multiplicative_gap_bound", "analysis", analysis, Analysis)
     return _excess(analysis.report.multiplicative_gap - analysis.channel.num_states, BOUND_ATOL)
 
 
 def per_state_additive_terms(analysis) -> Margin:
     """Each lemma-2 term is at most ``1/p_k``; a NaN term fails."""
+    check_instance("per_state_additive_terms", "analysis", analysis, Analysis)
     terms = zip(analysis.report.lemma2_terms, analysis.channel.probs)
     return _excess(_worst(t - 1 / float(p) for t, p in terms), BOUND_ATOL)
 
 
 def per_state_multiplicative_terms(analysis) -> Margin:
     """Each lemma-3 term is at most 1; a NaN term fails."""
+    check_instance("per_state_multiplicative_terms", "analysis", analysis, Analysis)
     return _excess(_worst(t - 1 for t in analysis.report.lemma3_terms), BOUND_ATOL)
 
 
@@ -116,8 +120,8 @@ def chain_ordering_properties(ch, chain) -> Margin:
     """A certificate that the chain is the lower envelope of the lines
     ``(z + n_k) / F_k``, from at most 2K crossings.
 
-    1. Shape: pi rises strictly from 1 to K, with one more breakpoint
-       than states (:func:`~fadegap.muf.check_chain_fits`); otherwise the
+    1. Shape: pi rises strictly from 1 (which :class:`~fadegap.muf.MufChain`
+       holds) to K (:func:`~fadegap.muf.check_chain_fits`); otherwise the
        margin is ``(False, inf)``.
     2. Each interior breakpoint z_i, between the chain states a = pi[i-1]
        and b = pi[i], lies at or below ``z_{a,l}`` for every l in a+1..b and
@@ -163,6 +167,8 @@ def envelope_maximality(ch, chain) -> Margin:
     no other state every utility is 0, the grid spans (-1, 10], and the
     deviation is the envelope value itself.
     """
+    check_instance("envelope_maximality", "ch", ch, PreparedChannel)
+    check_instance("envelope_maximality", "chain", chain, MufChain)
     k_states, n, f = ch.num_states, ch.inverse_gains, ch.cum_probs
     live = bisect.bisect_left(n, math.inf)
     n_1, n_k = (n[0], n[live - 1]) if live else (1.0, 1.0)

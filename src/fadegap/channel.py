@@ -15,13 +15,12 @@ the degenerate worst-case families rely on.
 
 import bisect
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .errors import ValidationError, check_instance, validated_tuple
+from .errors import ValidationError, check_instance, check_real, validated_tuple
 
 __all__ = [
     "FadingDistribution",
@@ -47,13 +46,12 @@ class FadingDistribution:
 
     gains and probs must have equal length K >= 1, every probability must be
     positive with total within 1e-9 of one, and every gain must be
-    nonnegative and finite.  Every value must be a float, a subclass
-    included, or a rational number (an int, a bool, a Fraction), and must
-    convert to a finite float, and a positive one to a positive float: an
-    int or Fraction beyond the double-precision range is refused, and so is
-    a positive one below its normal range, since exact ratios of such values
-    would overflow where they meet a float.  Order is irrelevant;
-    :func:`prepare` canonicalizes it.
+    nonnegative and finite.  Every value must be a real number by
+    :func:`~fadegap.errors.check_real`, not NaN, and a positive one must
+    convert to a positive float: a positive int or Fraction below the
+    normal range is refused, since exact ratios of such values would
+    overflow where they meet a float.  Order is irrelevant; :func:`prepare`
+    canonicalizes it.
     """
 
     gains: tuple
@@ -94,20 +92,13 @@ def _underflows(x, as_float):
 
 
 def _as_float(field, k, x):
-    """x as a float; a value that is neither a float nor a rational number
-    (a Decimal, complex, str or None, a numpy float32), a NaN, or a value
-    beyond the double-precision range, is refused.  The pipeline mixes
-    every value with floats, which only these types meet exactly."""
-    if not isinstance(x, (float, numbers.Rational)):
-        raise ValidationError(
-            f"{field}: state {k} is {x!r}, not a float or a rational number"
-        )
+    """x as a float by :func:`~fadegap.errors.check_real`, naming the field
+    and the state; a NaN is refused too."""
     try:
-        as_float = float(x)
-    except OverflowError:
-        raise ValidationError(
-            f"{field}: state {k} lies beyond the double-precision range"
-        ) from None
+        as_float = check_real(field, x)
+    except ValidationError:
+        # the state is named only here: formatting it costs more than the check
+        as_float = check_real(f"{field}: state {k}", x)
     if as_float != as_float:
         raise ValidationError(f"{field}: state {k} is not a number")
     return as_float

@@ -26,14 +26,27 @@ def validated_index(what: str, name: str, value) -> int:
         raise ValidationError(f"{what} needs an integer {name}, got {name}={value!r}") from None
 
 
-def check_real(name: str, value) -> None:
-    """Refuse a value that is not a real number, or one (an int, a Fraction)
-    beyond the float range, naming it, before anything compares it.  An
-    infinite float passes."""
-    if not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+def validated_state_count(what: str, K) -> int:
+    """K as an int; a non-integer K or one below 1 is refused, naming what."""
+    K = validated_index(what, "K", K)
+    if K < 1:
+        raise ValidationError(f"{what} needs K >= 1, got {K}")
+    return K
+
+
+def check_real(name: str, value) -> float:
+    """value as a float, by the package's one rule for a real number: a
+    float (a subclass included) or a rational number whose float does not
+    overflow, the types that meet a float exactly.  Anything else (a str,
+    None, a Decimal, a numpy float32) is refused, naming it, before anything
+    compares it.  A NaN or infinite float passes."""
+    if not isinstance(value, (float, numbers.Rational)):
+        raise ValidationError(
+            f"{name} must be a real number, got {value!r}, which is neither a float nor"
+            " a rational number"
+        )
     try:
-        float(value)
+        return float(value)
     except OverflowError:
         raise ValidationError(f"{name} lies beyond the double-precision range") from None
 
@@ -41,8 +54,9 @@ def check_real(name: str, value) -> None:
 def check_instance(what: str, name: str, value, cls) -> None:
     """Refuse a value that is not a cls, naming what and the argument."""
     if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise ValidationError(
-            f"{what} needs a {cls.__name__}, got {type(value).__name__} for {name}"
+            f"{what} needs {article} {cls.__name__}, got {type(value).__name__} for {name}"
         )
 
 

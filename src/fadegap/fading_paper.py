@@ -11,16 +11,13 @@ hurt) together with the raw unclamped lower bound.
 """
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 # prepare and ergodic_capacity are not called here; perfbench/tracing.py
 # wraps fading_paper.prepare and fading_paper.ergodic_capacity
 from .channel import FadingDistribution, ergodic_capacity, prepare  # noqa: F401
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_real, validated_state_count
 from .gaps import LN2, full_analysis
-from .worst_case import _check_states
 
 __all__ = ["FadingPaperReport", "fading_paper_report", "worst_case_fp_bracket"]
 
@@ -52,9 +49,8 @@ def fading_paper_report(dist: FadingDistribution, inr: float) -> FadingPaperRepo
     [C_erg - ln 2, C_erg] floored at zero, and the loss bracket is
     [max(A - ln 2, 0), A] for the interference-free additive gap A.
     """
-    if not (isinstance(inr, numbers.Real) and inr >= 0):
-        raise ValidationError(f"inr must be a nonnegative real number, got {inr!r}")
-    check_real("inr", inr)
+    if not check_real("inr", inr) >= 0:
+        raise ValidationError(f"inr must be nonnegative, got {inr!r}")
     return _report_of(full_analysis(dist), inr)
 
 
@@ -90,7 +86,6 @@ def _report_of(analysis, inr: float) -> FadingPaperReport:
 def worst_case_fp_bracket(K: int) -> tuple:
     """Bracket [max(ln(K/2), 0), ln K] for the worst-case fading-paper
     additive loss over all K-state distributions and interference powers."""
-    K = _check_states("worst-case bracket", K)
-    if K > sys.float_info.max:
-        raise ValidationError("worst-case bracket: K overflows double precision")
+    K = validated_state_count("worst-case bracket", K)
+    check_real("worst-case bracket: K", K)
     return (max(math.log(K / 2), 0.0), math.log(K))

@@ -47,7 +47,8 @@ TIE_RTOL = 1e-12
 class MufChain:
     """Envelope chain for a prepared channel.
 
-    pi: 1-based state indices tracing the envelope, pi[0] == 1, pi[-1] == K.
+    pi: 1-based state indices tracing the envelope, rising strictly from
+        pi[0] == 1 to pi[-1] == K.
     breakpoints: length I+1; breakpoints[i-1] is the crossing point where
         segment i takes over (the leading sentinel is -n_1, where u_1 leaves
         its pole) and breakpoints[I] is the +infinity sentinel.
@@ -62,6 +63,24 @@ class MufChain:
     breakpoints: tuple
     s: int
     w: int
+
+    def __post_init__(self):
+        pi, breakpoints = self.pi, self.breakpoints
+        ok = (
+            isinstance(pi, tuple)
+            and isinstance(breakpoints, tuple)
+            and 0 < len(pi) == len(breakpoints) - 1
+            and pi[0] == 1
+        )
+        try:
+            ok = ok and all(map(operator.lt, pi, pi[1:]))
+        except TypeError:  # entries that do not compare
+            ok = False
+        if not ok:
+            raise ValidationError(
+                "MufChain needs pi as a tuple of states rising strictly from 1 and"
+                " breakpoints as a tuple of one more entry; build it with build_chain()"
+            )
 
     @property
     def segment_count(self) -> int:
@@ -197,20 +216,10 @@ def build_chain(ch: PreparedChannel) -> MufChain:
 
 
 def check_chain_fits(what: str, chain: MufChain, ch: PreparedChannel) -> None:
-    """Refuse a chain whose states do not rise strictly from 1 to state K
-    of ch, or whose breakpoints are not one more than its states, naming
-    what.  Its one pass over the states runs in C."""
-    pi, k_states = chain.pi, ch.num_states
-    if not (
-        pi
-        and pi[0] == 1
-        and pi[-1] == k_states
-        and len(chain.breakpoints) == len(pi) + 1
-        and all(map(operator.lt, pi, pi[1:]))
-    ):
+    """Refuse a chain that does not end at state K of ch, naming what."""
+    if chain.pi[-1] != ch.num_states:
         raise ValidationError(
-            f"{what} needs a chain that rises strictly from state 1 to state {k_states}"
-            " of the channel, with one more breakpoint than states"
+            f"{what} needs a chain that ends at state {ch.num_states} of the channel"
         )
 
 

@@ -20,12 +20,11 @@ loses value, and the search is fully deterministic.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .allocation import expected_rate_of
 from .channel import PreparedChannel
-from .errors import ValidationError, check_instance
+from .errors import ValidationError, check_instance, check_real
 
 __all__ = ["OracleResult", "brute_force_expected_capacity"]
 
@@ -117,8 +116,8 @@ def brute_force_expected_capacity(ch: PreparedChannel, tol: float) -> OracleResu
     evaluator, and iterations counts the phi evaluations.
     """
     check_instance("brute_force_expected_capacity", "ch", ch, PreparedChannel)
-    if not (isinstance(tol, numbers.Real) and tol > 0):
-        raise ValidationError(f"tol must be a positive real number, got {tol!r}")
+    if not check_real("tol", tol) > 0:
+        raise ValidationError(f"tol must be positive, got {tol!r}")
 
     g = [float(x) for x in ch.gains]
     f = [float(x) for x in ch.cum_probs]

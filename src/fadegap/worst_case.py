@@ -17,11 +17,10 @@ state ends up active.
 """
 
 import math
-import numbers
 from fractions import Fraction
 
 from .channel import FadingDistribution
-from .errors import ValidationError, check_real, validated_index, validated_tuple
+from .errors import ValidationError, check_real, validated_state_count, validated_tuple
 from .gaps import CapacityReport, analyze
 
 __all__ = [
@@ -40,22 +39,10 @@ SWEEP_CSV_HEADER = "d,c_erg,c_exp,additive_gap,multiplicative_gap,entropy"
 
 
 def _check_finite(name: str, value):
-    """Refuse a generator parameter that is not a real number, or neither a
-    float nor a rational number (a numpy float32, which FadingDistribution
-    refuses), or is NaN or infinite, naming it."""
-    check_real(name, value)
-    if not isinstance(value, (float, numbers.Rational)):
-        raise ValidationError(f"{name} must be a float or a rational number, got {value!r}")
-    if not -math.inf < value < math.inf:
+    """Refuse a generator parameter that is not a real number by
+    :func:`~fadegap.errors.check_real`, or is NaN or infinite, naming it."""
+    if not -math.inf < check_real(name, value) < math.inf:
         raise ValidationError(f"{name} must be finite, got {value}")
-
-
-def _check_states(what: str, K) -> int:
-    """K as an int; a non-integer K or one below 1 is refused, naming what."""
-    K = validated_index(what, "K", K)
-    if K < 1:
-        raise ValidationError(f"{what} needs K >= 1, got {K}")
-    return K
 
 
 def _gains(build, what: str) -> tuple:
@@ -81,7 +68,7 @@ def additive_family(K: int, d: float) -> FadingDistribution:
     K-term sum, keeping the relative error at one rounding even when the top
     gain reaches ~1e32.
     """
-    K = _check_states("additive family", K)
+    K = validated_state_count("additive family", K)
     _check_finite("d", d)
     if not d > max(K - 1, 2):
         raise ValidationError(f"additive family needs d > max(K-1, 2) = {max(K - 1, 2)}, got {d}")
@@ -99,7 +86,7 @@ def multiplicative_family(K: int, d: float) -> FadingDistribution:
     proportional to d^k, making cumulative probability exactly proportional
     to n_k.  Gains and probabilities come back as Fractions.
     """
-    K = _check_states("multiplicative family", K)
+    K = validated_state_count("multiplicative family", K)
     _check_finite("d", d)
     if not d > 0:
         raise ValidationError(f"multiplicative family needs d > 0, got {d}")
@@ -185,7 +172,7 @@ def sweep_to_csv(rows) -> str:
     lines = [SWEEP_CSV_HEADER]
     for k, row in enumerate(validated_tuple("rows", rows), start=1):
         d, report = row if isinstance(row, (tuple, list)) and len(row) == 2 else (None, None)
-        if not (isinstance(d, numbers.Real) and isinstance(report, CapacityReport)):
+        if not isinstance(report, CapacityReport):
             raise ValidationError(f"rows: row {k} is not a real d paired with a CapacityReport")
         check_real(f"rows: the d of row {k}", d)
         lines.append(

@@ -10,6 +10,7 @@ import bisect
 import functools
 import json
 import math
+import numbers
 import operator
 import random
 from fractions import Fraction
@@ -55,6 +56,33 @@ from fadegap.muf import TIE_RTOL
 
 ADDITIVE_D_GRID = (3, 10, 100, 1e4)
 MULTIPLICATIVE_D_GRID = (0.5, 2, 60, 1e4)
+
+
+class _Real:
+    """A real number that is neither a float nor a rational number, as a
+    numpy float32 is; CI installs no numpy.  Like a float32 it compares by
+    value and raises a number to its power, and does no other arithmetic."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def __float__(self):
+        return self.x
+
+    def __lt__(self, other):
+        return self.x < float(other)
+
+    def __gt__(self, other):
+        return self.x > float(other)
+
+    def __rpow__(self, base):
+        return _Real(base**self.x)
+
+    def __repr__(self):
+        return f"_Real({self.x!r})"
+
+
+numbers.Real.register(_Real)
 
 
 def strict_json(text):

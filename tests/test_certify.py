@@ -156,22 +156,14 @@ def test_chain_ordering_fails_a_corrupted_chain_with_an_overflowed_state():
         lambda b: ((1, 2, 3), b[:2] + (0.425, b[3])),
         lambda b: ((1, 2, 3), b[:2] + (0.7999992, b[3])),
         lambda b: ((1, 2), b[:2] + b[3:]),
-        lambda b: ((2, 3), (-0.1,) + b[2:]),
-        lambda b: ((1, 2, 3), b[:-1]),
     ],
-    ids=[
-        "breakpoint-0.425",
-        "breakpoint-0.7999992",
-        "drops-state-3",
-        "drops-state-1",
-        "drops-the-end-sentinel",
-    ],
+    ids=["breakpoint-0.425", "breakpoint-0.7999992", "drops-state-3"],
 )
 def test_chain_ordering_fails_what_the_all_pairs_scan_passes(corrupt):
     # breakpoints -0.01, 0.05, 0.8; the scan passes each of these chains:
     # a moved breakpoint stays below every crossing from state 2 and above
-    # the one from state 1 into state 3, a missing end state is never
-    # compared, and a missing end sentinel is never read
+    # the one from state 1 into state 3, and a missing end state is never
+    # compared
     a = full_analysis(DIST)
     ch, chain = a.channel, a.chain
     assert chain.pi == (1, 2, 3)
@@ -179,6 +171,20 @@ def test_chain_ordering_fails_what_the_all_pairs_scan_passes(corrupt):
     corrupted = replace(chain, pi=pi, breakpoints=breakpoints, w=len(pi))
     assert reference_chain_ordering(ch, corrupted).ok
     assert not certify.chain_ordering_properties(ch, corrupted).ok
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda b: ((2, 3), (-0.1,) + b[2:]), lambda b: ((1, 2, 3), b[:-1])],
+    ids=["drops-state-1", "drops-the-end-sentinel"],
+)
+def test_a_chain_the_all_pairs_scan_passes_cannot_be_built(corrupt):
+    # the scan never compares a state before pi[0] nor reads the end
+    # sentinel; MufChain refuses a chain that misses either
+    chain = full_analysis(DIST).chain
+    pi, breakpoints = corrupt(chain.breakpoints)
+    with pytest.raises(ValidationError, match="MufChain needs pi as a tuple"):
+        replace(chain, pi=pi, breakpoints=breakpoints, w=len(pi))
 
 
 def test_chain_ordering_certifies_a_4096_state_ladder():

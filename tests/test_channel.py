@@ -86,15 +86,19 @@ def test_distribution_validation_errors(gains, probs, match):
         FadingDistribution(gains, probs)
 
 
+#: the refusal of a value that is neither a float nor a rational number
+_NOT_REAL = "{} must be a real number, got {}"
+
+
 @pytest.mark.parametrize(
     "gains, probs, match",
     [
-        ((Decimal(2), Decimal(1)), (0.5, 0.5), "gains: state 1 is Decimal"),
-        ((2.0, 1.0), (Decimal("0.5"), Decimal("0.5")), "probs: state 1 is Decimal"),
-        (("2", 1.0), (0.5, 0.5), "gains: state 1 is '2'"),
-        ((2.0, None), (0.5, 0.5), "gains: state 2 is None"),
-        ((2.0, 1j), (0.5, 0.5), "gains: state 2 is 1j"),
-        ((2.0, 1.0), (0.5, "0.5"), "probs: state 2 is '0.5'"),
+        ((Decimal(2), Decimal(1)), (0.5, 0.5), _NOT_REAL.format("gains: state 1", "Decimal")),
+        ((2.0, 1.0), (Decimal("0.5"),) * 2, _NOT_REAL.format("probs: state 1", "Decimal")),
+        (("2", 1.0), (0.5, 0.5), _NOT_REAL.format("gains: state 1", "'2'")),
+        ((2.0, None), (0.5, 0.5), _NOT_REAL.format("gains: state 2", "None")),
+        ((2.0, 1j), (0.5, 0.5), _NOT_REAL.format("gains: state 2", "1j")),
+        ((2.0, 1.0), (0.5, "0.5"), _NOT_REAL.format("probs: state 2", "'0.5'")),
         (5, (1.0,), "gains: expected a sequence of numbers, got int"),
         ((1.0,), None, "probs: expected a sequence of numbers, got NoneType"),
     ],

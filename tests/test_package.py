@@ -110,6 +110,26 @@ print(json.dumps([codes, sorted(sys.modules)]))
     assert not set(CLI_DEFERRED) & set(loaded)
 
 
+def test_fading_paper_runs_without_the_worst_case_families(tmp_path):
+    path = tmp_path / "two_state.json"
+    path.write_text(json.dumps({"gains": [4, 1], "probs": [0.5, 0.5]}))
+    codes, loaded = fresh(
+        f"""
+import contextlib, io
+from fadegap import cli
+codes = []
+for units in ("nats", "bits"):
+    argv = ["fading-paper", "--input", {str(path)!r}, "--inr", "1", "--units", units]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+    )
+    assert codes == [0, 0]
+    assert "fadegap.fading_paper" in loaded
+    assert not (set(CLI_DEFERRED) - {"fadegap.fading_paper"}) & set(loaded)
+
+
 def test_every_public_name_is_its_submodules_object():
     mismatched = fresh(
         """

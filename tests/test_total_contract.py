@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_accepted_channel_has_no_nan, strict_json
+from conftest import _Real, assert_accepted_channel_has_no_nan, strict_json
 from fadegap import (
     FadingDistribution,
     PowerAllocation,
@@ -42,7 +42,9 @@ from fadegap import (
     expected_rate_of,
     fading_paper_report,
     full_analysis,
+    high_snr_instance,
     intersection,
+    low_snr_instance,
     muf_value,
     optimal_allocation,
     prepare,
@@ -203,10 +205,25 @@ _CHANNEL_MISFIT = (
 )
 
 
+_CHAIN_SHAPE = (
+    "MufChain needs pi as a tuple of states rising strictly from 1 and breakpoints"
+    " as a tuple of one more entry; build it with build_chain()"
+)
+
+_ALLOCATION_SHAPE = (
+    "PowerAllocation needs beta and lam as tuples of one length K >= 1;"
+    " build it with optimal_allocation()"
+)
+
+
 def _chain_misfit(stage, k_states):
+    return f"{stage} needs a chain that ends at state {k_states} of the channel"
+
+
+def _not_real(name, x):
     return (
-        f"{stage} needs a chain that rises strictly from state 1 to state {k_states}"
-        " of the channel, with one more breakpoint than states"
+        f"{name} must be a real number, got _Real({x!r}), which is neither a float nor"
+        " a rational number"
     )
 
 
@@ -260,23 +277,23 @@ def _chain_misfit(stage, k_states):
         ),
         (
             lambda: expected_capacity(_CH4, replace(_ALLOC4, lam=_ALLOC4.lam[:2])),
-            "expected_capacity needs an allocation of 4 states, got 4 powers and 2 factors",
+            _ALLOCATION_SHAPE,
         ),
         (
             lambda: expected_capacity(_CH4, _ALLOC),
-            "expected_capacity needs an allocation of 4 states, got 2 powers and 2 factors",
+            "expected_capacity needs an allocation of 4 states, got one of 2",
         ),
         (
             lambda: expected_capacity(_CH, _ALLOC4),
-            "expected_capacity needs an allocation of 2 states, got 4 powers and 4 factors",
+            "expected_capacity needs an allocation of 2 states, got one of 4",
         ),
         (
             lambda: closed_form_routes(_CH, _ALLOC4),
-            "closed_form_routes needs an allocation of 2 states, got 4 powers and 4 factors",
+            "closed_form_routes needs an allocation of 2 states, got one of 4",
         ),
         (
             lambda: layer_rates(_CH4, replace(_ALLOC4, beta=_ALLOC4.beta[:2])),
-            "layer_rates needs an allocation of 4 states, got 2 powers and 4 factors",
+            _ALLOCATION_SHAPE,
         ),
         (lambda: optimal_allocation(_CH, _CHAIN4), _chain_misfit("optimal_allocation", 2)),
         (lambda: dominating_muf(_CHAIN4, _CH, 0.5), _chain_misfit("dominating_muf", 2)),
@@ -285,7 +302,7 @@ def _chain_misfit(stage, k_states):
             lambda: dominating_muf(
                 replace(_CHAIN4, breakpoints=_CHAIN4.breakpoints[:-1]), _CH4, 0.5
             ),
-            _chain_misfit("dominating_muf", 4),
+            _CHAIN_SHAPE,
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=0)),
@@ -309,23 +326,23 @@ def _chain_misfit(stage, k_states):
         ),
         (
             lambda: dominating_muf(replace(_CHAIN4, pi=(1, 7, 3, 4)), _CH4, 0.5),
-            _chain_misfit("dominating_muf", 4),
+            _CHAIN_SHAPE,
         ),
         (
             lambda: envelope_integral(replace(_CHAIN4, pi=(1, 7, 3, 4)), _CH4, 0, 1),
-            _chain_misfit("envelope_integral", 4),
+            _CHAIN_SHAPE,
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, pi=(1, 7, 3, 4))),
-            _chain_misfit("optimal_allocation", 4),
+            _CHAIN_SHAPE,
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, pi=(1, -2, 3, 4))),
-            _chain_misfit("optimal_allocation", 4),
+            _CHAIN_SHAPE,
         ),
         (
             lambda: dominating_muf(replace(_CHAIN4, pi=(0, 2, 3, 4)), _CH4, -0.1),
-            _chain_misfit("dominating_muf", 4),
+            _CHAIN_SHAPE,
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=1.5)),
@@ -337,18 +354,57 @@ def _chain_misfit(stage, k_states):
         ),
         (
             lambda: expected_capacity(_CH4, PowerAllocation(beta=None, lam=_ALLOC4.lam)),
-            "expected_capacity needs an allocation whose powers and factors are sequences,"
-            " got NoneType and tuple",
+            _ALLOCATION_SHAPE,
         ),
-        (
-            lambda: layer_rates(_CH4, replace(_ALLOC4, lam=None)),
-            "layer_rates needs an allocation whose powers and factors are sequences,"
-            " got tuple and NoneType",
-        ),
+        (lambda: layer_rates(_CH4, replace(_ALLOC4, lam=None)), _ALLOCATION_SHAPE),
         (lambda: build_chain(PreparedChannel(None, None, None, None)), _CHANNEL_MISFIT),
         (lambda: ergodic_capacity(replace(_CH4, gains=None)), _CHANNEL_MISFIT),
         (lambda: build_chain(PreparedChannel((), (), (), ())), _CHANNEL_MISFIT),
         (lambda: build_chain(replace(_CH4, cum_probs=_CH4.cum_probs[:2])), _CHANNEL_MISFIT),
+        # a float32 passes numbers.Real but is no float or rational number
+        (lambda: muf_value(_CH, 1, _Real(0.5)), _not_real("z", 0.5)),
+        (lambda: dominating_muf(_CHAIN, _CH, _Real(0.5)), _not_real("z", 0.5)),
+        (lambda: envelope_integral(_CHAIN, _CH, 0, _Real(0.3)), _not_real("hi", 0.3)),
+        (lambda: expected_rate_of(_CH, (_Real(0.5), 1.0)), _not_real("beta: entry 1", 0.5)),
+        (lambda: fading_paper_report(_DIST, _Real(1.0)), _not_real("inr", 1.0)),
+        (lambda: brute_force_expected_capacity(_CH, _Real(1e-7)), _not_real("tol", 1e-7)),
+        (
+            lambda: low_snr_instance([_Real(2.0), 1.0], [0.5, 0.5], 1.0),
+            _not_real("low-SNR slopes: entry 1", 2.0),
+        ),
+        (
+            lambda: high_snr_instance([_Real(2.0), 0.5], [0.5, 0.5], 10.0),
+            _not_real("high-SNR exponents: entry 1", 2.0),
+        ),
+        (lambda: replace(_CHAIN4, pi=5), _CHAIN_SHAPE),
+        (lambda: replace(_CHAIN4, breakpoints=None), _CHAIN_SHAPE),
+        (lambda: replace(_CHAIN4, pi=(1, None, 3, 4)), _CHAIN_SHAPE),
+        (lambda: PowerAllocation(beta="ab", lam=_ALLOC.lam), _ALLOCATION_SHAPE),
+        (lambda: PowerAllocation(beta=(), lam=()), _ALLOCATION_SHAPE),
+        (
+            lambda: certify.envelope_maximality(None, _CHAIN),
+            "envelope_maximality needs a PreparedChannel, got NoneType for ch",
+        ),
+        (
+            lambda: certify.envelope_maximality(_ZERO_GAIN.channel, _ZERO_GAIN.chain),
+            "envelope_maximality needs a MufChain, got NoneType for chain",
+        ),
+        (
+            lambda: certify.additive_gap_bound(None),
+            "additive_gap_bound needs an Analysis, got NoneType for analysis",
+        ),
+        (
+            lambda: certify.multiplicative_gap_bound(None),
+            "multiplicative_gap_bound needs an Analysis, got NoneType for analysis",
+        ),
+        (
+            lambda: certify.per_state_additive_terms(None),
+            "per_state_additive_terms needs an Analysis, got NoneType for analysis",
+        ),
+        (
+            lambda: certify.per_state_multiplicative_terms(_ZERO_GAIN.report),
+            "per_state_multiplicative_terms needs an Analysis, got CapacityReport for analysis",
+        ),
     ],
     ids=[
         "analyze-None",
@@ -396,6 +452,25 @@ def _chain_misfit(stage, k_states):
         "ergodic_capacity-gains-None",
         "build_chain-channel-of-0-states",
         "build_chain-short-cum-probs",
+        "muf_value-float32-z",
+        "dominating_muf-float32-z",
+        "envelope_integral-float32-hi",
+        "expected_rate_of-float32-beta",
+        "fading_paper_report-float32-inr",
+        "brute_force_expected_capacity-float32-tol",
+        "low_snr_instance-float32-entry",
+        "high_snr_instance-float32-entry",
+        "MufChain-pi-5",
+        "MufChain-breakpoints-None",
+        "MufChain-pi-None-entry",
+        "PowerAllocation-beta-str",
+        "PowerAllocation-empty",
+        "envelope_maximality-None",
+        "envelope_maximality-None-chain",
+        "additive_gap_bound-None",
+        "multiplicative_gap_bound-None",
+        "per_state_additive_terms-None",
+        "per_state_multiplicative_terms-report",
     ],
 )
 def test_a_wrong_argument_raises_a_validation_error(call, message):

@@ -1,10 +1,10 @@
 import math
-import numbers
 import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import _Real
 from fadegap import (
     ValidationError,
     additive_family,
@@ -137,23 +137,8 @@ def test_snr_instances_check_snr_after_the_profile(build):
         build([1, 2], [0.5, 0.5], math.nan)
 
 
-class _Real:
-    """A real number that is neither a float nor a rational number, as a
-    numpy float32 is; CI installs no numpy."""
-
-    def __init__(self, x):
-        self.x = x
-
-    def __float__(self):
-        return self.x
-
-    def __repr__(self):
-        return f"_Real({self.x!r})"
-
-
-numbers.Real.register(_Real)
 #: the refusal of a _Real parameter
-_NEITHER = "{} must be a float or a rational number, got _Real(10.0)"
+_NEITHER = "{} must be a real number, got _Real(10.0), which is neither a float nor a rational"
 
 
 @pytest.mark.parametrize(
