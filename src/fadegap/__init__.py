@@ -8,7 +8,9 @@ families, a brute-force certifier, and one-bit fading-paper brackets.
 ``import fadegap`` loads only the analysis pipeline (``errors``, ``channel``,
 ``muf``, ``allocation`` and ``gaps``).  The worst-case families of
 ``worst_case``, the certifier of ``oracle`` and the brackets of
-``fading_paper`` load on first access to one of their names.
+``fading_paper`` load on first access to one of their names.  Exact
+arithmetic (``fractions``, ``numbers``) loads only with an input that
+needs it, so a float channel runs without it.
 """
 
 import importlib

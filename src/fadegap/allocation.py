@@ -37,14 +37,15 @@ capacity near 0 keeps its relative accuracy.  What climbs is mostly the
 agreement, where the grouped form cancels; on extreme channels (gains
 near 1e-300, the exact worst-case families) it cancels through up to
 hundreds of digits, which the mpmath rungs resolve.  mpmath is imported
-only when the float rung cannot settle a channel.
+only when the float rung cannot settle a channel, and ``fractions`` only
+for an exact input, an mpmath rung or a factor check that bit equality
+cannot decide.
 """
 
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .channel import PreparedChannel
@@ -53,7 +54,7 @@ from .errors import (
     ValidationError,
     check_instance,
     check_real,
-    validated_index,
+    is_fraction,
     validated_tuple,
 )
 from .muf import MufChain, check_chain_fits
@@ -133,15 +134,14 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     check_instance("optimal_allocation", "chain", chain, MufChain)
     check_chain_fits("optimal_allocation", chain, ch)
     k_states = ch.num_states
-    pi, bps = chain.pi, chain.breakpoints
-    s = validated_index("optimal_allocation", "s", chain.s)
-    w = validated_index("optimal_allocation", "w", chain.w)
-    if not 1 <= s <= w <= len(pi):
-        raise ValidationError(
-            f"optimal_allocation needs a chain with 1 <= s <= w <= {len(pi)},"
-            f" got s={s}, w={w}"
-        )
-    one = Fraction(1) if isinstance(ch.gains[0], Fraction) else 1.0
+    pi, bps, s, w = chain.pi, chain.breakpoints, chain.s, chain.w
+    g_1 = ch.gains[0]
+    if isinstance(g_1, float) or not is_fraction(g_1):
+        one = 1.0
+    else:
+        from fractions import Fraction
+
+        one = Fraction(1)
 
     beta = [one - one] * (pi[s - 1] - 1)
     # segment i covers states pi[i-1] .. pi[i]-1; a one-state segment, the
@@ -239,6 +239,8 @@ def _rung(digits) -> _Rung:
     """Float arithmetic for ``digits=None``, else an mpmath context."""
     if digits is None:
         return _Rung(float, math.log, math.log1p, math.fsum, 2.0**-53, 1e-100, 1e100)
+    from fractions import Fraction
+
     import mpmath
 
     ctx = mpmath.mp.clone()
@@ -447,6 +449,8 @@ def _check_factors(ch: PreparedChannel, alloc: PowerAllocation, active: tuple, l
     stored = list(alloc.lam)
     if lam is not None and stored == lam + [1.0] * tail and 0 < min(lam) and max(lam) < math.inf:
         return
+    from fractions import Fraction
+
     # a float or int converts exactly
     inputs = (ch.inverse_gains[:last], ch.cum_probs[:last])
     n, f = ([x if isinstance(x, Fraction) else Fraction(x) for x in xs] for xs in inputs)

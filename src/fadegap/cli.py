@@ -100,10 +100,16 @@ def _load_distribution(path) -> FadingDistribution:
     return FadingDistribution(gains=tuple(payload["gains"]), probs=tuple(payload["probs"]))
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields in field order, read as they are: unlike
+    dataclasses.asdict, no deep copy, which _json_safe rebuilds anyway."""
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+
 def _report_payload(report, nat_fields, units: str) -> dict:
     """The report's fields in field order, nat_fields in the chosen units,
     followed by the units."""
-    payload = dataclasses.asdict(report)
+    payload = _fields(report)
     if units == "bits":
         for field in nat_fields:
             payload[field] /= LN2
@@ -116,7 +122,7 @@ def _capacity_payload(dist: FadingDistribution, units: str) -> dict:
     payload = _report_payload(analysis.report, _CAPACITY_NAT_FIELDS, units)
     payload["channel"] = {"gains": analysis.channel.gains, "probs": analysis.channel.probs}
     if analysis.chain is not None:
-        payload["chain"] = dataclasses.asdict(analysis.chain)
+        payload["chain"] = _fields(analysis.chain)
         rates = layer_rates(analysis.channel, analysis.allocation)
         if units == "bits":
             rates = tuple(r / LN2 for r in rates)

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the argument checks that
 raise one."""
 
-import numbers
 import operator
+import sys
 
 __all__ = ["ValidationError", "InternalConsistencyError"]
 
@@ -39,16 +39,30 @@ def check_real(name: str, value) -> float:
     float (a subclass included) or a rational number whose float does not
     overflow, the types that meet a float exactly.  Anything else (a str,
     None, a Decimal, a numpy float32) is refused, naming it, before anything
-    compares it.  A NaN or infinite float passes."""
-    if not isinstance(value, (float, numbers.Rational)):
-        raise ValidationError(
-            f"{name} must be a real number, got {value!r}, which is neither a float nor"
-            " a rational number"
-        )
+    compares it.  A NaN or infinite float passes.  A float or an int is
+    accepted at once; only another type needs :mod:`numbers`, which is
+    imported then, so a float channel never loads it."""
+    if not isinstance(value, (float, int)):
+        import numbers
+
+        if not isinstance(value, numbers.Rational):
+            raise ValidationError(
+                f"{name} must be a real number, got {value!r}, which is neither a float"
+                " nor a rational number"
+            )
     try:
         return float(value)
     except OverflowError:
         raise ValidationError(f"{name} lies beyond the double-precision range") from None
+
+
+def is_fraction(value) -> bool:
+    """Whether value is a :class:`fractions.Fraction`.  No Fraction exists
+    before :mod:`fractions` is imported, so the test imports nothing and
+    a float or int channel never loads it.  Callers on a hot path test
+    ``isinstance(value, float)`` first, which spares a float the call."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def check_instance(what: str, name: str, value, cls) -> None:

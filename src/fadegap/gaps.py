@@ -10,12 +10,11 @@ diagnostics whose sums bound A by ln K and M by K.
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .allocation import PowerAllocation, expected_capacity, optimal_allocation
 from .channel import FadingDistribution, PreparedChannel, entropy, ergodic_capacity, prepare
-from .errors import InternalConsistencyError, ValidationError
+from .errors import InternalConsistencyError, ValidationError, is_fraction
 from .muf import MufChain, build_chain
 
 __all__ = ["CapacityReport", "Analysis", "analyze", "full_analysis"]
@@ -117,7 +116,8 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
     # The edges are typed as build_chain types them: floats compare fastest
     # with floats, Fractions with ints, and exactly either way
     bps = chain.breakpoints
-    zero, one = (0, 1) if isinstance(ch.gains[0], Fraction) else (0.0, 1.0)
+    g_1 = ch.gains[0]
+    zero, one = (0.0, 1.0) if isinstance(g_1, float) or not is_fraction(g_1) else (0, 1)
     boundary = ()
     if zero in bps or one in bps:
         boundary = tuple(float(z) for z in bps[1:-1] if z == zero or z == one)

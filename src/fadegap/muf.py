@@ -19,10 +19,9 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .channel import PreparedChannel
-from .errors import ValidationError, check_instance, check_real, validated_index
+from .errors import ValidationError, check_instance, check_real, is_fraction, validated_index
 
 __all__ = [
     "MufChain",
@@ -56,7 +55,9 @@ class MufChain:
     w: largest segment index whose takeover point is < 1.
 
     Segments s..w are the ones intersecting the power budget (0, 1]; the
-    states pi[s-1..w-1] are exactly those assigned positive power.
+    states pi[s-1..w-1] are exactly those assigned positive power.  A chain
+    refuses pi entries that are not ints and s and w outside
+    ``1 <= s <= w <= len(pi)``, and keeps s and w as ints.
     """
 
     pi: tuple
@@ -73,14 +74,22 @@ class MufChain:
             and pi[0] == 1
         )
         try:
-            ok = ok and all(map(operator.lt, pi, pi[1:]))
-        except TypeError:  # entries that do not compare
+            # the sum of ints is an int, and any other entry makes it another
+            # type or raises: one pass in C
+            ok = ok and type(sum(pi)) is int and all(map(operator.lt, pi, pi[1:]))
+        except TypeError:  # entries that do not add or compare
             ok = False
         if not ok:
             raise ValidationError(
                 "MufChain needs pi as a tuple of states rising strictly from 1 and"
                 " breakpoints as a tuple of one more entry; build it with build_chain()"
             )
+        s = validated_index("MufChain", "s", self.s)
+        w = validated_index("MufChain", "w", self.w)
+        if not 1 <= s <= w <= len(pi):
+            raise ValidationError(f"MufChain needs 1 <= s <= w <= {len(pi)}, got s={s}, w={w}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "w", w)
 
     @property
     def segment_count(self) -> int:
@@ -203,7 +212,8 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     # exactly as 0 and 1 do, and fastest: as floats, since CPython
     # specializes a float's comparison only with a float, and as ints on an
     # exact channel, where a Fraction would convert a float edge
-    zero, one = (0, 1) if isinstance(ch.gains[0], Fraction) else (0.0, 1.0)
+    g_1 = ch.gains[0]
+    zero, one = (0.0, 1.0) if isinstance(g_1, float) or not is_fraction(g_1) else (0, 1)
     s = w = 0
     for i, z in enumerate(breakpoints, start=1):
         if z < one:

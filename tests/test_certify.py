@@ -238,7 +238,9 @@ def _corruptions(ch, chain):
         yield "swap", replace(chain, breakpoints=b[:i] + (b[i + 1], b[i]) + b[i + 2 :])
         crossing = intersection(ch, pi[i - 1], pi[i + 1])
         dropped = b[:i] + (crossing,) + b[i + 2 :]
-        yield "drop", replace(chain, pi=pi[:i] + pi[i + 1 :], breakpoints=dropped)
+        # segment i + 1 goes, and the segments after it move down one
+        s, w = (x - (x > i + 1) for x in (chain.s, chain.w))
+        yield "drop", replace(chain, pi=pi[:i] + pi[i + 1 :], breakpoints=dropped, s=s, w=w)
     for i in range(1, len(pi)):
         for factor in (1 - 1e-6, 1 + 1e-6, 1 + 1e-10):
             scaled = b[:i] + (b[i] * factor,) + b[i + 1 :]

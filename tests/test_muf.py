@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,23 @@ def test_build_chain_single_state():
     assert chain.pi == (1,)
     assert (chain.s, chain.w) == (1, 1)
     assert chain.breakpoints == (-0.5, math.inf)
+
+
+class _Index:
+    """An object that is an integer only through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_chain_keeps_s_and_w_as_ints(two_state):
+    chain = replace(build_chain(two_state), s=True, w=_Index(2))
+    assert (chain.s, chain.w) == (1, 2)
+    assert type(chain.s) is int and type(chain.w) is int
+    assert chain.active_states == (1, 2)
 
 
 def test_build_chain_rejects_degenerate():

@@ -1,17 +1,24 @@
 """The package root: ``import fadegap`` loads the analysis pipeline only, and
-every public name still resolves from it.
+every public name still resolves from it.  A float channel loads no exact
+arithmetic, and an exact channel built after the import still analyses
+exactly.
 
 Each check runs in a fresh interpreter, since this process has long since
 imported the rest of the package.
 """
 
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 import fadegap
+from fadegap import FadingDistribution, full_analysis
 
 #: Submodules ``import fadegap`` loads; everything else waits for first use.
 PIPELINE = {"errors", "channel", "muf", "allocation", "gaps"}
@@ -19,6 +26,9 @@ PIPELINE = {"errors", "channel", "muf", "allocation", "gaps"}
 #: Modules the analysis pipeline must not pull in.
 DEFERRED = ["fadegap.oracle", "fadegap.worst_case", "fadegap.fading_paper"]
 DEFERRED += ["fadegap.certify", "fadegap.cli", "mpmath"]
+#: Exact arithmetic, which a float channel never needs: ``fractions`` loads
+#: ``decimal`` and ``numbers``.
+DEFERRED += ["fractions", "decimal", "numbers"]
 
 #: Modules ``fadegap.cli`` leaves to the subcommands that run them.
 CLI_DEFERRED = [m for m in DEFERRED if m != "fadegap.cli"]
@@ -90,44 +100,107 @@ def test_import_of_the_cli_defers_the_certification_layer():
     assert not set(CLI_DEFERRED) & set(loaded)
 
 
+def two_state_inputs(tmp_path) -> list:
+    """Paths of a two-state channel with float gains and of one with int
+    gains, as JSON reads them."""
+    paths = []
+    for name, gains in (("float", [4.0, 1.0]), ("int", [4, 1])):
+        path = tmp_path / f"two_state_{name}.json"
+        path.write_text(json.dumps({"gains": gains, "probs": [0.5, 0.5]}))
+        paths.append(str(path))
+    return paths
+
+
 def test_capacity_runs_on_the_analysis_pipeline_only(tmp_path):
-    path = tmp_path / "two_state.json"
-    path.write_text(json.dumps({"gains": [4, 1], "probs": [0.5, 0.5]}))
     codes, loaded = fresh(
         f"""
 import contextlib, io
 from fadegap import cli
 codes = []
-for units in ("nats", "bits"):
-    for fmt in ("json", "csv"):
-        argv = ["capacity", "--input", {str(path)!r}, "--units", units, "--format", fmt]
+for path in {two_state_inputs(tmp_path)!r}:
+    for units in ("nats", "bits"):
+        for fmt in ("json", "csv"):
+            argv = ["capacity", "--input", path, "--units", units, "--format", fmt]
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(cli.run(argv))
+print(json.dumps([codes, sorted(sys.modules)]))
+"""
+    )
+    assert codes == [0] * 8
+    assert not set(CLI_DEFERRED) & set(loaded)
+
+
+def test_fading_paper_runs_without_the_worst_case_families(tmp_path):
+    codes, loaded = fresh(
+        f"""
+import contextlib, io
+from fadegap import cli
+codes = []
+for path in {two_state_inputs(tmp_path)!r}:
+    for units in ("nats", "bits"):
+        argv = ["fading-paper", "--input", path, "--inr", "1", "--units", units]
         with contextlib.redirect_stdout(io.StringIO()):
             codes.append(cli.run(argv))
 print(json.dumps([codes, sorted(sys.modules)]))
 """
     )
     assert codes == [0] * 4
-    assert not set(CLI_DEFERRED) & set(loaded)
-
-
-def test_fading_paper_runs_without_the_worst_case_families(tmp_path):
-    path = tmp_path / "two_state.json"
-    path.write_text(json.dumps({"gains": [4, 1], "probs": [0.5, 0.5]}))
-    codes, loaded = fresh(
-        f"""
-import contextlib, io
-from fadegap import cli
-codes = []
-for units in ("nats", "bits"):
-    argv = ["fading-paper", "--input", {str(path)!r}, "--inr", "1", "--units", units]
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.run(argv))
-print(json.dumps([codes, sorted(sys.modules)]))
-"""
-    )
-    assert codes == [0, 0]
     assert "fadegap.fading_paper" in loaded
     assert not (set(CLI_DEFERRED) - {"fadegap.fading_paper"}) & set(loaded)
+
+
+def fresh_analysis(source: str):
+    """``repr(full_analysis(...))`` of the channel that source builds, in a
+    fresh interpreter that imports ``fractions`` only after ``fadegap``, and
+    whether that interpreter loaded ``fractions`` at all."""
+    return fresh(
+        f"""
+from fadegap import FadingDistribution, full_analysis
+if "Fraction(" in {source!r}:
+    from fractions import Fraction
+text = repr(full_analysis({source}))
+print(json.dumps([text, "fractions" in sys.modules]))
+"""
+    )
+
+
+def test_an_exact_channel_built_after_the_import_analyses_exactly():
+    # the multiplicative worst-case family at K = 3, d = 2: every utility
+    # crossing meets at zero, which only exact arithmetic keeps
+    source = (
+        "FadingDistribution((Fraction(1, 2), Fraction(1, 6), Fraction(1, 14)),"
+        " (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)))"
+    )
+    text, _ = fresh_analysis(source)
+    analysis = full_analysis(eval(source))
+    assert text == repr(analysis)
+    assert analysis.chain.breakpoints[1] == 0
+    assert analysis.report.boundary_breakpoints == (0.0,)
+    assert analysis.allocation.beta == (0, 0, 1)
+    assert all(isinstance(x, Fraction) for x in analysis.allocation.lam)
+
+
+#: Channels of int gains or of mixed arithmetic, as the source that builds
+#: them, with the first 16 hex digits of the sha256 of the repr of their
+#: full analysis, which the package gave before it loaded exact arithmetic
+#: only for exact inputs.
+MIXED_CHANNELS = {
+    "FadingDistribution((8, 4, 2, 1), (0.125, 0.375, 0.25, 0.25))": "cff41c7031fee34a",
+    "FadingDistribution((4, 1, 0), (0.25, 0.25, 0.5))": "78c3a3983a0675e2",
+    "FadingDistribution((8.0, 4.0, 2.0, 1.0),"
+    " (Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)))": "70fac18969e52d90",
+}
+
+
+@pytest.mark.parametrize(
+    "source", MIXED_CHANNELS, ids=["int-gains", "int-gains-zero", "fraction-probs"]
+)
+def test_int_and_mixed_channels_keep_their_reprs(source):
+    text, loaded_fractions = fresh_analysis(source)
+    assert text == repr(full_analysis(eval(source)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == MIXED_CHANNELS[source]
+    # only a channel with a Fraction in it loads exact arithmetic
+    assert loaded_fractions == ("Fraction(" in source)
 
 
 def test_every_public_name_is_its_submodules_object():

@@ -306,19 +306,19 @@ def _not_real(name, x):
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=0)),
-            "optimal_allocation needs a chain with 1 <= s <= w <= 4, got s=0, w=3",
+            "MufChain needs 1 <= s <= w <= 4, got s=0, w=3",
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, w=0)),
-            "optimal_allocation needs a chain with 1 <= s <= w <= 4, got s=2, w=0",
+            "MufChain needs 1 <= s <= w <= 4, got s=2, w=0",
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=3, w=2)),
-            "optimal_allocation needs a chain with 1 <= s <= w <= 4, got s=3, w=2",
+            "MufChain needs 1 <= s <= w <= 4, got s=3, w=2",
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, w=9)),
-            "optimal_allocation needs a chain with 1 <= s <= w <= 4, got s=2, w=9",
+            "MufChain needs 1 <= s <= w <= 4, got s=2, w=9",
         ),
         (
             lambda: certify.chain_ordering_properties(_ZERO_GAIN.channel, _ZERO_GAIN.chain),
@@ -346,11 +346,11 @@ def _not_real(name, x):
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=1.5)),
-            "optimal_allocation needs an integer s, got s=1.5",
+            "MufChain needs an integer s, got s=1.5",
         ),
         (
             lambda: optimal_allocation(_CH4, replace(_CHAIN4, w="2")),
-            "optimal_allocation needs an integer w, got w='2'",
+            "MufChain needs an integer w, got w='2'",
         ),
         (
             lambda: expected_capacity(_CH4, PowerAllocation(beta=None, lam=_ALLOC4.lam)),
@@ -379,6 +379,10 @@ def _not_real(name, x):
         (lambda: replace(_CHAIN4, pi=5), _CHAIN_SHAPE),
         (lambda: replace(_CHAIN4, breakpoints=None), _CHAIN_SHAPE),
         (lambda: replace(_CHAIN4, pi=(1, None, 3, 4)), _CHAIN_SHAPE),
+        (lambda: dominating_muf(replace(_CHAIN4, pi=(1, 2.5, 3, 4)), _CH4, 0.5), _CHAIN_SHAPE),
+        (lambda: replace(_CHAIN4, pi=(1, 2, Fraction(3), 4)), _CHAIN_SHAPE),
+        (lambda: replace(_CHAIN4, s="a").active_states, "MufChain needs an integer s, got s='a'"),
+        (lambda: replace(_CHAIN4, s=1.5), "MufChain needs an integer s, got s=1.5"),
         (lambda: PowerAllocation(beta="ab", lam=_ALLOC.lam), _ALLOCATION_SHAPE),
         (lambda: PowerAllocation(beta=(), lam=()), _ALLOCATION_SHAPE),
         (
@@ -463,6 +467,10 @@ def _not_real(name, x):
         "MufChain-pi-5",
         "MufChain-breakpoints-None",
         "MufChain-pi-None-entry",
+        "dominating_muf-pi-float-entry",
+        "MufChain-pi-Fraction-entry",
+        "MufChain-s-str",
+        "MufChain-s-1.5",
         "PowerAllocation-beta-str",
         "PowerAllocation-empty",
         "envelope_maximality-None",
