@@ -45,14 +45,14 @@ cannot decide.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .channel import PreparedChannel
 from .errors import (
     InternalConsistencyError,
     ValidationError,
-    check_instance,
+    check_built,
     check_real,
     is_fraction,
     validated_tuple,
@@ -100,20 +100,13 @@ class PowerAllocation:
     lam: decoded-rate factors; state k reliably receives ln(lam[k-1]) nats.
         Exactly 1 for states below the weakest active state.
 
-    beta and lam must be tuples of one length K >= 1.  :func:`layer_rates`
-    gives the rate each state's power layer carries.
+    The stages take only one that :func:`optimal_allocation` built.
+    :func:`layer_rates` gives the rate each state's power layer carries.
     """
 
     beta: tuple
     lam: tuple
-
-    def __post_init__(self):
-        beta, lam = self.beta, self.lam
-        if not (isinstance(beta, tuple) and isinstance(lam, tuple) and 0 < len(beta) == len(lam)):
-            raise ValidationError(
-                "PowerAllocation needs beta and lam as tuples of one length K >= 1;"
-                " build it with optimal_allocation()"
-            )
+    _built: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def active_states(self) -> tuple:
@@ -130,8 +123,8 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     states split the budget at the chain breakpoints, and everything from
     the weakest active state on rides at the full budget.
     """
-    check_instance("optimal_allocation", "ch", ch, PreparedChannel)
-    check_instance("optimal_allocation", "chain", chain, MufChain)
+    check_built("optimal_allocation", "ch", ch, PreparedChannel)
+    check_built("optimal_allocation", "chain", chain, MufChain)
     check_chain_fits("optimal_allocation", chain, ch)
     k_states = ch.num_states
     pi, bps, s, w = chain.pi, chain.breakpoints, chain.s, chain.w
@@ -154,7 +147,9 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     beta += (one,) * (k_states + 1 - pi[w - 1])
 
     lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, pi[s - 1 : w])
-    return PowerAllocation(beta=tuple(beta), lam=tuple(lam))
+    alloc = PowerAllocation(beta=tuple(beta), lam=tuple(lam))
+    object.__setattr__(alloc, "_built", True)
+    return alloc
 
 
 def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
@@ -162,8 +157,8 @@ def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))``, zero for every state
     with an empty layer.  Their sum weighted by ``F_k`` is the expected
     rate of the allocation."""
-    check_instance("layer_rates", "ch", ch, PreparedChannel)
-    check_instance("layer_rates", "alloc", alloc, PowerAllocation)
+    check_built("layer_rates", "ch", ch, PreparedChannel)
+    check_built("layer_rates", "alloc", alloc, PowerAllocation)
     _check_allocation_fits("layer_rates", ch, alloc)
     beta = alloc.beta
     # log1p takes a Fraction as its float(); (b - 0) / (n_1 + 0) is exact
@@ -522,8 +517,8 @@ def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     Both values come from the rung that settled the channel; the agreement
     gate itself is not applied.
     """
-    check_instance("closed_form_routes", "ch", ch, PreparedChannel)
-    check_instance("closed_form_routes", "alloc", alloc, PowerAllocation)
+    check_built("closed_form_routes", "ch", ch, PreparedChannel)
+    check_built("closed_form_routes", "alloc", alloc, PowerAllocation)
     _check_allocation_fits("closed_form_routes", ch, alloc)
     per_state, grouped, _ = _routes(ch, alloc)
     return float(per_state), float(grouped)
@@ -535,8 +530,8 @@ def expected_capacity(ch: PreparedChannel, alloc: PowerAllocation) -> float:
     Evaluates both closed forms and raises InternalConsistencyError if they
     disagree beyond ROUTE_RTOL relative; returns the per-state form.
     """
-    check_instance("expected_capacity", "ch", ch, PreparedChannel)
-    check_instance("expected_capacity", "alloc", alloc, PowerAllocation)
+    check_built("expected_capacity", "ch", ch, PreparedChannel)
+    check_built("expected_capacity", "alloc", alloc, PowerAllocation)
     _check_allocation_fits("expected_capacity", ch, alloc)
     per_state, grouped, agree = _routes(ch, alloc)
     if not agree:
@@ -553,7 +548,7 @@ def expected_rate_of(ch: PreparedChannel, beta) -> float:
     shared by the brute-force certifier and feasibility tests and does not
     touch the envelope machinery.
     """
-    check_instance("expected_rate_of", "ch", ch, PreparedChannel)
+    check_built("expected_rate_of", "ch", ch, PreparedChannel)
     beta = validated_tuple("beta", beta)
     if len(beta) != ch.num_states:
         raise ValidationError(f"beta must have {ch.num_states} entries, got {len(beta)}")

@@ -7,14 +7,15 @@ neither asserts nor prints: it returns a :class:`Margin`.
 
 import bisect
 import math
+import operator
 from dataclasses import replace
 from typing import NamedTuple
 
 from .allocation import ROUTE_RTOL
 from .channel import PreparedChannel
-from .errors import ValidationError, check_instance
+from .errors import check_built, check_instance, is_fraction
 from .gaps import LN2, Analysis
-from .muf import MufChain, check_chain_fits, dominating_muf, intersection
+from .muf import MufChain, dominating_muf, intersection
 
 __all__ = [
     "Margin",
@@ -120,9 +121,11 @@ def chain_ordering_properties(ch, chain) -> Margin:
     """A certificate that the chain is the lower envelope of the lines
     ``(z + n_k) / F_k``, from at most 2K crossings.
 
-    1. Shape: pi rises strictly from 1 (which :class:`~fadegap.muf.MufChain`
-       holds) to K (:func:`~fadegap.muf.check_chain_fits`); otherwise the
-       margin is ``(False, inf)``.
+    1. Shape: pi is a tuple of ints rising strictly from 1 to K, and
+       breakpoints a tuple of one more real number (a float, an int or a
+       Fraction); otherwise the margin is ``(False, inf)``.  The chain may
+       come from anywhere: a copy or a hand-built one is judged, not
+       refused.
     2. Each interior breakpoint z_i, between the chain states a = pi[i-1]
        and b = pi[i], lies at or below ``z_{a,l}`` for every l in a+1..b and
        at or above ``z_{l,b}`` for every l in a..b-1.  Both families hold
@@ -139,13 +142,25 @@ def chain_ordering_properties(ch, chain) -> Margin:
     (:func:`~fadegap.muf.intersection`), so two equal crossings, infinite
     ones included, are no gap; a NaN or +inf gap fails.
     """
-    check_instance("chain_ordering_properties", "ch", ch, PreparedChannel)
+    check_built("chain_ordering_properties", "ch", ch, PreparedChannel)
     check_instance("chain_ordering_properties", "chain", chain, MufChain)
-    try:
-        check_chain_fits("chain_ordering_properties", chain, ch)
-    except ValidationError:
-        return Margin(False, math.inf)
     pi, points = chain.pi, chain.breakpoints
+    try:
+        shaped = (
+            isinstance(pi, tuple)
+            and isinstance(points, tuple)
+            and 0 < len(pi) == len(points) - 1
+            and pi[0] == 1
+            and pi[-1] == ch.num_states
+            # the sum of ints is an int; another entry makes it another type
+            and type(sum(pi)) is int
+            and all(map(operator.lt, pi, pi[1:]))
+            and all(isinstance(z, (float, int)) or is_fraction(z) for z in points)
+        )
+    except TypeError:  # entries that do not add or compare
+        shaped = False
+    if not shaped:
+        return Margin(False, math.inf)
     gaps = []  # (excess, z it is measured against)
     for a, b, z in zip(pi, pi[1:], points[1:]):
         gaps += [(_gap(z, intersection(ch, a, l)), z) for l in range(a + 1, b + 1)]
@@ -165,23 +180,24 @@ def envelope_maximality(ch, chain) -> Margin:
     The grid spans the finite inverse gains only: a state whose inverse gain
     overflowed has utility 0 at every finite z, so it is never best.  With
     no other state every utility is 0, the grid spans (-1, 10], and the
-    deviation is the envelope value itself.
+    deviation is the envelope value itself.  The chain must come from
+    :func:`~fadegap.muf.build_chain`, as the lookup's does, so the state it
+    returns lies in 1..K.
     """
-    check_instance("envelope_maximality", "ch", ch, PreparedChannel)
-    check_instance("envelope_maximality", "chain", chain, MufChain)
-    k_states, n, f = ch.num_states, ch.inverse_gains, ch.cum_probs
+    check_built("envelope_maximality", "ch", ch, PreparedChannel)
+    check_built("envelope_maximality", "chain", chain, MufChain)
+    n, f = ch.inverse_gains, ch.cum_probs
     live = bisect.bisect_left(n, math.inf)
     n_1, n_k = (n[0], n[live - 1]) if live else (1.0, 1.0)
     span = 10 * n_k + n_1
-    ok, deviations = True, []
+    deviations = []
     for j in range(1, ENVELOPE_SAMPLES + 1):
         z = -n_1 + span * j / ENVELOPE_SAMPLES
-        value, state = dominating_muf(chain, ch, z)
+        value, _ = dominating_muf(chain, ch, z)
         best = max(fk / (nk + z) for nk, fk in zip(n, f) if z > -nk)
         deviations.append(abs(float(value - best)) / (float(best) or 1.0))
-        ok = ok and 1 <= state <= k_states
     worst = max(deviations)
-    return Margin(ok and worst <= ENVELOPE_RTOL, worst)
+    return Margin(worst <= ENVELOPE_RTOL, worst)
 
 
 def fading_paper_brackets(gains, reports) -> Margin:

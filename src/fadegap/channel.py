@@ -16,11 +16,11 @@ the degenerate worst-case families rely on.
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
-from .errors import ValidationError, check_instance, check_real, validated_tuple
+from .errors import ValidationError, check_built, check_instance, check_real, validated_tuple
 
 __all__ = [
     "FadingDistribution",
@@ -58,8 +58,8 @@ class FadingDistribution:
     probs: tuple
 
     def __post_init__(self):
-        for field in ("gains", "probs"):
-            object.__setattr__(self, field, validated_tuple(field, getattr(self, field)))
+        for name in ("gains", "probs"):
+            object.__setattr__(self, name, validated_tuple(name, getattr(self, name)))
         if len(self.gains) == 0:
             raise ValidationError("gains: need at least one fading state")
         if len(self.gains) != len(self.probs):
@@ -91,16 +91,16 @@ def _underflows(x, as_float):
     return as_float == 0 or (as_float < _FLOAT_MIN and not isinstance(x, float))
 
 
-def _as_float(field, k, x):
+def _as_float(name, k, x):
     """x as a float by :func:`~fadegap.errors.check_real`, naming the field
     and the state; a NaN is refused too."""
     try:
-        as_float = check_real(field, x)
+        as_float = check_real(name, x)
     except ValidationError:
         # the state is named only here: formatting it costs more than the check
-        as_float = check_real(f"{field}: state {k}", x)
+        as_float = check_real(f"{name}: state {k}", x)
     if as_float != as_float:
-        raise ValidationError(f"{field}: state {k} is not a number")
+        raise ValidationError(f"{name}: state {k} is not a number")
     return as_float
 
 
@@ -117,6 +117,8 @@ class PreparedChannel:
         epsilon_applied: substitute used for an input zero gain, or None.
         degenerate: True only for the single-state all-zero-gain channel,
             which carries no information; its inverse gain is inf.
+
+    The stages take only one that :func:`prepare` built.
     """
 
     gains: tuple
@@ -125,20 +127,7 @@ class PreparedChannel:
     cum_probs: tuple
     epsilon_applied: Optional[object] = None
     degenerate: bool = False
-
-    def __post_init__(self):
-        gains, probs, inverse, cum = self.gains, self.probs, self.inverse_gains, self.cum_probs
-        if not (
-            isinstance(gains, tuple)
-            and isinstance(probs, tuple)
-            and isinstance(inverse, tuple)
-            and isinstance(cum, tuple)
-            and 0 < len(gains) == len(probs) == len(inverse) == len(cum)
-        ):
-            raise ValidationError(
-                "PreparedChannel needs gains, probs, inverse_gains and cum_probs as"
-                " tuples of one length K >= 1; build it with prepare()"
-            )
+    _built: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def num_states(self) -> int:
@@ -215,7 +204,7 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     # inverse gains ascend, so the ones beyond the double range come last
     if inverse[-1] > _FLOAT_MAX:
         _check_overflowed_inverses(gains, inverse, cum)
-    return PreparedChannel(
+    ch = PreparedChannel(
         gains=tuple(gains),
         probs=tuple(probs),
         inverse_gains=tuple(inverse),
@@ -223,6 +212,8 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         epsilon_applied=epsilon,
         degenerate=not gains[-1],
     )
+    object.__setattr__(ch, "_built", True)
+    return ch
 
 
 def _check_overflowed_inverses(gains, inverse, cum):
@@ -257,7 +248,7 @@ def ergodic_capacity(ch: PreparedChannel) -> float:
     contributes exactly zero even though the prepared channel carries the
     epsilon substitute.
     """
-    check_instance("ergodic_capacity", "ch", ch, PreparedChannel)
+    check_built("ergodic_capacity", "ch", ch, PreparedChannel)
     gains = ch.gains if ch.epsilon_applied is None else ch.gains[:-1]
     total = 0.0
     log1p = math.log1p
@@ -274,7 +265,7 @@ def entropy(ch: PreparedChannel) -> float:
     uniform distribution takes one log; the terms are still subtracted state
     by state, in order.
     """
-    check_instance("entropy", "ch", ch, PreparedChannel)
+    check_built("entropy", "ch", ch, PreparedChannel)
     total = 0.0
     log = math.log
     # equal by value: a Fraction and the float it equals give the same term

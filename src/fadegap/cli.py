@@ -101,9 +101,9 @@ def _load_distribution(path) -> FadingDistribution:
 
 
 def _fields(obj) -> dict:
-    """A dataclass's fields in field order, read as they are: unlike
-    dataclasses.asdict, no deep copy, which _json_safe rebuilds anyway."""
-    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+    """A dataclass's init fields in field order, read as they are: unlike
+    dataclasses.asdict, no deep copy and no mark of the stage that built it."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
 
 
 def _report_payload(report, nat_fields, units: str) -> dict:

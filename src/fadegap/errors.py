@@ -74,6 +74,26 @@ def check_instance(what: str, name: str, value, cls) -> None:
         )
 
 
+#: The stage that builds, and marks, each of the pipeline's objects.
+_BUILDERS = {
+    "PreparedChannel": "prepare",
+    "MufChain": "build_chain",
+    "PowerAllocation": "optimal_allocation",
+}
+
+
+def check_built(what: str, name: str, value, cls) -> None:
+    """Refuse a value that is not a cls, as :func:`check_instance` does, or
+    a cls its stage did not mark: a ``dataclasses.replace`` copy or a hand-built one."""
+    if not (isinstance(value, cls) and value._built):
+        check_instance(what, name, value, cls)
+        builder = _BUILDERS[cls.__name__]
+        raise ValidationError(
+            f"{what} needs a {cls.__name__} that {builder}() returned, got a copy or a"
+            f" hand-built one for {name}; build it with {builder}()"
+        )
+
+
 def validated_tuple(name: str, values) -> tuple:
     """values as a tuple; a value that is not iterable (an int, None) is
     refused with a ValidationError naming it."""

@@ -17,11 +17,10 @@ the crossing points and tie decisions are exact.
 
 import bisect
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channel import PreparedChannel
-from .errors import ValidationError, check_instance, check_real, is_fraction, validated_index
+from .errors import ValidationError, check_built, check_real, is_fraction, validated_index
 
 __all__ = [
     "MufChain",
@@ -55,41 +54,16 @@ class MufChain:
     w: largest segment index whose takeover point is < 1.
 
     Segments s..w are the ones intersecting the power budget (0, 1]; the
-    states pi[s-1..w-1] are exactly those assigned positive power.  A chain
-    refuses pi entries that are not ints and s and w outside
-    ``1 <= s <= w <= len(pi)``, and keeps s and w as ints.
+    states pi[s-1..w-1] are exactly those assigned positive power.  The
+    stages take only a chain that :func:`build_chain` built;
+    :func:`~fadegap.certify.chain_ordering_properties` judges any chain.
     """
 
     pi: tuple
     breakpoints: tuple
     s: int
     w: int
-
-    def __post_init__(self):
-        pi, breakpoints = self.pi, self.breakpoints
-        ok = (
-            isinstance(pi, tuple)
-            and isinstance(breakpoints, tuple)
-            and 0 < len(pi) == len(breakpoints) - 1
-            and pi[0] == 1
-        )
-        try:
-            # the sum of ints is an int, and any other entry makes it another
-            # type or raises: one pass in C
-            ok = ok and type(sum(pi)) is int and all(map(operator.lt, pi, pi[1:]))
-        except TypeError:  # entries that do not add or compare
-            ok = False
-        if not ok:
-            raise ValidationError(
-                "MufChain needs pi as a tuple of states rising strictly from 1 and"
-                " breakpoints as a tuple of one more entry; build it with build_chain()"
-            )
-        s = validated_index("MufChain", "s", self.s)
-        w = validated_index("MufChain", "w", self.w)
-        if not 1 <= s <= w <= len(pi):
-            raise ValidationError(f"MufChain needs 1 <= s <= w <= {len(pi)}, got s={s}, w={w}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "w", w)
+    _built: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def segment_count(self) -> int:
@@ -106,7 +80,7 @@ def muf_value(ch: PreparedChannel, k: int, z):
 
     Only defined for 1 <= k <= K and z > -n_k, where it is strictly positive.
     """
-    check_instance("muf_value", "ch", ch, PreparedChannel)
+    check_built("muf_value", "ch", ch, PreparedChannel)
     k = validated_index("muf_value", "k", k)
     if not 1 <= k <= ch.num_states:
         raise ValidationError(f"muf_value needs 1 <= k <= K, got k={k}")
@@ -126,7 +100,7 @@ def intersection(ch: PreparedChannel, k: int, l: int):
     gain overflowed crosses every other state at +inf, as in
     :func:`build_chain`, another overflowed one included.
     """
-    check_instance("intersection", "ch", ch, PreparedChannel)
+    check_built("intersection", "ch", ch, PreparedChannel)
     k = validated_index("intersection", "k", k)
     l = validated_index("intersection", "l", l)
     if not 1 <= k < l <= ch.num_states:
@@ -172,7 +146,7 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     most once: O(K) chord ratios and crossings, each crossing the expression
     of :func:`_crossing`, which :func:`intersection` returns.
     """
-    check_instance("build_chain", "ch", ch, PreparedChannel)
+    check_built("build_chain", "ch", ch, PreparedChannel)
     if not ch.gains[-1] > 0:
         raise ValidationError("chain construction needs strictly positive gains; run prepare() first")
 
@@ -222,7 +196,9 @@ def build_chain(ch: PreparedChannel) -> MufChain:
                 s = i
     breakpoints.append(inf)
 
-    return MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
+    chain = MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
+    object.__setattr__(chain, "_built", True)
+    return chain
 
 
 def check_chain_fits(what: str, chain: MufChain, ch: PreparedChannel) -> None:
@@ -246,8 +222,8 @@ def dominating_muf(chain: MufChain, ch: PreparedChannel, z):
     Returns ``(u*(z), k)`` where k is the 1-based state index whose utility
     equals the pointwise maximum at z.
     """
-    check_instance("dominating_muf", "chain", chain, MufChain)
-    check_instance("dominating_muf", "ch", ch, PreparedChannel)
+    check_built("dominating_muf", "chain", chain, MufChain)
+    check_built("dominating_muf", "ch", ch, PreparedChannel)
     check_chain_fits("dominating_muf", chain, ch)
     check_real("z", z)
     if not z > chain.breakpoints[0]:
@@ -264,8 +240,8 @@ def envelope_integral(chain: MufChain, ch: PreparedChannel, lo, hi) -> float:
     boundaries inside the range split the integration exactly, so the only
     error is the final float rounding of each log.
     """
-    check_instance("envelope_integral", "chain", chain, MufChain)
-    check_instance("envelope_integral", "ch", ch, PreparedChannel)
+    check_built("envelope_integral", "chain", chain, MufChain)
+    check_built("envelope_integral", "ch", ch, PreparedChannel)
     check_chain_fits("envelope_integral", chain, ch)
     check_real("lo", lo)
     check_real("hi", hi)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .allocation import expected_rate_of
 from .channel import PreparedChannel
-from .errors import ValidationError, check_instance, check_real
+from .errors import ValidationError, check_built, check_real
 
 __all__ = ["OracleResult", "brute_force_expected_capacity"]
 
@@ -115,7 +115,7 @@ def brute_force_expected_capacity(ch: PreparedChannel, tol: float) -> OracleResu
     rate of the returned beta, recomputed through the shared objective
     evaluator, and iterations counts the phi evaluations.
     """
-    check_instance("brute_force_expected_capacity", "ch", ch, PreparedChannel)
+    check_built("brute_force_expected_capacity", "ch", ch, PreparedChannel)
     if not check_real("tol", tol) > 0:
         raise ValidationError(f"tol must be positive, got {tol!r}")
 

@@ -54,6 +54,22 @@ from fadegap.cli import random_distribution
 from fadegap.errors import InternalConsistencyError, ValidationError
 from fadegap.muf import TIE_RTOL
 
+#: The stage that builds, and marks, each of the pipeline's objects.
+BUILDERS = {
+    "PreparedChannel": "prepare",
+    "MufChain": "build_chain",
+    "PowerAllocation": "optimal_allocation",
+}
+
+
+def _marked(obj):
+    """obj marked as built by its stage, for a test that hands a stage a
+    corrupted chain or allocation on purpose: a stage refuses an unmarked
+    one before it reads a field."""
+    object.__setattr__(obj, "_built", True)
+    return obj
+
+
 ADDITIVE_D_GRID = (3, 10, 100, 1e4)
 MULTIPLICATIVE_D_GRID = (0.5, 2, 60, 1e4)
 

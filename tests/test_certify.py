@@ -1,11 +1,13 @@
 """Every certification check passes a computed input and fails a corrupted one."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
 from conftest import (
+    _marked,
     assert_accepted_channel_has_no_nan,
     extreme_channels,
     family_points,
@@ -16,7 +18,8 @@ from conftest import (
     reference_envelope_maximality,
 )
 from fadegap import FadingDistribution, ValidationError, build_chain, certify
-from fadegap import closed_form_routes, fading_paper_report, full_analysis, intersection, prepare
+from fadegap import closed_form_routes, fading_paper_report, full_analysis, intersection
+from fadegap import optimal_allocation, prepare
 from fadegap.fading_paper import LN2
 
 #: Three states, all on the envelope chain, so swapping its two interior
@@ -31,7 +34,7 @@ def inputs():
     ch, chain, rep = a.channel, a.chain, a.report
     c, routes = rep.c_exp, closed_form_routes(ch, a.allocation)
     b = chain.breakpoints
-    swapped = replace(chain, breakpoints=(b[0], b[2], b[1], b[3]))
+    swapped = _marked(replace(chain, breakpoints=(b[0], b[2], b[1], b[3])))
     reports = [fading_paper_report(DIST, inr) for inr in (0.0, 1.0, 1e6)]
     wide = [replace(r, gap_lower=r.gap_upper - 2 * LN2) for r in reports]
 
@@ -131,7 +134,7 @@ def test_accepted_channels_have_no_nan_breakpoint_or_factor():
 def test_envelope_maximality_fails_a_chain_that_skips_a_live_state():
     a = full_analysis(OVERFLOWED[2])
     b = a.chain.breakpoints
-    skipped = replace(a.chain, pi=(1, 3), breakpoints=(b[0],) + b[2:], w=1)
+    skipped = _marked(replace(a.chain, pi=(1, 3), breakpoints=(b[0],) + b[2:], w=1))
     assert not certify.envelope_maximality(a.channel, skipped).ok
 
 
@@ -180,11 +183,15 @@ def test_chain_ordering_fails_what_the_all_pairs_scan_passes(corrupt):
 )
 def test_a_chain_the_all_pairs_scan_passes_cannot_be_built(corrupt):
     # the scan never compares a state before pi[0] nor reads the end
-    # sentinel; MufChain refuses a chain that misses either
-    chain = full_analysis(DIST).chain
-    pi, breakpoints = corrupt(chain.breakpoints)
-    with pytest.raises(ValidationError, match="MufChain needs pi as a tuple"):
-        replace(chain, pi=pi, breakpoints=breakpoints, w=len(pi))
+    # sentinel; build_chain never returns a chain that misses either, a
+    # stage refuses a copy, and the chain certificate fails it by its shape
+    a = full_analysis(DIST)
+    pi, breakpoints = corrupt(a.chain.breakpoints)
+    corrupted = replace(a.chain, pi=pi, breakpoints=breakpoints, w=len(pi))
+    for stage in (optimal_allocation, certify.envelope_maximality):
+        with pytest.raises(ValidationError, match=re.escape("build it with build_chain()")):
+            stage(a.channel, corrupted)
+    assert certify.chain_ordering_properties(a.channel, corrupted) == (False, math.inf)
 
 
 def test_chain_ordering_certifies_a_4096_state_ladder():
@@ -227,24 +234,28 @@ def _corruptions(ch, chain):
     """Every pair of adjacent interior breakpoints swapped, every interior
     breakpoint scaled by 1 - 1e-6, 1 + 1e-6 and 1 + 1e-10, every interior
     chain state dropped with its neighbours' crossing in its place, and
-    every skipped state inserted with its crossings with its neighbours."""
+    every skipped state inserted with its crossings with its neighbours.
+    Each is marked as built, so that the public lookup the reference
+    envelope check calls takes it."""
     pi, b = chain.pi, chain.breakpoints
     for i in range(1, len(pi)):
         for l in range(pi[i - 1] + 1, pi[i]):
             crossings = (intersection(ch, pi[i - 1], l), intersection(ch, l, pi[i]))
             inserted = b[:i] + crossings + b[i + 1 :]
-            yield "insert", replace(chain, pi=pi[:i] + (l,) + pi[i:], breakpoints=inserted)
+            corrupted = replace(chain, pi=pi[:i] + (l,) + pi[i:], breakpoints=inserted)
+            yield "insert", _marked(corrupted)
     for i in range(1, len(pi) - 1):
-        yield "swap", replace(chain, breakpoints=b[:i] + (b[i + 1], b[i]) + b[i + 2 :])
+        yield "swap", _marked(replace(chain, breakpoints=b[:i] + (b[i + 1], b[i]) + b[i + 2 :]))
         crossing = intersection(ch, pi[i - 1], pi[i + 1])
         dropped = b[:i] + (crossing,) + b[i + 2 :]
         # segment i + 1 goes, and the segments after it move down one
         s, w = (x - (x > i + 1) for x in (chain.s, chain.w))
-        yield "drop", replace(chain, pi=pi[:i] + pi[i + 1 :], breakpoints=dropped, s=s, w=w)
+        corrupted = replace(chain, pi=pi[:i] + pi[i + 1 :], breakpoints=dropped, s=s, w=w)
+        yield "drop", _marked(corrupted)
     for i in range(1, len(pi)):
         for factor in (1 - 1e-6, 1 + 1e-6, 1 + 1e-10):
             scaled = b[:i] + (b[i] * factor,) + b[i + 1 :]
-            yield f"scale {factor!r}", replace(chain, breakpoints=scaled)
+            yield f"scale {factor!r}", _marked(replace(chain, breakpoints=scaled))
 
 
 def test_chain_ordering_fails_every_corrupted_chain_the_scan_fails(differential_chains):
@@ -291,3 +302,51 @@ def test_envelope_maximality_equals_the_reference_on_corrupted_chains(differenti
         assert margin == _outcome(reference_envelope_maximality, ch, c), (label, kind)
         nonzero += margin != repr(certify.Margin(True, 0.0))
     assert nonzero > 100
+
+
+def test_the_chain_certificate_fails_every_corrupted_chain_the_envelope_check_fails(
+    differential_chains,
+):
+    # every corrupted chain, K <= 64, of the differential populations; in
+    # the contrapositive, which needs the sampled envelope check only on
+    # the few chains the certificate passes: each of them passes it too
+    checked, passed = 0, []
+    for label, ch, chain in differential_chains:
+        if ch.num_states > 64:
+            continue
+        for kind, corrupted in _corruptions(ch, chain):
+            checked += 1
+            if certify.chain_ordering_properties(ch, corrupted).ok:
+                passed.append((label, kind, ch, corrupted))
+    assert (checked, len(passed)) == (12808, 374)
+    for label, kind, ch, corrupted in passed:
+        assert certify.envelope_maximality(ch, corrupted).ok, (label, kind, corrupted)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"pi": (1, 3, 2)},
+        {"pi": (2, 3, 3)},
+        {"pi": (0, 2, 3)},
+        {"pi": (1, 2.5, 3)},
+        {"pi": None},
+        {"breakpoints": (None,) * 4},
+        {"breakpoints": ("a",) * 4},
+    ],
+    ids=[
+        "pi-falls",
+        "pi-from-2",
+        "pi-from-0",
+        "pi-float",
+        "pi-None",
+        "None-breakpoints",
+        "str-breakpoints",
+    ],
+)
+def test_the_chain_certificate_fails_a_chain_of_the_wrong_shape_without_raising(fields):
+    # a chain build_chain did not build may hold anything; the certificate
+    # judges it rather than refuse it
+    a = full_analysis(DIST)
+    corrupted = replace(a.chain, **fields)
+    assert certify.chain_ordering_properties(a.channel, corrupted) == (False, math.inf)

@@ -140,10 +140,14 @@ class _Index:
 
 
 def test_chain_keeps_s_and_w_as_ints(two_state):
-    chain = replace(build_chain(two_state), s=True, w=_Index(2))
-    assert (chain.s, chain.w) == (1, 2)
+    chain = build_chain(two_state)
     assert type(chain.s) is int and type(chain.w) is int
     assert chain.active_states == (1, 2)
+    # a copy whose s and w are integers of other types is no chain
+    # build_chain returned
+    copy = replace(chain, s=True, w=_Index(2))
+    with pytest.raises(ValidationError, match=re.escape("build it with build_chain()")):
+        dominating_muf(copy, two_state, 0.5)
 
 
 def test_build_chain_rejects_degenerate():

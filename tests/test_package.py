@@ -7,6 +7,7 @@ Each check runs in a fresh interpreter, since this process has long since
 imported the rest of the package.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 import fadegap
+from conftest import BUILDERS
 from fadegap import FadingDistribution, full_analysis
 
 #: Submodules ``import fadegap`` loads; everything else waits for first use.
@@ -266,3 +268,37 @@ print(json.dumps([m.__name__ for m in (cli, fading_paper, gaps, worst_case)]))
 
 def test_public_names_keep_their_order():
     assert fadegap.__all__ == PUBLIC_NAMES
+
+
+def _constructions(tree):
+    """(enclosing function, class) of every call of a pipeline class in a
+    module's syntax tree; a call outside any function is at "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in BUILDERS:
+                found.append((scope, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_stages_build_the_pipeline_objects():
+    # a stage refuses an object its builder did not mark, so no other code
+    # path of the package may construct one
+    src = pathlib.Path(fadegap.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, scope, name) for scope, name in _constructions(tree)]
+    assert found == [
+        ("allocation.py", "optimal_allocation", "PowerAllocation"),
+        ("channel.py", "prepare", "PreparedChannel"),
+        ("muf.py", "build_chain", "MufChain"),
+    ]

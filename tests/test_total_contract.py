@@ -11,20 +11,24 @@ and non-finite, huge, subnormal and negative d.
 """
 
 import contextlib
+import copy
+import functools
+import inspect
 import io
 import json
 import math
+import pickle
 import random
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import _Real, assert_accepted_channel_has_no_nan, strict_json
+from conftest import BUILDERS, _Real, assert_accepted_channel_has_no_nan, strict_json
 from fadegap import (
     FadingDistribution,
     PowerAllocation,
@@ -199,21 +203,116 @@ _ALLOC4 = optimal_allocation(_CH4, _CHAIN4)
 _ZERO_GAIN = full_analysis(FadingDistribution((0,), (1.0,)))
 
 
-_CHANNEL_MISFIT = (
-    "PreparedChannel needs gains, probs, inverse_gains and cum_probs as tuples of"
-    " one length K >= 1; build it with prepare()"
-)
+def _refusal(function, args, position):
+    """The refusal of the pipeline object at args[position], which its stage
+    did not build."""
+    cls = type(args[position]).__name__
+    name = list(inspect.signature(function).parameters)[position]
+    builder = BUILDERS[cls]
+    return (
+        f"{function.__name__} needs a {cls} that {builder}() returned, got a copy or a"
+        f" hand-built one for {name}; build it with {builder}()"
+    )
 
 
-_CHAIN_SHAPE = (
-    "MufChain needs pi as a tuple of states rising strictly from 1 and breakpoints"
-    " as a tuple of one more entry; build it with build_chain()"
-)
-
-_ALLOCATION_SHAPE = (
-    "PowerAllocation needs beta and lam as tuples of one length K >= 1;"
-    " build it with optimal_allocation()"
-)
+#: Copies of the 4-state objects with a field that no stage could read, by
+#: the id of the row that hands one to a stage, as (function, arguments,
+#: position of the copy): the stage refuses each by its mark, before it
+#: reads a field.
+_CORRUPTED_COPIES = {
+    "expected_capacity-short-lam": (
+        expected_capacity,
+        (_CH4, replace(_ALLOC4, lam=_ALLOC4.lam[:2])),
+        1,
+    ),
+    "layer_rates-short-beta": (layer_rates, (_CH4, replace(_ALLOC4, beta=_ALLOC4.beta[:2])), 1),
+    "dominating_muf-short-breakpoints": (
+        dominating_muf,
+        (replace(_CHAIN4, breakpoints=_CHAIN4.breakpoints[:-1]), _CH4, 0.5),
+        0,
+    ),
+    "optimal_allocation-s-0": (optimal_allocation, (_CH4, replace(_CHAIN4, s=0)), 1),
+    "optimal_allocation-w-0": (optimal_allocation, (_CH4, replace(_CHAIN4, w=0)), 1),
+    "optimal_allocation-s-above-w": (optimal_allocation, (_CH4, replace(_CHAIN4, s=3, w=2)), 1),
+    "optimal_allocation-w-9": (optimal_allocation, (_CH4, replace(_CHAIN4, w=9)), 1),
+    "dominating_muf-pi-falls": (dominating_muf, (replace(_CHAIN4, pi=(1, 7, 3, 4)), _CH4, 0.5), 0),
+    "envelope_integral-pi-falls": (
+        envelope_integral,
+        (replace(_CHAIN4, pi=(1, 7, 3, 4)), _CH4, 0, 1),
+        0,
+    ),
+    "optimal_allocation-pi-falls": (
+        optimal_allocation,
+        (_CH4, replace(_CHAIN4, pi=(1, 7, 3, 4))),
+        1,
+    ),
+    "optimal_allocation-pi-negative": (
+        optimal_allocation,
+        (_CH4, replace(_CHAIN4, pi=(1, -2, 3, 4))),
+        1,
+    ),
+    "dominating_muf-pi-from-0": (
+        dominating_muf,
+        (replace(_CHAIN4, pi=(0, 2, 3, 4)), _CH4, -0.1),
+        0,
+    ),
+    "optimal_allocation-s-1.5": (optimal_allocation, (_CH4, replace(_CHAIN4, s=1.5)), 1),
+    "optimal_allocation-w-str": (optimal_allocation, (_CH4, replace(_CHAIN4, w="2")), 1),
+    "expected_capacity-beta-None": (
+        expected_capacity,
+        (_CH4, PowerAllocation(beta=None, lam=_ALLOC4.lam)),
+        1,
+    ),
+    "layer_rates-lam-None": (layer_rates, (_CH4, replace(_ALLOC4, lam=None)), 1),
+    "build_chain-channel-of-None": (build_chain, (PreparedChannel(None, None, None, None),), 0),
+    "ergodic_capacity-gains-None": (ergodic_capacity, (replace(_CH4, gains=None),), 0),
+    "build_chain-channel-of-0-states": (build_chain, (PreparedChannel((), (), (), ()),), 0),
+    "build_chain-short-cum-probs": (
+        build_chain,
+        (replace(_CH4, cum_probs=_CH4.cum_probs[:2]),),
+        0,
+    ),
+    "build_chain-str-cum-probs": (build_chain, (replace(_CH4, cum_probs=("a",) * 4),), 0),
+    "dominating_muf-None-breakpoints": (
+        dominating_muf,
+        (replace(_CHAIN4, breakpoints=(None,) * 5), _CH4, 0.5),
+        0,
+    ),
+    "expected_capacity-str-beta": (
+        expected_capacity,
+        (_CH4, PowerAllocation(beta=tuple("abcd"), lam=_ALLOC4.lam)),
+        1,
+    ),
+    "MufChain-pi-5": (optimal_allocation, (_CH4, replace(_CHAIN4, pi=5)), 1),
+    "MufChain-breakpoints-None": (
+        dominating_muf,
+        (replace(_CHAIN4, breakpoints=None), _CH4, 0.5),
+        0,
+    ),
+    "MufChain-pi-None-entry": (
+        optimal_allocation,
+        (_CH4, replace(_CHAIN4, pi=(1, None, 3, 4))),
+        1,
+    ),
+    "dominating_muf-pi-float-entry": (
+        dominating_muf,
+        (replace(_CHAIN4, pi=(1, 2.5, 3, 4)), _CH4, 0.5),
+        0,
+    ),
+    "MufChain-pi-Fraction-entry": (
+        envelope_integral,
+        (replace(_CHAIN4, pi=(1, 2, Fraction(3), 4)), _CH4, 0, 1),
+        0,
+    ),
+    "MufChain-s-str": (dominating_muf, (replace(_CHAIN4, s="a"), _CH4, 0.5), 0),
+    "MufChain-s-1.5": (optimal_allocation, (_CH4, replace(_CHAIN4, s=1.5)), 1),
+    "PowerAllocation-beta-str": (
+        expected_capacity,
+        (_CH, PowerAllocation(beta="ab", lam=_ALLOC.lam)),
+        1,
+    ),
+    "PowerAllocation-empty": (layer_rates, (_CH, PowerAllocation(beta=(), lam=())), 1),
+}
 
 
 def _chain_misfit(stage, k_states):
@@ -276,10 +375,6 @@ def _not_real(name, x):
             "build_chain needs a PreparedChannel, got FadingDistribution for ch",
         ),
         (
-            lambda: expected_capacity(_CH4, replace(_ALLOC4, lam=_ALLOC4.lam[:2])),
-            _ALLOCATION_SHAPE,
-        ),
-        (
             lambda: expected_capacity(_CH4, _ALLOC),
             "expected_capacity needs an allocation of 4 states, got one of 2",
         ),
@@ -291,76 +386,13 @@ def _not_real(name, x):
             lambda: closed_form_routes(_CH, _ALLOC4),
             "closed_form_routes needs an allocation of 2 states, got one of 4",
         ),
-        (
-            lambda: layer_rates(_CH4, replace(_ALLOC4, beta=_ALLOC4.beta[:2])),
-            _ALLOCATION_SHAPE,
-        ),
         (lambda: optimal_allocation(_CH, _CHAIN4), _chain_misfit("optimal_allocation", 2)),
         (lambda: dominating_muf(_CHAIN4, _CH, 0.5), _chain_misfit("dominating_muf", 2)),
         (lambda: envelope_integral(_CHAIN4, _CH, 0, 1), _chain_misfit("envelope_integral", 2)),
         (
-            lambda: dominating_muf(
-                replace(_CHAIN4, breakpoints=_CHAIN4.breakpoints[:-1]), _CH4, 0.5
-            ),
-            _CHAIN_SHAPE,
-        ),
-        (
-            lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=0)),
-            "MufChain needs 1 <= s <= w <= 4, got s=0, w=3",
-        ),
-        (
-            lambda: optimal_allocation(_CH4, replace(_CHAIN4, w=0)),
-            "MufChain needs 1 <= s <= w <= 4, got s=2, w=0",
-        ),
-        (
-            lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=3, w=2)),
-            "MufChain needs 1 <= s <= w <= 4, got s=3, w=2",
-        ),
-        (
-            lambda: optimal_allocation(_CH4, replace(_CHAIN4, w=9)),
-            "MufChain needs 1 <= s <= w <= 4, got s=2, w=9",
-        ),
-        (
             lambda: certify.chain_ordering_properties(_ZERO_GAIN.channel, _ZERO_GAIN.chain),
             "chain_ordering_properties needs a MufChain, got NoneType for chain",
         ),
-        (
-            lambda: dominating_muf(replace(_CHAIN4, pi=(1, 7, 3, 4)), _CH4, 0.5),
-            _CHAIN_SHAPE,
-        ),
-        (
-            lambda: envelope_integral(replace(_CHAIN4, pi=(1, 7, 3, 4)), _CH4, 0, 1),
-            _CHAIN_SHAPE,
-        ),
-        (
-            lambda: optimal_allocation(_CH4, replace(_CHAIN4, pi=(1, 7, 3, 4))),
-            _CHAIN_SHAPE,
-        ),
-        (
-            lambda: optimal_allocation(_CH4, replace(_CHAIN4, pi=(1, -2, 3, 4))),
-            _CHAIN_SHAPE,
-        ),
-        (
-            lambda: dominating_muf(replace(_CHAIN4, pi=(0, 2, 3, 4)), _CH4, -0.1),
-            _CHAIN_SHAPE,
-        ),
-        (
-            lambda: optimal_allocation(_CH4, replace(_CHAIN4, s=1.5)),
-            "MufChain needs an integer s, got s=1.5",
-        ),
-        (
-            lambda: optimal_allocation(_CH4, replace(_CHAIN4, w="2")),
-            "MufChain needs an integer w, got w='2'",
-        ),
-        (
-            lambda: expected_capacity(_CH4, PowerAllocation(beta=None, lam=_ALLOC4.lam)),
-            _ALLOCATION_SHAPE,
-        ),
-        (lambda: layer_rates(_CH4, replace(_ALLOC4, lam=None)), _ALLOCATION_SHAPE),
-        (lambda: build_chain(PreparedChannel(None, None, None, None)), _CHANNEL_MISFIT),
-        (lambda: ergodic_capacity(replace(_CH4, gains=None)), _CHANNEL_MISFIT),
-        (lambda: build_chain(PreparedChannel((), (), (), ())), _CHANNEL_MISFIT),
-        (lambda: build_chain(replace(_CH4, cum_probs=_CH4.cum_probs[:2])), _CHANNEL_MISFIT),
         # a float32 passes numbers.Real but is no float or rational number
         (lambda: muf_value(_CH, 1, _Real(0.5)), _not_real("z", 0.5)),
         (lambda: dominating_muf(_CHAIN, _CH, _Real(0.5)), _not_real("z", 0.5)),
@@ -376,15 +408,6 @@ def _not_real(name, x):
             lambda: high_snr_instance([_Real(2.0), 0.5], [0.5, 0.5], 10.0),
             _not_real("high-SNR exponents: entry 1", 2.0),
         ),
-        (lambda: replace(_CHAIN4, pi=5), _CHAIN_SHAPE),
-        (lambda: replace(_CHAIN4, breakpoints=None), _CHAIN_SHAPE),
-        (lambda: replace(_CHAIN4, pi=(1, None, 3, 4)), _CHAIN_SHAPE),
-        (lambda: dominating_muf(replace(_CHAIN4, pi=(1, 2.5, 3, 4)), _CH4, 0.5), _CHAIN_SHAPE),
-        (lambda: replace(_CHAIN4, pi=(1, 2, Fraction(3), 4)), _CHAIN_SHAPE),
-        (lambda: replace(_CHAIN4, s="a").active_states, "MufChain needs an integer s, got s='a'"),
-        (lambda: replace(_CHAIN4, s=1.5), "MufChain needs an integer s, got s=1.5"),
-        (lambda: PowerAllocation(beta="ab", lam=_ALLOC.lam), _ALLOCATION_SHAPE),
-        (lambda: PowerAllocation(beta=(), lam=()), _ALLOCATION_SHAPE),
         (
             lambda: certify.envelope_maximality(None, _CHAIN),
             "envelope_maximality needs a PreparedChannel, got NoneType for ch",
@@ -409,6 +432,10 @@ def _not_real(name, x):
             lambda: certify.per_state_multiplicative_terms(_ZERO_GAIN.report),
             "per_state_multiplicative_terms needs an Analysis, got CapacityReport for analysis",
         ),
+    ]
+    + [
+        (functools.partial(function, *args), _refusal(function, args, position))
+        for function, args, position in _CORRUPTED_COPIES.values()
     ],
     ids=[
         "analyze-None",
@@ -429,33 +456,13 @@ def _not_real(name, x):
         "envelope_integral-huge-hi",
         "fading_paper_report-huge-inr",
         "build_chain-distribution",
-        "expected_capacity-short-lam",
         "expected_capacity-fewer-states",
         "expected_capacity-more-states",
         "closed_form_routes-more-states",
-        "layer_rates-short-beta",
         "optimal_allocation-longer-chain",
         "dominating_muf-longer-chain",
         "envelope_integral-longer-chain",
-        "dominating_muf-short-breakpoints",
-        "optimal_allocation-s-0",
-        "optimal_allocation-w-0",
-        "optimal_allocation-s-above-w",
-        "optimal_allocation-w-9",
         "chain_ordering_properties-None",
-        "dominating_muf-pi-falls",
-        "envelope_integral-pi-falls",
-        "optimal_allocation-pi-falls",
-        "optimal_allocation-pi-negative",
-        "dominating_muf-pi-from-0",
-        "optimal_allocation-s-1.5",
-        "optimal_allocation-w-str",
-        "expected_capacity-beta-None",
-        "layer_rates-lam-None",
-        "build_chain-channel-of-None",
-        "ergodic_capacity-gains-None",
-        "build_chain-channel-of-0-states",
-        "build_chain-short-cum-probs",
         "muf_value-float32-z",
         "dominating_muf-float32-z",
         "envelope_integral-float32-hi",
@@ -464,22 +471,14 @@ def _not_real(name, x):
         "brute_force_expected_capacity-float32-tol",
         "low_snr_instance-float32-entry",
         "high_snr_instance-float32-entry",
-        "MufChain-pi-5",
-        "MufChain-breakpoints-None",
-        "MufChain-pi-None-entry",
-        "dominating_muf-pi-float-entry",
-        "MufChain-pi-Fraction-entry",
-        "MufChain-s-str",
-        "MufChain-s-1.5",
-        "PowerAllocation-beta-str",
-        "PowerAllocation-empty",
         "envelope_maximality-None",
         "envelope_maximality-None-chain",
         "additive_gap_bound-None",
         "multiplicative_gap_bound-None",
         "per_state_additive_terms-None",
         "per_state_multiplicative_terms-report",
-    ],
+    ]
+    + list(_CORRUPTED_COPIES),
 )
 def test_a_wrong_argument_raises_a_validation_error(call, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
@@ -519,3 +518,85 @@ def test_a_stage_refuses_a_prepared_argument_of_the_wrong_type(stage, args, cls,
     message = f"{stage.__name__} needs a {cls}, got NoneType for {name}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         stage(*args)
+
+
+def _hand_built(obj):
+    """obj built anew from its constructor fields, as a caller could."""
+    return type(obj)(**{f.name: getattr(obj, f.name) for f in fields(obj) if f.init})
+
+
+#: Every public function that takes a pipeline object, its arguments, and
+#: the position of one such object among them.  The chain certificate
+#: judges a chain from anywhere, so only its channel is listed.
+_PIPELINE_ARGUMENTS = [
+    (build_chain, (_CH4,), 0),
+    (optimal_allocation, (_CH4, _CHAIN4), 0),
+    (optimal_allocation, (_CH4, _CHAIN4), 1),
+    (expected_capacity, (_CH4, _ALLOC4), 0),
+    (expected_capacity, (_CH4, _ALLOC4), 1),
+    (closed_form_routes, (_CH4, _ALLOC4), 0),
+    (closed_form_routes, (_CH4, _ALLOC4), 1),
+    (layer_rates, (_CH4, _ALLOC4), 0),
+    (layer_rates, (_CH4, _ALLOC4), 1),
+    (expected_rate_of, (_CH4, _ALLOC4.beta), 0),
+    (ergodic_capacity, (_CH4,), 0),
+    (entropy, (_CH4,), 0),
+    (muf_value, (_CH4, 1, 0.5), 0),
+    (intersection, (_CH4, 1, 2), 0),
+    (dominating_muf, (_CHAIN4, _CH4, 0.5), 0),
+    (dominating_muf, (_CHAIN4, _CH4, 0.5), 1),
+    (envelope_integral, (_CHAIN4, _CH4, 0, 1), 0),
+    (envelope_integral, (_CHAIN4, _CH4, 0, 1), 1),
+    (brute_force_expected_capacity, (_CH4, 1e-3), 0),
+    (certify.chain_ordering_properties, (_CH4, _CHAIN4), 0),
+    (certify.envelope_maximality, (_CH4, _CHAIN4), 0),
+    (certify.envelope_maximality, (_CH4, _CHAIN4), 1),
+]
+
+
+@pytest.mark.parametrize("how", [replace, _hand_built], ids=["replace", "hand-built"])
+@pytest.mark.parametrize(
+    "function, args, position",
+    _PIPELINE_ARGUMENTS,
+    ids=[
+        f"{function.__name__}-{type(args[i]).__name__}" for function, args, i in _PIPELINE_ARGUMENTS
+    ],
+)
+def test_a_function_refuses_a_pipeline_object_its_stage_did_not_build(
+    function, args, position, how
+):
+    function(*args)
+    unmarked = args[:position] + (how(args[position]),) + args[position + 1 :]
+    message = _refusal(function, unmarked, position)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        function(*unmarked)
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "Fraction"])
+def test_a_marked_object_survives_a_deep_copy_and_a_pickle_round_trip(clone, exact):
+    gains, probs = (8, 4, 2, 1), (Fraction(1, 4),) * 4
+    if not exact:
+        gains, probs = tuple(map(float, gains)), tuple(map(float, probs))
+    a = full_analysis(FadingDistribution(gains, probs))
+    ch, chain, alloc = clone(a.channel), clone(a.chain), clone(a.allocation)
+    assert (ch, chain, alloc) == (a.channel, a.chain, a.allocation)
+    # each clone feeds the next stage to the same bytes
+    assert repr(build_chain(ch)) == repr(a.chain)
+    assert repr(optimal_allocation(ch, chain)) == repr(a.allocation)
+    assert repr(expected_capacity(ch, alloc)) == repr(a.report.c_exp)
+    assert repr(ergodic_capacity(ch)) == repr(a.report.c_erg)
+    assert repr(entropy(ch)) == repr(a.report.entropy)
+    assert repr(layer_rates(ch, alloc)) == repr(layer_rates(a.channel, a.allocation))
+
+
+@pytest.mark.parametrize("obj", [_CH4, _CHAIN4, _ALLOC4], ids=lambda obj: type(obj).__name__)
+def test_the_mark_leaves_repr_equality_and_hash_unchanged(obj):
+    assert "_built" not in repr(obj)
+    for unmarked in (replace(obj), _hand_built(obj)):
+        assert repr(unmarked) == repr(obj)
+        assert unmarked == obj and hash(unmarked) == hash(obj)
