@@ -100,13 +100,16 @@ class PowerAllocation:
     lam: decoded-rate factors; state k reliably receives ln(lam[k-1]) nats.
         Exactly 1 for states below the weakest active state.
 
-    The stages take only one that :func:`optimal_allocation` built.
-    :func:`layer_rates` gives the rate each state's power layer carries.
+    The stages take only one that :func:`optimal_allocation` built from
+    the channel they are given.  :func:`layer_rates` gives the rate each
+    state's power layer carries.
     """
 
     beta: tuple
     lam: tuple
     _built: bool = field(default=False, init=False, repr=False, compare=False)
+    #: the channel optimal_allocation built the allocation for
+    _channel: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def active_states(self) -> tuple:
@@ -149,6 +152,7 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, pi[s - 1 : w])
     alloc = PowerAllocation(beta=tuple(beta), lam=tuple(lam))
     object.__setattr__(alloc, "_built", True)
+    object.__setattr__(alloc, "_channel", ch)
     return alloc
 
 
@@ -169,11 +173,12 @@ def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
 
 
 def _check_allocation_fits(what: str, ch: PreparedChannel, alloc: PowerAllocation) -> None:
-    """Refuse an allocation that does not have one entry per state of ch,
-    naming what."""
-    if len(alloc.beta) != ch.num_states:
+    """Refuse an allocation built for another channel than ch, naming what,
+    as :func:`~fadegap.muf.check_chain_fits` refuses a chain."""
+    if alloc._channel is not ch and alloc._channel != ch:
         raise ValidationError(
-            f"{what} needs an allocation of {ch.num_states} states, got one of {len(alloc.beta)}"
+            f"{what} needs an allocation built for the channel it is given;"
+            " build it with optimal_allocation()"
         )
 
 

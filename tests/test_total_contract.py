@@ -315,8 +315,25 @@ _CORRUPTED_COPIES = {
 }
 
 
-def _chain_misfit(stage, k_states):
-    return f"{stage} needs a chain that ends at state {k_states} of the channel"
+def _chain_misfit(stage):
+    return (
+        f"{stage} needs a chain built from the channel it is given;"
+        " build it with build_chain()"
+    )
+
+
+def _allocation_misfit(stage):
+    return (
+        f"{stage} needs an allocation built for the channel it is given;"
+        " build it with optimal_allocation()"
+    )
+
+
+#: A second 4-state channel: _CHAIN4 and _ALLOC4 have its K but not its
+#: envelope, and optimal_allocation(_CH_B, _CHAIN4) without the channel
+#: tie gives beta (0.0, 0.25, 1.0, 1.0), where _CH_B's own chain gives
+#: (0.0, 0.0, 1.0, 1.0)
+_CH_B = prepare(FadingDistribution((9.0, 3.0, 2.0, 0.5), (0.1, 0.2, 0.3, 0.4)))
 
 
 def _not_real(name, x):
@@ -374,21 +391,18 @@ def _not_real(name, x):
             lambda: build_chain(_DIST),
             "build_chain needs a PreparedChannel, got FadingDistribution for ch",
         ),
-        (
-            lambda: expected_capacity(_CH4, _ALLOC),
-            "expected_capacity needs an allocation of 4 states, got one of 2",
-        ),
-        (
-            lambda: expected_capacity(_CH, _ALLOC4),
-            "expected_capacity needs an allocation of 2 states, got one of 4",
-        ),
-        (
-            lambda: closed_form_routes(_CH, _ALLOC4),
-            "closed_form_routes needs an allocation of 2 states, got one of 4",
-        ),
-        (lambda: optimal_allocation(_CH, _CHAIN4), _chain_misfit("optimal_allocation", 2)),
-        (lambda: dominating_muf(_CHAIN4, _CH, 0.5), _chain_misfit("dominating_muf", 2)),
-        (lambda: envelope_integral(_CHAIN4, _CH, 0, 1), _chain_misfit("envelope_integral", 2)),
+        (lambda: expected_capacity(_CH4, _ALLOC), _allocation_misfit("expected_capacity")),
+        (lambda: expected_capacity(_CH, _ALLOC4), _allocation_misfit("expected_capacity")),
+        (lambda: closed_form_routes(_CH, _ALLOC4), _allocation_misfit("closed_form_routes")),
+        (lambda: expected_capacity(_CH_B, _ALLOC4), _allocation_misfit("expected_capacity")),
+        (lambda: closed_form_routes(_CH_B, _ALLOC4), _allocation_misfit("closed_form_routes")),
+        (lambda: layer_rates(_CH_B, _ALLOC4), _allocation_misfit("layer_rates")),
+        (lambda: optimal_allocation(_CH, _CHAIN4), _chain_misfit("optimal_allocation")),
+        (lambda: optimal_allocation(_CH_B, _CHAIN4), _chain_misfit("optimal_allocation")),
+        (lambda: dominating_muf(_CHAIN4, _CH, 0.5), _chain_misfit("dominating_muf")),
+        (lambda: dominating_muf(_CHAIN4, _CH_B, 0.5), _chain_misfit("dominating_muf")),
+        (lambda: envelope_integral(_CHAIN4, _CH, 0, 1), _chain_misfit("envelope_integral")),
+        (lambda: envelope_integral(_CHAIN4, _CH_B, 0, 1), _chain_misfit("envelope_integral")),
         (
             lambda: certify.chain_ordering_properties(_ZERO_GAIN.channel, _ZERO_GAIN.chain),
             "chain_ordering_properties needs a MufChain, got NoneType for chain",
@@ -407,14 +421,6 @@ def _not_real(name, x):
         (
             lambda: high_snr_instance([_Real(2.0), 0.5], [0.5, 0.5], 10.0),
             _not_real("high-SNR exponents: entry 1", 2.0),
-        ),
-        (
-            lambda: certify.envelope_maximality(None, _CHAIN),
-            "envelope_maximality needs a PreparedChannel, got NoneType for ch",
-        ),
-        (
-            lambda: certify.envelope_maximality(_ZERO_GAIN.channel, _ZERO_GAIN.chain),
-            "envelope_maximality needs a MufChain, got NoneType for chain",
         ),
         (
             lambda: certify.additive_gap_bound(None),
@@ -459,9 +465,15 @@ def _not_real(name, x):
         "expected_capacity-fewer-states",
         "expected_capacity-more-states",
         "closed_form_routes-more-states",
+        "expected_capacity-allocation-of-another-channel",
+        "closed_form_routes-allocation-of-another-channel",
+        "layer_rates-allocation-of-another-channel",
         "optimal_allocation-longer-chain",
+        "optimal_allocation-chain-of-another-channel",
         "dominating_muf-longer-chain",
+        "dominating_muf-chain-of-another-channel",
         "envelope_integral-longer-chain",
+        "envelope_integral-chain-of-another-channel",
         "chain_ordering_properties-None",
         "muf_value-float32-z",
         "dominating_muf-float32-z",
@@ -471,8 +483,6 @@ def _not_real(name, x):
         "brute_force_expected_capacity-float32-tol",
         "low_snr_instance-float32-entry",
         "high_snr_instance-float32-entry",
-        "envelope_maximality-None",
-        "envelope_maximality-None-chain",
         "additive_gap_bound-None",
         "multiplicative_gap_bound-None",
         "per_state_additive_terms-None",
@@ -549,8 +559,6 @@ _PIPELINE_ARGUMENTS = [
     (envelope_integral, (_CHAIN4, _CH4, 0, 1), 1),
     (brute_force_expected_capacity, (_CH4, 1e-3), 0),
     (certify.chain_ordering_properties, (_CH4, _CHAIN4), 0),
-    (certify.envelope_maximality, (_CH4, _CHAIN4), 0),
-    (certify.envelope_maximality, (_CH4, _CHAIN4), 1),
 ]
 
 
@@ -585,7 +593,9 @@ def test_a_marked_object_survives_a_deep_copy_and_a_pickle_round_trip(clone, exa
     a = full_analysis(FadingDistribution(gains, probs))
     ch, chain, alloc = clone(a.channel), clone(a.chain), clone(a.allocation)
     assert (ch, chain, alloc) == (a.channel, a.chain, a.allocation)
-    # each clone feeds the next stage to the same bytes
+    # each clone feeds the next stage to the same bytes; the chain and the
+    # allocation each carry their own copy of the channel, which fits ch by ==
+    assert chain._channel is not ch and alloc._channel is not ch
     assert repr(build_chain(ch)) == repr(a.chain)
     assert repr(optimal_allocation(ch, chain)) == repr(a.allocation)
     assert repr(expected_capacity(ch, alloc)) == repr(a.report.c_exp)
