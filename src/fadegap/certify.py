@@ -2,17 +2,21 @@
 
 A check is a pure function of objects already computed (an Analysis, the
 oracle value, the two closed-form routes, the fading-paper reports).  It
-neither asserts nor prints: it returns a :class:`Margin`.
+neither asserts nor prints: it returns a :class:`Margin`.  ``verify`` and
+the tests' certification matrix run the one ordered table of them, CHECKS.
 """
 
 import math
 import operator
+from collections import namedtuple
 from dataclasses import replace
 from typing import NamedTuple
 
 from .allocation import ROUTE_RTOL
 from .channel import PreparedChannel
-from .errors import check_built, check_instance, is_fraction
+from .errors import ValidationError, check_built, check_instance, check_real, is_fraction
+from .errors import validated_tuple
+from .fading_paper import FadingPaperReport
 from .gaps import LN2, Analysis
 from .muf import MufChain, intersection
 
@@ -26,6 +30,8 @@ __all__ = [
     "per_state_multiplicative_terms",
     "chain_ordering_properties",
     "fading_paper_brackets",
+    "Trial",
+    "CHECKS",
 ]
 
 #: Search resolution (in beta space) the oracle runs at to certify.
@@ -165,15 +171,45 @@ def fading_paper_brackets(gains, reports) -> Margin:
     They agree in every field but ``inr``, the achievable rate lies in the
     ergodic bracket, the loss bracket is at most one bit wide, and each
     state's rate ``max(ln g, 0)`` lies within one bit below ``ln(1 + g)``;
-    worst is the largest per-state excess.
+    worst is the largest per-state excess, NaN for a NaN or infinite gain.
     """
+    gains = validated_tuple("gains", gains)
+    # anything but a list or tuple is refused below as a report
+    reports = tuple(reports) if isinstance(reports, (list, tuple)) else (reports,)
+    if not (gains and reports):
+        raise ValidationError("fading_paper_brackets needs at least one gain and one report")
+    for r in reports:
+        check_instance("fading_paper_brackets", "reports", r, FadingPaperReport)
     base = reports[0]
     ok = all(replace(r, inr=base.inr) == base for r in reports[1:])
     ok = ok and base.c_erg_lower <= base.achievable_rate <= base.c_erg_upper
     ok = ok and base.gap_upper - base.gap_lower <= LN2 + BRACKET_ATOL
     excess = []
-    for g in map(float, gains):
+    for k, g in enumerate(gains, start=1):
+        g = check_real(f"gains: state {k}", g)
+        if g < 0:
+            raise ValidationError(f"gains: state {k} has negative gain {g}")
         point = max(math.log(g), 0.0) if g > 0 else 0.0
         excess += [math.log1p(g) - LN2 - point, point - math.log1p(g)]
-    worst = max(excess)
+    worst = _worst(excess)
     return Margin(ok and worst <= BRACKET_ATOL, worst)
+
+
+#: What the checks read of one channel: its distribution's gains, Analysis,
+#: oracle value at ORACLE_TOL, two closed-form routes and fading-paper reports.
+Trial = namedtuple("Trial", "gains analysis oracle routes reports")
+
+
+#: verify's checks, in the order it prints them, each over one Trial.
+CHECKS = {
+    "oracle-certification": lambda t: oracle_certification(t.analysis.report.c_exp, t.oracle),
+    "closed-form-route-agreement": lambda t: closed_form_route_agreement(*t.routes),
+    "additive-gap-bound": lambda t: additive_gap_bound(t.analysis),
+    "multiplicative-gap-bound": lambda t: multiplicative_gap_bound(t.analysis),
+    "per-state-additive-terms": lambda t: per_state_additive_terms(t.analysis),
+    "per-state-multiplicative-terms": lambda t: per_state_multiplicative_terms(t.analysis),
+    "chain-ordering-properties": (
+        lambda t: chain_ordering_properties(t.analysis.channel, t.analysis.chain)
+    ),
+    "fading-paper-brackets": lambda t: fading_paper_brackets(t.gains, t.reports),
+}

@@ -166,19 +166,29 @@ def random_distribution(rng: random.Random, max_states: int = 5) -> FadingDistri
     return FadingDistribution(gains=gains, probs=probs)
 
 
-def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
-    """Randomized certification sweep; returns a summary with per-check lines.
-
-    Draws seeded random channels, runs the full pipeline, the brute-force
-    search, both closed-form routes and the fading-paper reports on each,
-    and records the margin of every check in :mod:`fadegap.certify`.  The
-    report at inr 0 comes from the public :func:`fading_paper_report`, the
-    ones at inr 1 and 1e6 from the trial's own analysis.
-    """
+def _trial(dist: FadingDistribution):
+    """The certify.Trial of one channel, each stage called by the name this
+    module holds; the fading-paper reports at inr 1 and 1e6 reuse its analysis."""
     from . import certify
     from .fading_paper import _report_of
 
     cli = sys.modules[__name__]
+    analysis = full_analysis(dist)
+    oracle = cli.brute_force_expected_capacity(analysis.channel, certify.ORACLE_TOL).value
+    routes = closed_form_routes(analysis.channel, analysis.allocation)
+    reports = (cli.fading_paper_report(dist, 0.0),)
+    reports += tuple(_report_of(analysis, inr) for inr in (1.0, 1e6))
+    return certify.Trial(dist.gains, analysis, oracle, routes, reports)
+
+
+def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
+    """Randomized certification sweep; returns a summary with per-check lines.
+
+    Draws seeded random channels and records, on each, the margin of every
+    check of :data:`fadegap.certify.CHECKS` over its :func:`_trial`.
+    """
+    from . import certify
+
     trials = validated_index("verify", "trials", trials)
     if trials < 1:
         raise ValidationError(f"trials: must be positive, got {trials}")
@@ -190,24 +200,9 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
     rng = random.Random(seed)
     tallies = {}  # check name -> (passed, failed, worst margin)
     for _ in range(trials):
-        dist = random_distribution(rng, max_states)
-        analysis = full_analysis(dist)
-        ch, c_exp = analysis.channel, analysis.report.c_exp
-        oracle = cli.brute_force_expected_capacity(ch, certify.ORACLE_TOL).value
-        routes = closed_form_routes(ch, analysis.allocation)
-        reports = [cli.fading_paper_report(dist, 0.0)]
-        reports += [_report_of(analysis, inr) for inr in (1.0, 1e6)]
-        margins = {
-            "oracle-certification": certify.oracle_certification(c_exp, oracle),
-            "closed-form-route-agreement": certify.closed_form_route_agreement(*routes),
-            "additive-gap-bound": certify.additive_gap_bound(analysis),
-            "multiplicative-gap-bound": certify.multiplicative_gap_bound(analysis),
-            "per-state-additive-terms": certify.per_state_additive_terms(analysis),
-            "per-state-multiplicative-terms": certify.per_state_multiplicative_terms(analysis),
-            "chain-ordering-properties": certify.chain_ordering_properties(ch, analysis.chain),
-            "fading-paper-brackets": certify.fading_paper_brackets(dist.gains, reports),
-        }
-        for name, (ok, margin) in margins.items():
+        trial = _trial(random_distribution(rng, max_states))
+        for name, check in certify.CHECKS.items():
+            ok, margin = check(trial)
             passed, failed, worst = tallies.get(name, (0, 0, 0.0))
             # a NaN margin stays the worst, where max() would drop it
             tallies[name] = (passed + ok, failed + (not ok), certify._worst((worst, margin)))

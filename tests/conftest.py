@@ -1,9 +1,13 @@
-"""Shared helpers for the test suite.
+"""Shared helpers for the test suite, and the one home of its channel
+populations.
 
 Random channels come from the same seeded generator the verify subcommand
 uses, so test instances and CLI certification instances are drawn from one
 distribution family: K uniform, gains log-uniform in [1e-3, 1e3], flat
-Dirichlet probabilities.
+Dirichlet probabilities.  POPULATIONS names every population the suite
+certifies or pins to a golden; add a channel population there, and the
+certification matrix of ``test_acceptance.py`` runs every check of
+``certify.CHECKS`` on it.
 """
 
 import bisect
@@ -13,6 +17,7 @@ import math
 import numbers
 import operator
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -29,6 +34,7 @@ from fadegap import (
     dominating_muf,
     high_snr_instance,
     intersection,
+    low_snr_instance,
     multiplicative_family,
     muf_value,
     optimal_allocation,
@@ -48,7 +54,7 @@ from fadegap.certify import (
     _gap,
     _worst,
 )
-from fadegap.cli import random_distribution
+from fadegap.cli import _trial, random_distribution
 from fadegap.errors import InternalConsistencyError, ValidationError
 from fadegap.muf import TIE_RTOL
 
@@ -208,6 +214,64 @@ def fraction_channels():
         probs = tuple(Fraction(p) / total for p in dist.probs)
         channels.append(FadingDistribution(tuple(map(Fraction, dist.gains)), probs))
     return channels
+
+
+#: Channels whose weakest states' inverse gains overflow: one such state,
+#: two, and one after a state that almost all probability weight reaches.
+OVERFLOWED = [
+    FadingDistribution((2.0, 1e-320), (0.5, 0.5)),
+    FadingDistribution((3.0, 1e-320, 2e-320), (0.4, 0.3, 0.3)),
+    FadingDistribution((1e10, 1.0, 1e-320), (1e-6, 0.5, 0.5 - 1e-6)),
+]
+
+
+def hard_optima():
+    """Channels that defeated earlier oracle searches: the 18th draw of seed
+    0, whose optimum skips a state, and the draw of seed 3345769749, whose
+    optimum sits on slice endpoints; high-SNR ladders, on which a grid that
+    is not geometric near zero lands percents low; and a channel whose
+    optimal beta_1 = 1e-20 - 2e-30 needs cells narrowed relative to it, not
+    to the budget."""
+    hard = random_channels(18, seed=0)[-1:] + random_channels(1, seed=3345769749)
+    hard += [high_snr_ladder(k) for k in (4, 16, 32)]
+    return hard + [FadingDistribution((1e30, 1e20), (0.5, 0.5))]
+
+
+#: Every test channel population, by name, as a function that builds it.
+#: The certification matrix runs every check on each; the golden-backed
+#: views (analysis_digests.json, oracle_reference.json) and the
+#: differential tests read theirs from here by name.
+POPULATIONS = {
+    "random-seed-0": lambda: random_channels(200, seed=0),
+    "random-seed-7-k8": lambda: random_channels(50, seed=7, max_states=8),
+    "random-seed-13": lambda: random_channels(40, seed=13),
+    "random-seed-0-k12": lambda: random_channels(500, seed=0, max_states=12),
+    "random-k12": lambda: random_channels(2000, seed=12, max_states=12),
+    "extreme": lambda: extreme_channels(24, seed=5),
+    "extreme-seed-3": lambda: extreme_channels(200, seed=3),
+    "overflowed": lambda: list(OVERFLOWED),
+    "fraction": fraction_channels,
+    "families": lambda: [dist for _, dist in family_points()],
+    "low-snr": lambda: [
+        low_snr_instance(range(k, 0, -1), [1 / k] * k, snr)
+        for k in range(2, 7)
+        for snr in (1e-9, 1e-6, 1e-3, 0.1)
+    ],
+    "long-ladder": lambda: [high_snr_ladder(k) for k in (128, 256, 512, 1024)],
+    "hard-optima": hard_optima,
+}
+
+
+@functools.lru_cache(maxsize=1)
+def population_trials(name):
+    """(the certify.Trial of every channel of POPULATIONS[name], seconds it
+    took to build them), by the trial builder verify uses.  Only the last
+    population's trials are kept: the matrix asks for one population's
+    in a row, and keeping every population's alive slows the garbage
+    collector for the rest of the session."""
+    start = time.monotonic()
+    trials = [_trial(dist) for dist in POPULATIONS[name]()]
+    return trials, time.monotonic() - start
 
 
 def greedy_chain(ch) -> MufChain:

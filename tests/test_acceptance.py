@@ -1,26 +1,23 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
-pass.  The random instances are the verify subcommand's own population: 200
-seeded channels, K in 2..5, gains log-uniform in [1e-3, 1e3], flat Dirichlet
-probabilities.  Family instances cover both worst-case ladders across their
-d grids (every K admissible for the additive constraint d > max(K-1, 2)).
+pass.  Criteria 1-5 and 10 (the oracle certification within 60 s, the dual
+closed forms, ``A <= ln K`` and ``M <= K``, the per-state lemma terms, the
+chain certificate and the fading-paper brackets) are one certification
+matrix: every check of ``certify.CHECKS``, the table ``verify`` prints, on
+every population of ``conftest.POPULATIONS``.
 """
 
 import math
-import time
 
 import pytest
 
-from conftest import family_points, random_channels
+from conftest import POPULATIONS, population_trials
 from fadegap import (
     FadingDistribution,
     additive_family,
     analyze,
-    brute_force_expected_capacity,
     certify,
-    closed_form_routes,
-    fading_paper_report,
     full_analysis,
     intersection,
     high_snr_instance,
@@ -28,7 +25,7 @@ from fadegap import (
     multiplicative_family,
     prepare,
 )
-from fadegap.certify import ORACLE_TOL
+from fadegap.cli import verify_run
 from fadegap.fading_paper import LN2
 
 
@@ -37,78 +34,25 @@ def report_line(name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-def report_checks(name: str, instances, *checks):
-    """One line for certify checks over instances: every margin ok, and the
-    worst margin of each check."""
-    margins = [[check(inst) for inst in instances] for check in checks]
-    worst = ", ".join(f"{max(m.worst for m in ms):.3e}" for ms in margins)
-    ok = all(m.ok for ms in margins for m in ms)
-    report_line(name, ok, f"worst margins {worst} over {len(instances)} instances")
-
-
-@pytest.fixture(scope="module")
-def random_suite():
-    """(distributions, analyses, build seconds)"""
-    start = time.monotonic()
-    dists = random_channels(200, seed=0, max_states=5)
-    analyses = [full_analysis(dist) for dist in dists]
-    return dists, analyses, time.monotonic() - start
-
-
-@pytest.fixture(scope="module")
-def all_analyses(random_suite):
-    """The random analyses followed by the worst-case family points."""
-    return random_suite[1] + [full_analysis(dist) for _, dist in family_points()]
-
-
-def test_criterion_01_oracle_certification(random_suite):
-    _, analyses, build_time = random_suite
-    start = time.monotonic()
-    pairs = [
-        (a.report.c_exp, brute_force_expected_capacity(a.channel, ORACLE_TOL).value)
-        for a in analyses
-    ]
-    elapsed = time.monotonic() - start + build_time
-    report_checks(
-        f"criterion 1 (oracle certification, runtime {elapsed:.1f}s < 60s)",
-        pairs,
-        lambda pair: certify.oracle_certification(*pair),
-    )
-    assert elapsed < 60
-
-
-def test_criterion_02_closed_form_self_consistency(all_analyses):
-    report_checks(
-        "criterion 2 (dual closed forms, random + families)",
-        all_analyses,
-        lambda a: certify.closed_form_route_agreement(*closed_form_routes(a.channel, a.allocation)),
+@pytest.mark.parametrize("check", certify.CHECKS)
+@pytest.mark.parametrize("population", POPULATIONS)
+def test_criteria_01_to_05_and_10_every_check_on_every_population(population, check):
+    # each population's trials are built once, and the oracle runs in each:
+    # criterion 1 asks for it within 60 s
+    trials, seconds = population_trials(population)
+    margins = [certify.CHECKS[check](trial) for trial in trials]
+    failed = [i for i, margin in enumerate(margins) if not margin.ok]
+    worst = certify._worst(margin.worst for margin in margins)
+    report_line(
+        f"{check} on {population} (trials built in {seconds:.1f}s < 60s)",
+        not failed and seconds < 60,
+        f"worst margin {worst:.3e} over {len(trials)} channels, failing channels {failed}",
     )
 
 
-def test_criterion_03_gap_bounds(all_analyses):
-    report_checks(
-        "criterion 3 (A <= ln K and M <= K)",
-        all_analyses,
-        certify.additive_gap_bound,
-        certify.multiplicative_gap_bound,
-    )
-
-
-def test_criterion_04_per_state_inequalities(all_analyses):
-    report_checks(
-        "criterion 4 (per-state additive/multiplicative terms)",
-        all_analyses,
-        certify.per_state_additive_terms,
-        certify.per_state_multiplicative_terms,
-    )
-
-
-def test_criterion_05_chain_properties_and_envelope(all_analyses):
-    report_checks(
-        "criterion 5 (chain certificate of the envelope)",
-        all_analyses,
-        lambda a: certify.chain_ordering_properties(a.channel, a.chain),
-    )
+def test_the_matrix_runs_the_checks_verify_prints_in_its_order():
+    names = [line.split()[1].rstrip(":") for line in verify_run(trials=1)["lines"]]
+    assert names == list(certify.CHECKS)
 
 
 def test_criterion_06_additive_family_convergence():
@@ -182,16 +126,6 @@ def test_criterion_09_low_snr_regime():
         ok,
         f"single active state {rep.active_states} = argmax F alpha, "
         f"|M - 1.6| = {abs(rep.multiplicative_gap - 1.6):.2e} <= 0.01",
-    )
-
-
-def test_criterion_10_fading_paper_bracket(random_suite):
-    report_checks(
-        "criterion 10 (fading-paper brackets, INR-invariant, 200 instances)",
-        random_suite[0],
-        lambda dist: certify.fading_paper_brackets(
-            dist.gains, [fading_paper_report(dist, inr) for inr in (0.0, 1.0, 1e6)]
-        ),
     )
 
 

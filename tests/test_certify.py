@@ -7,13 +7,11 @@ from dataclasses import replace
 import pytest
 
 from conftest import (
+    OVERFLOWED,
+    POPULATIONS,
     _marked,
     assert_accepted_channel_has_no_nan,
-    extreme_channels,
-    family_points,
-    fraction_channels,
     high_snr_ladder,
-    random_channels,
     reference_chain_ordering,
     reference_envelope_maximality,
 )
@@ -53,7 +51,11 @@ def inputs():
     }
 
 
-@pytest.mark.parametrize("name", [n for n in certify.__all__ if n != "Margin"])
+#: The check functions of certify.__all__, without its types and its table.
+CHECK_FUNCTIONS = [n for n in certify.__all__ if n not in ("Margin", "Trial", "CHECKS")]
+
+
+@pytest.mark.parametrize("name", CHECK_FUNCTIONS)
 def test_check_fails_on_corrupted_input(inputs, name):
     check = getattr(certify, name)
     computed, corrupted = inputs[name]
@@ -87,15 +89,6 @@ def test_per_state_check_fails_on_a_nan_term(name, field):
         assert not check(replace(a, report=replace(a.report, **{field: nan_at_k}))).ok, k
 
 
-#: Channels whose weakest states' inverse gains overflow: one such state,
-#: two, and one after a state that almost all probability weight reaches.
-OVERFLOWED = [
-    FadingDistribution((2.0, 1e-320), (0.5, 0.5)),
-    FadingDistribution((3.0, 1e-320, 2e-320), (0.4, 0.3, 0.3)),
-    FadingDistribution((1e10, 1.0, 1e-320), (1e-6, 0.5, 0.5 - 1e-6)),
-]
-
-
 @pytest.mark.parametrize("dist", OVERFLOWED, ids=["one", "two", "after-two-live"])
 def test_chain_ordering_holds_with_overflowed_states(dist):
     # the closing breakpoint and its crossings are +inf; equal infinite
@@ -105,6 +98,18 @@ def test_chain_ordering_holds_with_overflowed_states(dist):
     assert a.chain.breakpoints[-2] == math.inf
     margin = certify.chain_ordering_properties(a.channel, a.chain)
     assert margin.ok and not math.isnan(margin.worst)
+
+
+@pytest.mark.parametrize(
+    "gains",
+    [(4.0, math.nan), (math.nan, 4.0), (4.0, math.inf), (math.inf, 4.0)],
+    ids=["nan-second", "nan-first", "inf-second", "inf-first"],
+)
+def test_fading_paper_brackets_fail_a_nan_or_infinite_gain_wherever_it_stands(gains):
+    # max() keeps a NaN excess only first; the fold must carry it anywhere
+    reports = [fading_paper_report(DIST, inr) for inr in (0.0, 1.0)]
+    margin = certify.fading_paper_brackets(gains, reports)
+    assert not margin.ok and math.isnan(margin.worst)
 
 
 @pytest.mark.parametrize(
@@ -125,7 +130,7 @@ def test_accepted_channels_have_no_nan_breakpoint_or_factor():
     # two states at inf - inf = NaN
     all_overflowed = FadingDistribution((1e-320, 5e-321), (0.5, 0.5))
     only = FadingDistribution((1e-320,), (1.0,))
-    for dist in extreme_channels(200, 3) + OVERFLOWED + [all_overflowed, only]:
+    for dist in POPULATIONS["extreme-seed-3"]() + OVERFLOWED + [all_overflowed, only]:
         assert_accepted_channel_has_no_nan(dist)
 
 
@@ -205,13 +210,11 @@ def differential_chains():
     """(label, channel, chain) of every computed chain of the differential
     populations; a channel that prepare refuses has none."""
     populations = {
-        "random": random_channels(500, 0, 12),
-        "extreme": extreme_channels(200, 3),
-        "families": [dist for _, dist in family_points()],
-        "fraction": fraction_channels(),
-        "overflowed": OVERFLOWED,
-        "ladder": [high_snr_ladder(128), high_snr_ladder(256)],
+        name: POPULATIONS[name]()
+        for name in ("random-seed-0-k12", "extreme-seed-3", "families", "fraction", "overflowed")
     }
+    # the all-pairs scan takes seconds on the longer ladders
+    populations["long-ladder"] = POPULATIONS["long-ladder"]()[:2]
     chains = []
     for name, dists in populations.items():
         for i, dist in enumerate(dists):

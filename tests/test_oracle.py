@@ -4,21 +4,13 @@ import pathlib
 
 import pytest
 
-from conftest import (
-    extreme_channels,
-    family_points,
-    fraction_channels,
-    high_snr_ladder,
-    random_channels,
-    reference_brute_force,
-)
+from conftest import POPULATIONS, reference_brute_force
 from fadegap import (
     FadingDistribution,
     OracleResult,
     ValidationError,
     analyze,
     brute_force_expected_capacity,
-    certify,
     multiplicative_family,
     prepare,
 )
@@ -80,47 +72,30 @@ def test_value_never_falls_as_the_tolerance_tightens():
     # each round keeps the incumbents on their grids, so the rounds that a
     # finer tolerance adds can only gain, up to the rounding of the value
     tols = (1e-1, 1e-3, 1e-5, ORACLE_TOL)
-    for dist in random_channels(200, seed=0):
+    for dist in POPULATIONS["random-seed-0"]():
         ch = prepare(dist)
         values = [brute_force_expected_capacity(ch, tol).value for tol in tols]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_certifies_closed_form_on_random_channels():
-    # plus two channels that defeated an earlier coordinate ascent: the
-    # optimum of the 18th draw of seed 0 skips a state, and that of seed
-    # 3345769749 sits on slice endpoints; high-SNR ladders, on which a grid
-    # that is not geometric near zero lands percents low; and a channel
-    # whose optimal beta_1 = 1e-20 - 2e-30 needs cells narrowed relative to
-    # it, not to the budget; then both worst-case families across their d
-    # grids, and the exact channels
-    hard = random_channels(18, seed=0)[-1:] + random_channels(1, seed=3345769749)
-    hard += [high_snr_ladder(k) for k in (4, 16, 32)]
-    hard += [FadingDistribution((1e30, 1e20), (0.5, 0.5))]
-    hard += [dist for _, dist in family_points()] + fraction_channels()
-    for dist in random_channels(40, seed=13, max_states=5) + hard:
-        c_exp = analyze(dist).c_exp
-        oracle = brute_force_expected_capacity(prepare(dist), ORACLE_TOL).value
-        assert certify.oracle_certification(c_exp, oracle).ok
-
-
-#: The differential populations: verify's two, and the extreme corpus.
-POPULATIONS = {
-    "verify-seed-0": lambda: random_channels(200, seed=0),
-    "verify-seed-7-k8": lambda: random_channels(50, seed=7, max_states=8),
-    "extreme": lambda: extreme_channels(24, seed=5),
+#: The golden's keys, in its order, and the population behind each:
+#: verify's two, and the extreme corpus.
+REFERENCE_POPULATIONS = {
+    "verify-seed-0": "random-seed-0",
+    "verify-seed-7-k8": "random-seed-7-k8",
+    "extreme": "extreme",
 }
 
-#: The reference search's value on every channel of POPULATIONS; rewrite it
-#: with ``PYTHONPATH=src python tests/test_oracle.py``.
+#: The reference search's value on every channel of REFERENCE_POPULATIONS;
+#: rewrite it with ``PYTHONPATH=src python tests/test_oracle.py``.
 REFERENCE_VALUES = pathlib.Path(__file__).parent / "golden" / "oracle_reference.json"
 
 
 def reference_values():
     """Population name -> the reference search's value on each channel."""
     return {
-        name: [reference_brute_force(prepare(d), ORACLE_TOL).value for d in population()]
-        for name, population in POPULATIONS.items()
+        key: [reference_brute_force(prepare(d), ORACLE_TOL).value for d in POPULATIONS[name]()]
+        for key, name in REFERENCE_POPULATIONS.items()
     }
 
 
@@ -129,27 +104,26 @@ def stored_reference():
     return json.loads(REFERENCE_VALUES.read_text())
 
 
-@pytest.mark.parametrize("name", POPULATIONS)
-def test_never_below_the_reference_search(name, stored_reference):
+@pytest.mark.parametrize("key", REFERENCE_POPULATIONS)
+def test_never_below_the_reference_search(key, stored_reference):
     """Differential check against the former grid and coordinate-ascent
-    search: never more than 1e-12 below it, and certified against the
-    closed form."""
-    dists = POPULATIONS[name]()
-    assert len(dists) == len(stored_reference[name])
-    for dist, reference in zip(dists, stored_reference[name]):
+    search: never more than 1e-12 below it, and within 1e-12 relative of
+    the closed form."""
+    dists = POPULATIONS[REFERENCE_POPULATIONS[key]]()
+    assert len(dists) == len(stored_reference[key])
+    for dist, reference in zip(dists, stored_reference[key]):
         c_exp = analyze(dist).c_exp
         value = brute_force_expected_capacity(prepare(dist), ORACLE_TOL).value
         assert value >= reference - 1e-12, (dist, value, reference)
-        assert certify.oracle_certification(c_exp, value).ok
         assert value == pytest.approx(c_exp, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("name", POPULATIONS)
-def test_stored_values_are_the_reference_search(name, stored_reference):
+@pytest.mark.parametrize("key", REFERENCE_POPULATIONS)
+def test_stored_values_are_the_reference_search(key, stored_reference):
     """Every eighth stored value, recomputed by the reference search, which
     is too slow to rerun on whole populations in the suite."""
-    dists = POPULATIONS[name]()[::8]
-    for dist, stored in zip(dists, stored_reference[name][::8]):
+    dists = POPULATIONS[REFERENCE_POPULATIONS[key]]()[::8]
+    for dist, stored in zip(dists, stored_reference[key][::8]):
         value = reference_brute_force(prepare(dist), ORACLE_TOL).value
         assert value == pytest.approx(stored, rel=1e-14, abs=0)
 

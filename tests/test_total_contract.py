@@ -201,6 +201,7 @@ _CH4 = prepare(FadingDistribution((8.0, 4.0, 2.0, 1.0), (0.25,) * 4))
 _CHAIN4 = build_chain(_CH4)
 _ALLOC4 = optimal_allocation(_CH4, _CHAIN4)
 _ZERO_GAIN = full_analysis(FadingDistribution((0,), (1.0,)))
+_REPORTS = [fading_paper_report(_DIST, 0.0)]
 
 
 def _refusal(function, args, position):
@@ -438,6 +439,35 @@ def _not_real(name, x):
             lambda: certify.per_state_multiplicative_terms(_ZERO_GAIN.report),
             "per_state_multiplicative_terms needs an Analysis, got CapacityReport for analysis",
         ),
+        (
+            lambda: certify.fading_paper_brackets(_DIST.gains, []),
+            "fading_paper_brackets needs at least one gain and one report",
+        ),
+        (
+            lambda: certify.fading_paper_brackets((), _REPORTS),
+            "fading_paper_brackets needs at least one gain and one report",
+        ),
+        (
+            lambda: certify.fading_paper_brackets(None, _REPORTS),
+            "gains: expected a sequence of numbers, got NoneType",
+        ),
+        (
+            lambda: certify.fading_paper_brackets((4.0, "1"), _REPORTS),
+            "gains: state 2 must be a real number, got '1', which is neither a float nor"
+            " a rational number",
+        ),
+        (
+            lambda: certify.fading_paper_brackets((4.0, -1.0), _REPORTS),
+            "gains: state 2 has negative gain -1.0",
+        ),
+        (
+            lambda: certify.fading_paper_brackets(_DIST.gains, _REPORTS + [None]),
+            "fading_paper_brackets needs a FadingPaperReport, got NoneType for reports",
+        ),
+        (
+            lambda: certify.fading_paper_brackets(_DIST.gains, None),
+            "fading_paper_brackets needs a FadingPaperReport, got NoneType for reports",
+        ),
     ]
     + [
         (functools.partial(function, *args), _refusal(function, args, position))
@@ -487,6 +517,13 @@ def _not_real(name, x):
         "multiplicative_gap_bound-None",
         "per_state_additive_terms-None",
         "per_state_multiplicative_terms-report",
+        "fading_paper_brackets-no-report",
+        "fading_paper_brackets-no-gain",
+        "fading_paper_brackets-gains-None",
+        "fading_paper_brackets-str-gain",
+        "fading_paper_brackets-negative-gain",
+        "fading_paper_brackets-None-report",
+        "fading_paper_brackets-reports-None",
     ]
     + list(_CORRUPTED_COPIES),
 )
