@@ -57,7 +57,7 @@ from .errors import (
     is_fraction,
     validated_tuple,
 )
-from .muf import MufChain, check_chain_fits
+from .muf import MufChain
 
 __all__ = [
     "PowerAllocation",
@@ -107,9 +107,8 @@ class PowerAllocation:
 
     beta: tuple
     lam: tuple
-    _built: bool = field(default=False, init=False, repr=False, compare=False)
-    #: the channel optimal_allocation built the allocation for
-    _channel: object = field(default=None, init=False, repr=False, compare=False)
+    #: the channel optimal_allocation built the allocation from
+    _source: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def active_states(self) -> tuple:
@@ -127,8 +126,7 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     the weakest active state on rides at the full budget.
     """
     check_built("optimal_allocation", "ch", ch, PreparedChannel)
-    check_built("optimal_allocation", "chain", chain, MufChain)
-    check_chain_fits("optimal_allocation", chain, ch)
+    check_built("optimal_allocation", "chain", chain, MufChain, ch)
     k_states = ch.num_states
     pi, bps, s, w = chain.pi, chain.breakpoints, chain.s, chain.w
     g_1 = ch.gains[0]
@@ -151,8 +149,7 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
 
     lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, pi[s - 1 : w])
     alloc = PowerAllocation(beta=tuple(beta), lam=tuple(lam))
-    object.__setattr__(alloc, "_built", True)
-    object.__setattr__(alloc, "_channel", ch)
+    object.__setattr__(alloc, "_source", ch)
     return alloc
 
 
@@ -162,24 +159,13 @@ def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     with an empty layer.  Their sum weighted by ``F_k`` is the expected
     rate of the allocation."""
     check_built("layer_rates", "ch", ch, PreparedChannel)
-    check_built("layer_rates", "alloc", alloc, PowerAllocation)
-    _check_allocation_fits("layer_rates", ch, alloc)
+    check_built("layer_rates", "alloc", alloc, PowerAllocation, ch)
     beta = alloc.beta
     # log1p takes a Fraction as its float(); (b - 0) / (n_1 + 0) is exact
     # in floats and in Fractions alike
     log1p = math.log1p
     steps = zip(beta, itertools.chain((0,), beta), ch.inverse_gains)
     return tuple([log1p((b - prev) / (nk + prev)) for b, prev, nk in steps])
-
-
-def _check_allocation_fits(what: str, ch: PreparedChannel, alloc: PowerAllocation) -> None:
-    """Refuse an allocation built for another channel than ch, naming what,
-    as :func:`~fadegap.muf.check_chain_fits` refuses a chain."""
-    if alloc._channel is not ch and alloc._channel != ch:
-        raise ValidationError(
-            f"{what} needs an allocation built for the channel it is given;"
-            " build it with optimal_allocation()"
-        )
 
 
 def _decoded_rate_factors(n, f, frontier) -> list:
@@ -523,8 +509,7 @@ def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     gate itself is not applied.
     """
     check_built("closed_form_routes", "ch", ch, PreparedChannel)
-    check_built("closed_form_routes", "alloc", alloc, PowerAllocation)
-    _check_allocation_fits("closed_form_routes", ch, alloc)
+    check_built("closed_form_routes", "alloc", alloc, PowerAllocation, ch)
     per_state, grouped, _ = _routes(ch, alloc)
     return float(per_state), float(grouped)
 
@@ -536,8 +521,7 @@ def expected_capacity(ch: PreparedChannel, alloc: PowerAllocation) -> float:
     disagree beyond ROUTE_RTOL relative; returns the per-state form.
     """
     check_built("expected_capacity", "ch", ch, PreparedChannel)
-    check_built("expected_capacity", "alloc", alloc, PowerAllocation)
-    _check_allocation_fits("expected_capacity", ch, alloc)
+    check_built("expected_capacity", "alloc", alloc, PowerAllocation, ch)
     per_state, grouped, agree = _routes(ch, alloc)
     if not agree:
         raise InternalConsistencyError(

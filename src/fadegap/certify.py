@@ -72,13 +72,16 @@ def _gap(x, y) -> float:
 
 
 def oracle_certification(c_exp: float, oracle: float) -> Margin:
-    """The brute-force optimum lands within ORACLE_ATOL of the closed form."""
-    gap = abs(oracle - c_exp)
+    """The brute-force optimum lands within ORACLE_ATOL of the closed form;
+    a NaN fails."""
+    gap = abs(check_real("c_exp", c_exp) - check_real("oracle", oracle))
     return Margin(gap <= ORACLE_ATOL, gap)
 
 
 def closed_form_route_agreement(per_state: float, grouped: float) -> Margin:
-    """The two closed forms agree to ROUTE_RTOL relative."""
+    """The two closed forms agree to ROUTE_RTOL relative; a NaN fails."""
+    per_state = check_real("per_state", per_state)
+    grouped = check_real("grouped", grouped)
     rel = abs(per_state - grouped) / max(abs(per_state), abs(grouped), 1e-300)
     return Margin(rel <= ROUTE_RTOL, rel)
 

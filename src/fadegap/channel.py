@@ -127,7 +127,8 @@ class PreparedChannel:
     cum_probs: tuple
     epsilon_applied: Optional[object] = None
     degenerate: bool = False
-    _built: bool = field(default=False, init=False, repr=False, compare=False)
+    #: the FadingDistribution prepare built the channel from
+    _source: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_states(self) -> int:
@@ -212,7 +213,7 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         epsilon_applied=epsilon,
         degenerate=not gains[-1],
     )
-    object.__setattr__(ch, "_built", True)
+    object.__setattr__(ch, "_source", dist)
     return ch
 
 

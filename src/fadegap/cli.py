@@ -29,7 +29,7 @@ import sys
 
 from .allocation import closed_form_routes, layer_rates
 from .channel import FadingDistribution
-from .errors import InternalConsistencyError, ValidationError, validated_index
+from .errors import InternalConsistencyError, ValidationError, check_instance, validated_index
 from .gaps import LN2, full_analysis
 
 __all__ = ["main", "run", "random_distribution", "verify_run"]
@@ -153,6 +153,7 @@ def _emit(payload: dict, fmt: str) -> None:
 def random_distribution(rng: random.Random, max_states: int = 5) -> FadingDistribution:
     """One random channel: K uniform in 2..max_states, gains log-uniform in
     [1e-3, 1e3], probabilities flat-Dirichlet (normalized unit exponentials)."""
+    check_instance("random_distribution", "rng", rng, random.Random)
     max_states = validated_index("random_distribution", "max_states", max_states)
     if max_states < 2:
         raise ValidationError(f"max-states: must be at least 2, got {max_states}")
@@ -197,6 +198,7 @@ def verify_run(trials: int = 200, seed: int = 0, max_states: int = 5) -> dict:
         raise ValidationError(
             f"max-states: must be at most {VERIFY_MAX_STATES}, got {max_states}"
         )
+    seed = validated_index("verify", "seed", seed)
     rng = random.Random(seed)
     tallies = {}  # check name -> (passed, failed, worst margin)
     for _ in range(trials):

@@ -82,16 +82,24 @@ _BUILDERS = {
 }
 
 
-def check_built(what: str, name: str, value, cls) -> None:
-    """Refuse a value that is not a cls, as :func:`check_instance` does, or
-    a cls its stage did not mark: a ``dataclasses.replace`` copy or a hand-built one."""
-    if not (isinstance(value, cls) and value._built):
-        check_instance(what, name, value, cls)
-        builder = _BUILDERS[cls.__name__]
+def check_built(what: str, name: str, value, cls, source=None) -> None:
+    """Refuse a value that is not a cls, as :func:`check_instance` does, one
+    its stage did not mark (a ``dataclasses.replace`` copy, a hand-built one)
+    and, given a source, one marked as built from neither it nor its equal."""
+    mark = value._source if isinstance(value, cls) else None
+    if mark is not None and (source is None or mark is source or mark == source):
+        return
+    check_instance(what, name, value, cls)
+    builder = _BUILDERS[cls.__name__]
+    if mark is None:
         raise ValidationError(
             f"{what} needs a {cls.__name__} that {builder}() returned, got a copy or a"
             f" hand-built one for {name}; build it with {builder}()"
         )
+    raise ValidationError(
+        f"{what} needs a {cls.__name__} built from the channel it is given;"
+        f" build it with {builder}()"
+    )
 
 
 def validated_tuple(name: str, values) -> tuple:

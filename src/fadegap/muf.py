@@ -64,9 +64,8 @@ class MufChain:
     breakpoints: tuple
     s: int
     w: int
-    _built: bool = field(default=False, init=False, repr=False, compare=False)
     #: the channel build_chain built the chain from
-    _channel: object = field(default=None, init=False, repr=False, compare=False)
+    _source: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def segment_count(self) -> int:
@@ -150,8 +149,10 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     of :func:`_crossing`, which :func:`intersection` returns.
     """
     check_built("build_chain", "ch", ch, PreparedChannel)
-    if not ch.gains[-1] > 0:
-        raise ValidationError("chain construction needs strictly positive gains; run prepare() first")
+    if ch.degenerate:
+        raise ValidationError(
+            "build_chain: the single zero-gain channel has no chain; both its capacities are 0"
+        )
 
     n, f = ch.inverse_gains, ch.cum_probs
     inf = math.inf
@@ -200,20 +201,8 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     breakpoints.append(inf)
 
     chain = MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
-    object.__setattr__(chain, "_built", True)
-    object.__setattr__(chain, "_channel", ch)
+    object.__setattr__(chain, "_source", ch)
     return chain
-
-
-def check_chain_fits(what: str, chain: MufChain, ch: PreparedChannel) -> None:
-    """Refuse a chain built from another channel than ch, naming what: one
-    compared equal to ch (a deep copy, a pickled one) passes, and ch itself
-    at once."""
-    if chain._channel is not ch and chain._channel != ch:
-        raise ValidationError(
-            f"{what} needs a chain built from the channel it is given;"
-            " build it with build_chain()"
-        )
 
 
 def _segment_index(chain: MufChain, z) -> int:
@@ -229,9 +218,8 @@ def dominating_muf(chain: MufChain, ch: PreparedChannel, z):
     Returns ``(u*(z), k)`` where k is the 1-based state index whose utility
     equals the pointwise maximum at z.
     """
-    check_built("dominating_muf", "chain", chain, MufChain)
     check_built("dominating_muf", "ch", ch, PreparedChannel)
-    check_chain_fits("dominating_muf", chain, ch)
+    check_built("dominating_muf", "chain", chain, MufChain, ch)
     check_real("z", z)
     if not z > chain.breakpoints[0]:
         raise ValidationError(f"envelope undefined at z={z} <= -n_1")
@@ -247,9 +235,8 @@ def envelope_integral(chain: MufChain, ch: PreparedChannel, lo, hi) -> float:
     boundaries inside the range split the integration exactly, so the only
     error is the final float rounding of each log.
     """
-    check_built("envelope_integral", "chain", chain, MufChain)
     check_built("envelope_integral", "ch", ch, PreparedChannel)
-    check_chain_fits("envelope_integral", chain, ch)
+    check_built("envelope_integral", "chain", chain, MufChain, ch)
     check_real("lo", lo)
     check_real("hi", hi)
     if not 0 <= lo <= hi:

@@ -71,8 +71,7 @@ def _marked(obj, ch):
     hands a stage a corrupted chain or allocation on purpose: a stage
     refuses an unmarked one, or one of another channel, before it reads a
     field."""
-    object.__setattr__(obj, "_built", True)
-    object.__setattr__(obj, "_channel", ch)
+    object.__setattr__(obj, "_source", ch)
     return obj
 
 

@@ -14,6 +14,7 @@ from conftest import (
 from fadegap import (
     FadingDistribution,
     additive_family,
+    analyze,
     ValidationError,
     allocation,
     build_chain,
@@ -120,6 +121,21 @@ def test_active_state_with_an_overflowed_inverse_gain_is_refused(route):
     )
     with pytest.raises(ValidationError, match=f"^{message}$"):
         route(ch, alloc)
+
+
+@pytest.mark.parametrize("route", [expected_capacity, closed_form_routes])
+def test_the_one_overflowed_state_reaches_the_refusal_with_its_own_allocation(route):
+    # analyze takes C_exp = C_erg for one state and never calls the closed
+    # forms; called on the channel's own allocation, they refuse its n = inf
+    dist = FadingDistribution((1e-320,), (1.0,))
+    ch = prepare(dist)
+    alloc = optimal_allocation(ch, build_chain(ch))
+    message = (
+        "gains: the inverse of the gain 1e-320 of active state 1 overflows double precision"
+    )
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        route(ch, alloc)
+    assert analyze(dist).c_exp == 1e-320
 
 
 def test_certified_disagreement_of_the_closed_forms_raises(two_state, disagreeing_closed_forms):
@@ -485,7 +501,7 @@ def with_factor(alloc, k, value):
     """alloc with the stored decoded-rate factor of state k (1-based) set,
     for alloc's channel."""
     lam = alloc.lam[: k - 1] + (value,) + alloc.lam[k:]
-    return _marked(PowerAllocation(beta=alloc.beta, lam=lam), alloc._channel)
+    return _marked(PowerAllocation(beta=alloc.beta, lam=lam), alloc._source)
 
 
 def float_factors(ch, alloc):

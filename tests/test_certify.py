@@ -73,6 +73,15 @@ def test_oracle_gates_sit_at_the_oracle_resolution(inputs):
     assert not certify.oracle_certification(c, c + 5e-10).ok
 
 
+@pytest.mark.parametrize("name", ["oracle_certification", "closed_form_route_agreement"])
+def test_a_two_value_check_fails_a_nan_with_a_nan_margin(inputs, name):
+    check = getattr(certify, name)
+    c = inputs[name][0][0]
+    for args in ((math.nan, c), (c, math.nan)):
+        margin = check(*args)
+        assert not margin.ok and math.isnan(margin.worst), args
+
+
 @pytest.mark.parametrize(
     "name, field",
     [

@@ -271,8 +271,9 @@ def test_public_names_keep_their_order():
 
 
 def _constructions(tree):
-    """(enclosing function, class) of every call of a pipeline class in a
-    module's syntax tree; a call outside any function is at "<module>"."""
+    """(enclosing function, what) of every call of a pipeline class, every
+    call that names the mark ``_source`` (a setattr) and every read of it
+    in a module's syntax tree; one outside any function is at "<module>"."""
     found = []
 
     def visit(node, scope):
@@ -282,6 +283,10 @@ def _constructions(tree):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             if name in BUILDERS:
                 found.append((scope, name))
+            if any(getattr(arg, "value", None) == "_source" for arg in node.args):
+                found.append((scope, "sets _source"))
+        if isinstance(node, ast.Attribute) and node.attr == "_source":
+            found.append((scope, "reads _source"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -291,7 +296,8 @@ def _constructions(tree):
 
 def test_only_the_stages_build_the_pipeline_objects():
     # a stage refuses an object its builder did not mark, so no other code
-    # path of the package may construct one
+    # path of the package may construct or mark one, and only the one check
+    # reads the mark
     src = pathlib.Path(fadegap.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -299,6 +305,10 @@ def test_only_the_stages_build_the_pipeline_objects():
         found += [(path.name, scope, name) for scope, name in _constructions(tree)]
     assert found == [
         ("allocation.py", "optimal_allocation", "PowerAllocation"),
+        ("allocation.py", "optimal_allocation", "sets _source"),
         ("channel.py", "prepare", "PreparedChannel"),
+        ("channel.py", "prepare", "sets _source"),
+        ("errors.py", "check_built", "reads _source"),
         ("muf.py", "build_chain", "MufChain"),
+        ("muf.py", "build_chain", "sets _source"),
     ]

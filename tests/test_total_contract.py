@@ -318,14 +318,14 @@ _CORRUPTED_COPIES = {
 
 def _chain_misfit(stage):
     return (
-        f"{stage} needs a chain built from the channel it is given;"
+        f"{stage} needs a MufChain built from the channel it is given;"
         " build it with build_chain()"
     )
 
 
 def _allocation_misfit(stage):
     return (
-        f"{stage} needs an allocation built for the channel it is given;"
+        f"{stage} needs a PowerAllocation built from the channel it is given;"
         " build it with optimal_allocation()"
     )
 
@@ -337,11 +337,15 @@ def _allocation_misfit(stage):
 _CH_B = prepare(FadingDistribution((9.0, 3.0, 2.0, 0.5), (0.1, 0.2, 0.3, 0.4)))
 
 
-def _not_real(name, x):
+def _not_real_value(name, value):
     return (
-        f"{name} must be a real number, got _Real({x!r}), which is neither a float nor"
+        f"{name} must be a real number, got {value!r}, which is neither a float nor"
         " a rational number"
     )
+
+
+def _not_real(name, x):
+    return _not_real_value(name, _Real(x))
 
 
 @pytest.mark.parametrize(
@@ -371,6 +375,12 @@ def _not_real(name, x):
         ),
         (lambda: verify_run(2.5), "verify needs an integer trials, got trials=2.5"),
         (lambda: verify_run(0), "trials: must be positive, got 0"),
+        (lambda: verify_run(3, [1]), "verify needs an integer seed, got seed=[1]"),
+        (lambda: verify_run(3, None), "verify needs an integer seed, got seed=None"),
+        (
+            lambda: random_distribution(None, 5),
+            "random_distribution needs a Random, got NoneType for rng",
+        ),
         (lambda: muf_value(_CH, 1, 10**400), "z lies beyond the double-precision range"),
         (
             lambda: muf_value(_CH, 1, Fraction(10**400, 3)),
@@ -405,6 +415,10 @@ def _not_real(name, x):
         (lambda: envelope_integral(_CHAIN4, _CH, 0, 1), _chain_misfit("envelope_integral")),
         (lambda: envelope_integral(_CHAIN4, _CH_B, 0, 1), _chain_misfit("envelope_integral")),
         (
+            lambda: build_chain(_ZERO_GAIN.channel),
+            "build_chain: the single zero-gain channel has no chain; both its capacities are 0",
+        ),
+        (
             lambda: certify.chain_ordering_properties(_ZERO_GAIN.channel, _ZERO_GAIN.chain),
             "chain_ordering_properties needs a MufChain, got NoneType for chain",
         ),
@@ -422,6 +436,16 @@ def _not_real(name, x):
         (
             lambda: high_snr_instance([_Real(2.0), 0.5], [0.5, 0.5], 10.0),
             _not_real("high-SNR exponents: entry 1", 2.0),
+        ),
+        (lambda: certify.oracle_certification(None, 1.0), _not_real_value("c_exp", None)),
+        (lambda: certify.oracle_certification(1.0, "1"), _not_real_value("oracle", "1")),
+        (
+            lambda: certify.closed_form_route_agreement("a", 1.0),
+            _not_real_value("per_state", "a"),
+        ),
+        (
+            lambda: certify.closed_form_route_agreement(1.0, None),
+            _not_real_value("grouped", None),
         ),
         (
             lambda: certify.additive_gap_bound(None),
@@ -486,6 +510,9 @@ def _not_real(name, x):
         "random_distribution-max-states-1",
         "verify_run-trials-2.5",
         "verify_run-trials-0",
+        "verify_run-seed-list",
+        "verify_run-seed-None",
+        "random_distribution-rng-None",
         "muf_value-huge-z",
         "muf_value-huge-fraction-z",
         "dominating_muf-huge-z",
@@ -504,6 +531,7 @@ def _not_real(name, x):
         "dominating_muf-chain-of-another-channel",
         "envelope_integral-longer-chain",
         "envelope_integral-chain-of-another-channel",
+        "build_chain-zero-gain-channel",
         "chain_ordering_properties-None",
         "muf_value-float32-z",
         "dominating_muf-float32-z",
@@ -513,6 +541,10 @@ def _not_real(name, x):
         "brute_force_expected_capacity-float32-tol",
         "low_snr_instance-float32-entry",
         "high_snr_instance-float32-entry",
+        "oracle_certification-None-c_exp",
+        "oracle_certification-str-oracle",
+        "closed_form_route_agreement-str-per_state",
+        "closed_form_route_agreement-None-grouped",
         "additive_gap_bound-None",
         "multiplicative_gap_bound-None",
         "per_state_additive_terms-None",
@@ -632,7 +664,7 @@ def test_a_marked_object_survives_a_deep_copy_and_a_pickle_round_trip(clone, exa
     assert (ch, chain, alloc) == (a.channel, a.chain, a.allocation)
     # each clone feeds the next stage to the same bytes; the chain and the
     # allocation each carry their own copy of the channel, which fits ch by ==
-    assert chain._channel is not ch and alloc._channel is not ch
+    assert chain._source is not ch and alloc._source is not ch
     assert repr(build_chain(ch)) == repr(a.chain)
     assert repr(optimal_allocation(ch, chain)) == repr(a.allocation)
     assert repr(expected_capacity(ch, alloc)) == repr(a.report.c_exp)
@@ -641,9 +673,36 @@ def test_a_marked_object_survives_a_deep_copy_and_a_pickle_round_trip(clone, exa
     assert repr(layer_rates(ch, alloc)) == repr(layer_rates(a.channel, a.allocation))
 
 
+def test_each_stage_marks_its_object_with_what_it_built_it_from():
+    dist = FadingDistribution((8.0, 4.0, 2.0, 1.0), (0.25,) * 4)
+    ch = prepare(dist)
+    chain = build_chain(ch)
+    alloc = optimal_allocation(ch, chain)
+    assert ch._source is dist and chain._source is ch and alloc._source is ch
+    # a channel prepared again from the same input fits by ==
+    again = prepare(dist)
+    assert again is not ch
+    assert repr(optimal_allocation(again, chain)) == repr(alloc)
+    assert repr(expected_capacity(again, alloc)) == repr(expected_capacity(ch, alloc))
+    assert layer_rates(again, alloc) == layer_rates(ch, alloc)
+    assert dominating_muf(chain, again, 0.5) == dominating_muf(chain, ch, 0.5)
+
+
+def test_the_analyze_path_ties_by_identity_without_comparing_channels(monkeypatch):
+    report = analyze(_DIST)
+
+    def compared(self, other):
+        raise AssertionError("a channel was compared by ==")
+
+    monkeypatch.setattr(PreparedChannel, "__eq__", compared)
+    assert repr(analyze(_DIST)) == repr(report)
+    with pytest.raises(AssertionError, match="compared"):
+        expected_capacity(prepare(_DIST), _ALLOC)
+
+
 @pytest.mark.parametrize("obj", [_CH4, _CHAIN4, _ALLOC4], ids=lambda obj: type(obj).__name__)
 def test_the_mark_leaves_repr_equality_and_hash_unchanged(obj):
-    assert "_built" not in repr(obj)
+    assert "_source" not in repr(obj)
     for unmarked in (replace(obj), _hand_built(obj)):
         assert repr(unmarked) == repr(obj)
         assert unmarked == obj and hash(unmarked) == hash(obj)
