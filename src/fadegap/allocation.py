@@ -52,6 +52,7 @@ from .channel import PreparedChannel
 from .errors import (
     InternalConsistencyError,
     ValidationError,
+    _make,
     check_built,
     check_real,
     is_fraction,
@@ -107,7 +108,7 @@ class PowerAllocation:
 
     beta: tuple
     lam: tuple
-    #: the channel optimal_allocation built the allocation from
+    #: the channel optimal_allocation built it from, set only by errors._make
     _source: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -148,9 +149,7 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     beta += (one,) * (k_states + 1 - pi[w - 1])
 
     lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, pi[s - 1 : w])
-    alloc = PowerAllocation(beta=tuple(beta), lam=tuple(lam))
-    object.__setattr__(alloc, "_source", ch)
-    return alloc
+    return _make(PowerAllocation, beta=tuple(beta), lam=tuple(lam), _source=ch)
 
 
 def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional
 
-from .errors import ValidationError, check_built, check_instance, check_real, validated_tuple
+from .errors import ValidationError, _make, check_built, check_instance, check_real, validated_tuple
 
 __all__ = [
     "FadingDistribution",
@@ -127,7 +127,7 @@ class PreparedChannel:
     cum_probs: tuple
     epsilon_applied: Optional[object] = None
     degenerate: bool = False
-    #: the FadingDistribution prepare built the channel from
+    #: the FadingDistribution prepare built it from, set only by errors._make
     _source: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -205,16 +205,16 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     # inverse gains ascend, so the ones beyond the double range come last
     if inverse[-1] > _FLOAT_MAX:
         _check_overflowed_inverses(gains, inverse, cum)
-    ch = PreparedChannel(
+    return _make(
+        PreparedChannel,
         gains=tuple(gains),
         probs=tuple(probs),
         inverse_gains=tuple(inverse),
         cum_probs=tuple(cum),
         epsilon_applied=epsilon,
         degenerate=not gains[-1],
+        _source=dist,
     )
-    object.__setattr__(ch, "_source", dist)
-    return ch
 
 
 def _check_overflowed_inverses(gains, inverse, cum):

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the argument checks that
-raise one."""
+"""Exception types shared across the package, the argument checks that
+raise one, and the one way the stages make the objects they return."""
 
 import operator
 import sys
@@ -100,6 +100,16 @@ def check_built(what: str, name: str, value, cls, source=None) -> None:
         f"{what} needs a {cls.__name__} built from the channel it is given;"
         f" build it with {builder}()"
     )
+
+
+def _make(cls, /, **fields):
+    """A cls, a frozen dataclass, made as pickle remakes one: every field,
+    the mark included, filled in field order in one step, not one setattr
+    each as __init__ does, with the same repr, ==, hash and pickle.  The
+    stages make what they return, and set the mark, only here."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def validated_tuple(name: str, values) -> tuple:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .allocation import PowerAllocation, expected_capacity, optimal_allocation
 from .channel import FadingDistribution, PreparedChannel, entropy, ergodic_capacity, prepare
-from .errors import InternalConsistencyError, ValidationError, is_fraction
+from .errors import InternalConsistencyError, ValidationError, _make, is_fraction
 from .muf import MufChain, build_chain
 
 __all__ = ["CapacityReport", "Analysis", "analyze", "full_analysis"]
@@ -63,7 +63,8 @@ class Analysis:
 
 
 def _degenerate_analysis(ch: PreparedChannel) -> Analysis:
-    report = CapacityReport(
+    report = _make(
+        CapacityReport,
         c_erg=0.0,
         c_exp=0.0,
         additive_gap=0.0,
@@ -72,8 +73,10 @@ def _degenerate_analysis(ch: PreparedChannel) -> Analysis:
         lemma2_terms=(1.0,),
         lemma3_terms=(0.0,),
         active_states=(),
+        epsilon_applied=None,
+        boundary_breakpoints=(),
     )
-    return Analysis(channel=ch, chain=None, allocation=None, report=report)
+    return _make(Analysis, channel=ch, chain=None, allocation=None, report=report)
 
 
 def full_analysis(dist: FadingDistribution) -> Analysis:
@@ -122,7 +125,8 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
     if zero in bps or one in bps:
         boundary = tuple(float(z) for z in bps[1:-1] if z == zero or z == one)
 
-    report = CapacityReport(
+    report = _make(
+        CapacityReport,
         c_erg=c_erg,
         c_exp=c_exp,
         additive_gap=additive,
@@ -134,7 +138,7 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
         epsilon_applied=None if ch.epsilon_applied is None else float(ch.epsilon_applied),
         boundary_breakpoints=boundary,
     )
-    return Analysis(channel=ch, chain=chain, allocation=alloc, report=report)
+    return _make(Analysis, channel=ch, chain=chain, allocation=alloc, report=report)
 
 
 def analyze(dist: FadingDistribution) -> CapacityReport:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import PreparedChannel
-from .errors import ValidationError, check_built, check_real, is_fraction, validated_index
+from .errors import ValidationError, _make, check_built, check_real, is_fraction, validated_index
 
 __all__ = [
     "MufChain",
@@ -64,7 +64,7 @@ class MufChain:
     breakpoints: tuple
     s: int
     w: int
-    #: the channel build_chain built the chain from
+    #: the channel build_chain built it from, set only by errors._make
     _source: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -200,9 +200,7 @@ def build_chain(ch: PreparedChannel) -> MufChain:
                 s = i
     breakpoints.append(inf)
 
-    chain = MufChain(pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w)
-    object.__setattr__(chain, "_source", ch)
-    return chain
+    return _make(MufChain, pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w, _source=ch)
 
 
 def _segment_index(chain: MufChain, z) -> int:

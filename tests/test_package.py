@@ -270,21 +270,37 @@ def test_public_names_keep_their_order():
     assert fadegap.__all__ == PUBLIC_NAMES
 
 
+#: The function through which the stages make their objects in one step.
+MAKER = "_make"
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 def _constructions(tree):
-    """(enclosing function, what) of every call of a pipeline class, every
-    call that names the mark ``_source`` (a setattr) and every read of it
-    in a module's syntax tree; one outside any function is at "<module>"."""
+    """(enclosing function, what) of every construction of a pipeline object
+    (a call of its class, or a call of MAKER with the class as an argument),
+    every setting of the mark ``_source`` (a call's argument or keyword, a
+    dict's key) and every read of it in a module's syntax tree; one outside
+    any function is at "<module>"."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
         if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            name = _name(node.func)
             if name in BUILDERS:
                 found.append((scope, name))
-            if any(getattr(arg, "value", None) == "_source" for arg in node.args):
+            if name == MAKER:
+                found.extend((scope, _name(arg)) for arg in node.args if _name(arg) in BUILDERS)
+            values = [getattr(arg, "value", None) for arg in node.args]
+            if "_source" in values + [kw.arg for kw in node.keywords]:
                 found.append((scope, "sets _source"))
+        keys = node.keys if isinstance(node, ast.Dict) else ()
+        if "_source" in [getattr(key, "value", None) for key in keys]:
+            found.append((scope, "sets _source"))
         if isinstance(node, ast.Attribute) and node.attr == "_source":
             found.append((scope, "reads _source"))
         for child in ast.iter_child_nodes(node):

@@ -21,14 +21,14 @@ import pickle
 import random
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import BUILDERS, _Real, assert_accepted_channel_has_no_nan, strict_json
+from conftest import BUILDERS, _marked, _Real, assert_accepted_channel_has_no_nan, strict_json
 from fadegap import (
     FadingDistribution,
     PowerAllocation,
@@ -700,8 +700,36 @@ def test_the_analyze_path_ties_by_identity_without_comparing_channels(monkeypatc
         expected_capacity(prepare(_DIST), _ALLOC)
 
 
-@pytest.mark.parametrize("obj", [_CH4, _CHAIN4, _ALLOC4], ids=lambda obj: type(obj).__name__)
+def _stage_objects():
+    """Each object a stage returns, as a param named by channel and class:
+    the channel, chain, allocation, report and analysis of a float, an
+    exact and a zero-gain channel, and what the single zero-gain channel
+    has of them."""
+    channels = {
+        "float": FadingDistribution((8.0, 4.0, 2.0, 1.0), (0.25,) * 4),
+        "Fraction": FadingDistribution((8, 4, 2, 1), (Fraction(1, 4),) * 4),
+        "zero-gain": FadingDistribution((4.0, 1.0, 0.0), (0.25, 0.25, 0.5)),
+        "single-zero-gain": FadingDistribution((0.0,), (1.0,)),
+    }
+    for label, dist in channels.items():
+        a = full_analysis(dist)
+        for obj in (a.channel, a.chain, a.allocation, a.report, a):
+            if obj is not None:
+                yield pytest.param(obj, id=f"{label}-{type(obj).__name__}")
+
+
+@pytest.mark.parametrize("obj", _stage_objects())
 def test_the_mark_leaves_repr_equality_and_hash_unchanged(obj):
+    # a stage fills every field, the mark included, in one step: the object
+    # is the one its __init__ makes, down to the order of its fields
+    assert list(vars(obj)) == [f.name for f in fields(obj)]
+    twin = _hand_built(obj)
+    if hasattr(obj, "_source"):
+        _marked(twin, obj._source)
+    assert pickle.dumps(obj) == pickle.dumps(twin)
+    for f in fields(obj):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, f.name, None)
     assert "_source" not in repr(obj)
     for unmarked in (replace(obj), _hand_built(obj)):
         assert repr(unmarked) == repr(obj)
