@@ -23,13 +23,17 @@ next, and both values come from the rung that settles the channel.
 The cross-check of the stored decoded-rate factors
 against the ones the power vector implies is a statement about exact
 rationals, so it does not ride the ladder: it is decided once, after the
-first rung that evaluates, by bit equality with that rung's float factors
-or else exactly in Fractions.  Each rung forms a segment's decoded-rate
-factor once, in the loop that logs it.  The error bounds are formed after
-that loop: without Fraction inputs a factor's error is one constant on
-the first segment and one on every later segment, so only the weakest
-active segment and Fraction inputs add per-segment terms.  The layer
-rates ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))`` are left to
+first rung that evaluates.  An allocation carries the frontier of active
+states :func:`optimal_allocation` built its factors from; over it, with
+float or int inputs that the float rung evaluates first, the stored
+factors are bitwise the ones the rung would form, and the check is their
+range test alone.  Every other case is decided exactly, in Fractions.
+Each rung forms the decoded-rate factor of each segment before the
+weakest active one once, in the loop that logs it.  The error bounds are
+formed after that loop: without Fraction inputs a factor's error is one
+constant on the first segment and one on every later segment, so only
+the weakest active segment and Fraction inputs add per-segment terms.
+The layer rates ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))`` are left to
 :func:`layer_rates`, for readers that need them.  Most channels settle in
 floats, low-capacity ones included: the weakest active segment's log is
 taken as log1p of its factor minus 1, formed without cancellation, so a
@@ -38,13 +42,14 @@ agreement, where the grouped form cancels; on extreme channels (gains
 near 1e-300, the exact worst-case families) it cancels through up to
 hundreds of digits, which the mpmath rungs resolve.  mpmath is imported
 only when the float rung cannot settle a channel, and ``fractions`` only
-for an exact input, an mpmath rung or a factor check that bit equality
-cannot decide.
+for an exact input, an mpmath rung or a factor check that is decided
+exactly.
 """
 
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -102,14 +107,20 @@ class PowerAllocation:
         Exactly 1 for states below the weakest active state.
 
     The stages take only one that :func:`optimal_allocation` built from
-    the channel they are given.  :func:`layer_rates` gives the rate each
-    state's power layer carries.
+    the channel they are given; such an allocation also records the
+    frontier of active states it built lam from, which spares the closed
+    forms re-deriving it and re-checking lam.  :func:`layer_rates` gives
+    the rate each state's power layer carries.
     """
 
     beta: tuple
     lam: tuple
     #: the channel optimal_allocation built it from, set only by errors._make
     _source: object = field(default=None, init=False, repr=False, compare=False)
+    #: the frontier optimal_allocation built lam from when beta activates
+    #: exactly its states, so that it equals active_states, else None; read
+    #: only by _routes
+    _frontier: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def active_states(self) -> tuple:
@@ -124,7 +135,11 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
 
     States before the strongest active state get zero power, the active
     states split the budget at the chain breakpoints, and everything from
-    the weakest active state on rides at the full budget.
+    the weakest active state on rides at the full budget.  The factors are
+    built from the frontier ``pi[s-1:w]``; the allocation records it when
+    the levels ``breakpoints[s:w]`` rise strictly, since the first is above
+    0 and the last below 1 by the choice of s and w, so each frontier state
+    then has a layer of its own.  Levels that tie leave no record.
     """
     check_built("optimal_allocation", "ch", ch, PreparedChannel)
     check_built("optimal_allocation", "chain", chain, MufChain, ch)
@@ -138,18 +153,23 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
 
         one = Fraction(1)
 
+    levels, frontier = bps[s:w], pi[s - 1 : w]
     beta = [one - one] * (pi[s - 1] - 1)
     # segment i covers states pi[i-1] .. pi[i]-1; a one-state segment, the
     # common case on long chains, is one append
-    for level, first, end in zip(bps[s:w], pi[s - 1 : w - 1], pi[s:w]):
+    for level, first, end in zip(levels, frontier, pi[s:w]):
         if end - first == 1:
             beta.append(level)
         else:
             beta += (level,) * (end - first)
     beta += (one,) * (k_states + 1 - pi[w - 1])
 
-    lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, pi[s - 1 : w])
-    return _make(PowerAllocation, beta=tuple(beta), lam=tuple(lam), _source=ch)
+    lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, frontier)
+    if not all(map(operator.lt, levels, levels[1:])):
+        frontier = None
+    return _make(
+        PowerAllocation, beta=tuple(beta), lam=tuple(lam), _source=ch, _frontier=frontier
+    )
 
 
 def layer_rates(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
@@ -274,12 +294,12 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     few units at most; the products of ``F_w n_a - F_a n_w`` itself can
     exceed ``F_w dn`` by ``n_a / dn``.
 
-    Each segment's factor is formed once, in the segment loop, as
+    Each segment's factor before w is formed once, in the segment loop, as
     ``head * df / dn``, the expression :func:`_decoded_rate_factors` uses
-    for a finite head, and returned per state for :func:`_check_factors`.
+    for a finite head.
 
-    The segment loop keeps only what varies per segment: the factors, the
-    logs and the terms.  The bounds are formed after it.  Without input
+    The segment loop keeps only what varies per segment: the logs and the
+    terms.  The bounds are formed after it.  Without input
     rounding (iota = 0, float or int inputs on every rung) a factor's error
     ``e_lam`` is one constant on the first segment and one on every later
     segment, so the ``e_lam`` charges are those constants weighted by the F
@@ -291,9 +311,8 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     keeps its own ``e_x / (1 + x)`` charge.  With input rounding each
     segment adds its conditioning terms in the loop.
 
-    Returns ``(lam, per_state, err_per_state, grouped, err_grouped)``, lam
-    the decoded-rate factors of states 1 .. active[-1] in the rung's
-    arithmetic.  Returns None when the rung cannot evaluate the channel.
+    Returns ``(per_state, err_per_state, grouped, err_grouped)``, or None
+    when the rung cannot evaluate the channel.
     """
     last = active[-1]
     lo, hi = rung.lo, rung.hi
@@ -311,7 +330,6 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     else:
         n, f, p = ([num(x) for x in xs] for xs in inputs)
 
-    # the factors as _decoded_rate_factors forms them, one per segment
     top, f_w = n[-1] + 1, f[-1]
     head = top / f_w
     e_head = 2 * u + 2 * iota
@@ -328,7 +346,7 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     # whether a per-state or grouped term is negative: without one, a |.|
     # sum is the value sum
     neg_p = neg_g = False
-    lam, per_state, terms = [], [], []
+    per_state, terms = [], []
     a, fa, na = 0, 0, 0
     for b in active:
         fb, nb = f[b - 1], n[b - 1]
@@ -337,9 +355,6 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
         # with a float, and an mpf compares with either exactly alike
         if not (df > 0.0 and dn > 0.0):
             return None
-        # head is finite: the float rung runs only on n and p inside
-        # (1e-100, 1e100), so head < 1e200, and an mpf does not overflow
-        fac = head * df / dn
         if iota:
             # the input rounding, amplified by the differences' conditioning
             c_f = iota * (fb + fa) / df
@@ -350,9 +365,11 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
                 return None
             if b < last:
                 cond_p += df * (c_f + c_n)
-        # Lambda_k is constant on the segment, so one log serves its states
+        # Lambda_k is constant on the segment, so one log serves its states;
+        # head is finite: the float rung runs only on n and p inside
+        # (1e-100, 1e100), so head < 1e200, and an mpf does not overflow
         if b < last:
-            lr = log(fac)
+            lr = log(head * df / dn)
         else:
             # the bracket and its error terms are exactly 0 when a = 0
             e_f = e_n = u if a else 0
@@ -380,10 +397,8 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
             neg_p = True
         # a one-state segment, the common case on long chains, needs no loop
         if b - a == 1:
-            lam.append(fac)
             per_state.append(p[a] * lr)
         else:
-            lam += (fac,) * (b - a)
             per_state += [pk * lr for pk in p[a:b]]
         term = df * log(df / dn)
         terms.append(term)
@@ -414,26 +429,18 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     terms.append(f_w * lr)
     err_g += f_w * (e_head + abs(lr) * e_log)
     grp = fsum(terms)
-    return lam, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
+    return per, err_p, grp, _SLACK * (err_g + u * abs(grp))
 
 
-def _check_factors(ch: PreparedChannel, alloc: PowerAllocation, active: tuple, lam) -> None:
+def _check_factors(ch: PreparedChannel, alloc: PowerAllocation, active: tuple) -> None:
     """Raise InternalConsistencyError unless every stored decoded-rate factor
     lies within LAMBDA_RTOL of the exact factor the power vector implies; a
     mismatch means the active-state frontier and the breakpoint structure
-    disagree.
-
-    lam is a rung's factors of states 1 .. active[-1] for float or int
-    inputs, each within ``e_later`` (eight units) of its exact value, or
-    None.  Stored factors bitwise equal to them, with the tail at 1, finite
-    and positive, pass at once.  Otherwise the check is decided exactly, in
-    Fraction arithmetic.
+    disagree.  Decided exactly, in Fraction arithmetic.
     """
     last = active[-1]
     tail = ch.num_states - last
     stored = list(alloc.lam)
-    if lam is not None and stored == lam + [1.0] * tail and 0 < min(lam) and max(lam) < math.inf:
-        return
     from fractions import Fraction
 
     # a float or int converts exactly
@@ -463,10 +470,21 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     decides alone, and a rung that settles neither moves up one.  A
     disagreement is only accepted from an mpmath rung, so a disagreement in
     floats moves up too.  The decoded-rate factor cross-check is decided
-    once, by :func:`_check_factors` after the first rung that evaluates,
-    and raises there.
+    once, after the first rung that evaluates, and raises there.
+
+    The active states are the frontier the allocation records, or else
+    its active_states.  Over a recorded frontier with float or int inputs,
+    the float rung forms each factor as ``head * df / dn`` with head finite,
+    as :func:`_decoded_rate_factors` formed the stored ones from the same
+    numbers, and the tail is ``n_1 / n_1 = 1``: the stored factors are
+    bitwise the rung's, each within a few units of its exact value, so
+    when the float rung evaluates first and every one is finite and
+    positive, they pass.  :func:`_check_factors` decides every other case.
     """
-    active = alloc.active_states
+    active = alloc._frontier
+    recorded = active is not None
+    if not recorded:
+        active = alloc.active_states
     if not active:
         raise ValidationError("allocation has no active state; not an optimal allocation")
     if not ch.inverse_gains[active[-1] - 1] < math.inf:
@@ -486,8 +504,11 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
         if out is None:
             continue
         if per is None:  # the first rung that evaluates
-            _check_factors(ch, alloc, active, None if exact_inputs else out[0])
-        _, per, err_p, grp, err_g = out
+            lam = alloc.lam
+            floats = recorded and digits is None and not exact_inputs
+            if not (floats and 0 < min(lam) and max(lam) < math.inf):
+                _check_factors(ch, alloc, active)
+        per, err_p, grp, err_g = out
         diff = abs(per - grp)
         scale = max(abs(per), abs(grp))
         err = err_p + err_g + rung.unit * diff

@@ -66,7 +66,10 @@ def _report_of(analysis, inr: float) -> FadingPaperReport:
     for g, p in zip(gains, ch.probs):
         gf = float(g)
         if gf > 1:
-            rate += float(p) * math.log(gf)
+            # ln g can round above ln(1 + g) on a huge gain; capped at it,
+            # each term is at most its ergodic one, added in the same order,
+            # so the rate stays at most c_erg
+            rate += float(p) * min(math.log(gf), math.log1p(gf))
 
     c_erg = report.c_erg
     c_erg_lower = max(c_erg - LN2, 0.0)

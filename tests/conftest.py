@@ -140,8 +140,8 @@ def disagreeing_closed_forms(monkeypatch):
     evaluate = allocation._evaluate
 
     def disagreeing(*args):
-        lam, per, err_p, _, err_g = evaluate(*args)
-        return lam, per, err_p, per * (1 + 1e-6), err_g
+        per, err_p, _, err_g = evaluate(*args)
+        return per, err_p, per * (1 + 1e-6), err_g
 
     monkeypatch.setattr(allocation, "_evaluate", disagreeing)
 
@@ -440,8 +440,8 @@ def reference_evaluate(ch, active: tuple, exact_inputs: bool, grouped, rung):
     """allocation._evaluate as it stood before the segment loop formed the
     factors and the bounds were formed after the loop: the factors come
     from _decoded_rate_factors and every segment adds its error terms to the
-    bounds.  _evaluate must return repr-identical factors and values, and
-    bounds equal up to the regrouping of their sums."""
+    bounds.  _evaluate must return repr-identical values, and bounds equal
+    up to the regrouping of their sums."""
     last = active[-1]
     lo, hi = rung.lo, rung.hi
     if not (lo < ch.inverse_gains[0] and ch.inverse_gains[last - 1] < hi):
@@ -519,12 +519,12 @@ def reference_evaluate(ch, active: tuple, exact_inputs: bool, grouped, rung):
     per = rung.fsum(per_state)
     err_p = _SLACK * (err_p + u * abs(per))
     if not grouped:
-        return lam, per, err_p, None, None
+        return per, err_p, None, None
     lr = log((n[-1] + 1) / f[-1])
     terms.append(f[-1] * lr)
     err_g += f[-1] * (e_head + abs(lr) * e_log)
     grp = rung.fsum(terms)
-    return lam, per, err_p, grp, _SLACK * (err_g + u * abs(grp))
+    return per, err_p, grp, _SLACK * (err_g + u * abs(grp))
 
 
 @st.composite

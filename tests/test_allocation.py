@@ -1,10 +1,13 @@
 import math
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    POPULATIONS,
     _marked,
     high_snr_ladder,
     random_channels,
@@ -23,6 +26,7 @@ from fadegap import (
     envelope_integral,
     expected_capacity,
     expected_rate_of,
+    full_analysis,
     InternalConsistencyError,
     PowerAllocation,
     low_snr_instance,
@@ -150,8 +154,8 @@ def test_closed_forms_that_never_settle_raise(two_state, monkeypatch):
     evaluate = allocation._evaluate
 
     def unsettled(*args):
-        lam, per, _, grp, _ = evaluate(*args)
-        return lam, per, abs(per), grp, abs(grp)
+        per, _, grp, _ = evaluate(*args)
+        return per, abs(per), grp, abs(grp)
 
     monkeypatch.setattr(allocation, "_evaluate", unsettled)
     ch, _, alloc = two_state
@@ -409,15 +413,15 @@ BOUND_RTOL = 1e-12
 
 
 def assert_same_evaluation(new, ref):
-    """Factors and values repr-identical to the reference evaluation, error
-    bounds within BOUND_RTOL of its."""
+    """Values repr-identical to the reference evaluation, error bounds
+    within BOUND_RTOL of its."""
     if ref is None:
         assert new is None
         return
-    lam, per, err_p, grp, err_g = new
-    assert repr((lam, per, grp)) == repr((ref[0], ref[1], ref[3]))
-    assert abs(err_p - ref[2]) <= BOUND_RTOL * ref[2]
-    assert abs(err_g - ref[4]) <= BOUND_RTOL * ref[4]
+    per, err_p, grp, err_g = new
+    assert repr((per, grp)) == repr((ref[0], ref[2]))
+    assert abs(err_p - ref[1]) <= BOUND_RTOL * ref[1]
+    assert abs(err_g - ref[3]) <= BOUND_RTOL * ref[3]
 
 
 def differential_corpus():
@@ -504,19 +508,14 @@ def with_factor(alloc, k, value):
     return _marked(PowerAllocation(beta=alloc.beta, lam=lam), alloc._source)
 
 
-def float_factors(ch, alloc):
-    """The float rung's factors of the channel, as _routes hands them to
-    _check_factors."""
-    return allocation._evaluate(ch, alloc.active_states, False, allocation._rung(None))[0]
-
-
 def test_factor_one_ulp_off_passes_the_per_state_cross_check(two_state, rungs_used):
     ch, _, alloc = two_state
     off = with_factor(alloc, 2, math.nextafter(alloc.lam[1], math.inf))
     assert off.lam != alloc.lam
-    # not bitwise the float factor, so decided exactly
-    lam = float_factors(ch, alloc)
-    assert allocation._check_factors(ch, off, alloc.active_states, lam) is None
+    # a hand-marked allocation carries no frontier, so its factors are
+    # decided exactly
+    assert off._frontier is None
+    assert allocation._check_factors(ch, off, alloc.active_states) is None
     rungs_used.clear()
     value = expected_capacity(ch, off)
     assert rungs_used == [allocation._rung(None)]
@@ -537,23 +536,54 @@ def test_factor_two_tolerances_off_fails_without_a_climb(two_state, rungs_used):
 def test_non_finite_factor_never_settles(two_state, value, k):
     ch, _, alloc = two_state
     off = with_factor(alloc, k, value)
-    lam = float_factors(ch, alloc)
     with pytest.raises(InternalConsistencyError, match=f"decoded-rate factor of state {k}"):
-        allocation._check_factors(ch, off, alloc.active_states, lam)
+        allocation._check_factors(ch, off, alloc.active_states)
     with pytest.raises(InternalConsistencyError, match=f"decoded-rate factor of state {k}"):
         expected_capacity(ch, off)
 
 
-@pytest.mark.parametrize("value", [math.inf, 0.0], ids=["inf", "zero"])
-def test_overflowed_rung_factor_does_not_vouch_for_the_stored_one(two_state, value):
-    # a rung factor that overflowed or underflowed is not within a few units
-    # of its exact value, so bit equality with it settles nothing
-    ch, _, alloc = two_state
-    lam = float_factors(ch, alloc)
-    lam[1] = value
-    off = with_factor(alloc, 2, value)
-    with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 2"):
-        allocation._check_factors(ch, off, alloc.active_states, lam)
+def test_every_allocation_records_its_active_states():
+    # the frontier optimal_allocation builds the factors from, and records,
+    # is the allocation's active states on every channel the suite certifies
+    recorded = 0
+    for make in POPULATIONS.values():
+        for dist in make():
+            alloc = full_analysis(dist).allocation
+            if alloc is not None:
+                assert alloc._frontier == alloc.active_states, dist
+                recorded += 1
+    assert recorded > 3000
+
+
+@pytest.mark.parametrize(
+    "tie, message",
+    [
+        (
+            2,
+            "decoded-rate factor of state 2 is 250500500.50050047, power vector implies"
+            " 500500.500500500523159514113363654195548040434727911146331542",
+        ),
+        (
+            3,
+            "decoded-rate factor of state 3 is 250500.5005005005, power vector implies"
+            " 500.50050050050049009216998951722827761882469642817959365852",
+        ),
+    ],
+    ids=["state-2", "state-3"],
+)
+def test_tied_levels_leave_no_record_and_are_checked_exactly(tie, message):
+    # a hand-marked chain whose level tie takes its second state of the
+    # tie's layer away: the factors built from the chain's frontier do not
+    # fit the active states, and the exact check refuses them with the
+    # message it gave before allocations recorded a frontier
+    ch, chain, alloc = pipeline(high_snr_ladder(4))
+    assert alloc._frontier == alloc.active_states == (1, 2, 3, 4)
+    b = chain.breakpoints
+    tied = _marked(replace(chain, breakpoints=b[:tie] + (b[tie - 1],) + b[tie + 1 :]), ch)
+    off = optimal_allocation(ch, tied)
+    assert off._frontier is None and len(off.active_states) == 3
+    with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+        expected_capacity(ch, off)
 
 
 def tampered_factors(y):

@@ -35,6 +35,18 @@ def test_two_state_report():
     assert report.gap_lower_raw == pytest.approx(0.5 * math.log(15 / 8) - LN2, rel=1e-12)
 
 
+def test_achievable_rate_stays_within_the_ergodic_capacity_on_a_huge_gain():
+    # ln g of the first gain rounds above ln(1 + g): summed as ln g, the
+    # rate was 235.95685621545846, above c_erg 235.95685621545843
+    dist = FadingDistribution(
+        (2.983737561952692e102, 9.912527792854921e-22),
+        (0.9999999999999968, 3.1231200117560917e-15),
+    )
+    report = fading_paper_report(dist, inr=0.0)
+    assert report.achievable_rate <= report.c_erg_upper == 235.95685621545843
+    assert certify_brackets(dist).ok
+
+
 def test_boundary_gain_of_one():
     report = fading_paper_report(FadingDistribution((1,), (1.0,)), inr=0.0)
     assert report.achievable_rate == 0.0

@@ -166,6 +166,27 @@ print(json.dumps([text, "fractions" in sys.modules]))
     )
 
 
+def test_float_channels_analyse_without_loading_fractions():
+    # the frontier an allocation records settles the factor check of a
+    # float channel on the float rung; the exact check would load fractions.
+    # The ladders are high_snr_instance's, as literal floats: worst_case
+    # itself imports fractions
+    loaded = fresh(
+        """
+import random
+from fadegap import FadingDistribution, analyze
+from fadegap.cli import random_distribution
+for k in (128, 256, 512, 1024):
+    analyze(FadingDistribution(tuple(1e12 ** (1 - j / k) for j in range(k)), (1 / k,) * k))
+rng = random.Random(0)
+for _ in range(200):
+    analyze(random_distribution(rng, 8))
+print(json.dumps("fractions" in sys.modules))
+"""
+    )
+    assert loaded is False
+
+
 def test_an_exact_channel_built_after_the_import_analyses_exactly():
     # the multiplicative worst-case family at K = 3, d = 2: every utility
     # crossing meets at zero, which only exact arithmetic keeps
@@ -273,6 +294,10 @@ def test_public_names_keep_their_order():
 #: The function through which the stages make their objects in one step.
 MAKER = "_make"
 
+#: The mark every pipeline object carries, and the frontier an allocation
+#: records beside it.
+MARKS = ("_source", "_frontier")
+
 
 def _name(node):
     return getattr(node, "id", getattr(node, "attr", None))
@@ -281,8 +306,8 @@ def _name(node):
 def _constructions(tree):
     """(enclosing function, what) of every construction of a pipeline object
     (a call of its class, or a call of MAKER with the class as an argument),
-    every setting of the mark ``_source`` (a call's argument or keyword, a
-    dict's key) and every read of it in a module's syntax tree; one outside
+    every setting of a field of MARKS (a call's argument or keyword, a
+    dict's key) and every read of one in a module's syntax tree; one outside
     any function is at "<module>"."""
     found = []
 
@@ -296,13 +321,13 @@ def _constructions(tree):
             if name == MAKER:
                 found.extend((scope, _name(arg)) for arg in node.args if _name(arg) in BUILDERS)
             values = [getattr(arg, "value", None) for arg in node.args]
-            if "_source" in values + [kw.arg for kw in node.keywords]:
-                found.append((scope, "sets _source"))
+            values += [kw.arg for kw in node.keywords]
+            found.extend((scope, f"sets {mark}") for mark in MARKS if mark in values)
         keys = node.keys if isinstance(node, ast.Dict) else ()
-        if "_source" in [getattr(key, "value", None) for key in keys]:
-            found.append((scope, "sets _source"))
-        if isinstance(node, ast.Attribute) and node.attr == "_source":
-            found.append((scope, "reads _source"))
+        values = [getattr(key, "value", None) for key in keys]
+        found.extend((scope, f"sets {mark}") for mark in MARKS if mark in values)
+        if isinstance(node, ast.Attribute) and node.attr in MARKS:
+            found.append((scope, f"reads {node.attr}"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -313,7 +338,8 @@ def _constructions(tree):
 def test_only_the_stages_build_the_pipeline_objects():
     # a stage refuses an object its builder did not mark, so no other code
     # path of the package may construct or mark one, and only the one check
-    # reads the mark
+    # reads the mark; only optimal_allocation records the frontier of an
+    # allocation, and only the closed forms read it
     src = pathlib.Path(fadegap.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -322,6 +348,8 @@ def test_only_the_stages_build_the_pipeline_objects():
     assert found == [
         ("allocation.py", "optimal_allocation", "PowerAllocation"),
         ("allocation.py", "optimal_allocation", "sets _source"),
+        ("allocation.py", "optimal_allocation", "sets _frontier"),
+        ("allocation.py", "_routes", "reads _frontier"),
         ("channel.py", "prepare", "PreparedChannel"),
         ("channel.py", "prepare", "sets _source"),
         ("errors.py", "check_built", "reads _source"),
