@@ -155,13 +155,18 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
 
     levels, frontier = bps[s:w], pi[s - 1 : w]
     beta = [one - one] * (pi[s - 1] - 1)
-    # segment i covers states pi[i-1] .. pi[i]-1; a one-state segment, the
-    # common case on long chains, is one append
-    for level, first, end in zip(levels, frontier, pi[s:w]):
-        if end - first == 1:
-            beta.append(level)
-        else:
-            beta += (level,) * (end - first)
+    # segment i covers states pi[i-1] .. pi[i]-1.  When each of the w - s
+    # active segments holds one state, the common case on long chains, the
+    # levels are the active states' powers; else each segment repeats its
+    # level, and a one-state one is one append
+    if pi[w - 1] - pi[s - 1] == w - s:
+        beta += levels
+    else:
+        for level, first, end in zip(levels, frontier, pi[s:w]):
+            if end - first == 1:
+                beta.append(level)
+            else:
+                beta += (level,) * (end - first)
     beta += (one,) * (k_states + 1 - pi[w - 1])
 
     lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, frontier)

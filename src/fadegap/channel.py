@@ -17,7 +17,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import ge, itemgetter
 from typing import Optional
 
 from .errors import ValidationError, _make, check_built, check_instance, check_real, validated_tuple
@@ -135,27 +135,11 @@ class PreparedChannel:
         return len(self.gains)
 
 
-def _merge_duplicates(pairs):
-    """Gains and probabilities of sorted (gain, prob) pairs, with adjacent
-    gains that agree to MERGE_RTOL merged into the first of their run."""
-    pairs = iter(pairs)
-    g_prev, p = next(pairs)
-    gains, probs = [g_prev], [p]
-    for g, p in pairs:
-        if g_prev - g <= MERGE_RTOL * g_prev:
-            probs[-1] = probs[-1] + p
-        else:
-            gains.append(g)
-            probs.append(p)
-            g_prev = g
-    return gains, probs
-
-
-def _zero_gain_epsilon(gains, cum_probs):
+def _zero_gain_epsilon(inverse, cum_probs):
     """Substitute for a zero smallest gain, small enough that the zero state
     provably receives no power: half of min_k F_k / ((1 - F_k) + n_k) over
-    the positive states."""
-    return min(f / ((1 - f) + 1 / g) for g, f in zip(gains[:-1], cum_probs[:-1])) / 2
+    the positive states, whose inverse gains are given."""
+    return min(f / ((1 - f) + n) for n, f in zip(inverse, cum_probs)) / 2
 
 
 def prepare(dist: FadingDistribution) -> PreparedChannel:
@@ -163,30 +147,50 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     and substitute a positive epsilon for a zero smallest gain after a
     positive one.
 
+    Only a listing out of descending order is sorted: the sort is stable,
+    so it would return a descending listing unchanged, equal gains in their
+    given order.  One pass then merges the states and forms each ``F_k``
+    and ``n_k``.
+
     The single-state zero-gain channel keeps its zero gain, with inverse
     gain inf, and is returned with ``degenerate=True`` rather than rejected:
     both capacities are exactly zero for it.
     """
     check_instance("prepare", "dist", dist, FadingDistribution)
-    pairs = sorted(zip(dist.gains, dist.probs), key=itemgetter(0), reverse=True)
-    gains, probs = _merge_duplicates(pairs)
+    pairs = zip(dist.gains, dist.probs)
+    if not all(map(ge, dist.gains, dist.gains[1:])):
+        pairs = iter(sorted(pairs, key=itemgetter(0), reverse=True))
 
-    # a probability below the resolution of the running sum leaves F_k equal
+    # a run of adjacent gains that agree to MERGE_RTOL is one physical
+    # state, the first of the run; a state is closed when the next starts.
+    # A probability below the resolution of the running sum leaves F_k equal
     # to F_{k-1}; two such states have no crossing, so the channel is refused
-    cum = []
+    gains, probs, cum, inverse = [], [], [], []
     acc = 0
-    for k, p in enumerate(probs, start=1):
-        prev, acc = acc, acc + p
+    g_run, p_run = next(pairs)
+    for g, p in pairs:
+        if g_run - g <= MERGE_RTOL * g_run:
+            p_run = p_run + p
+            continue
+        prev, acc = acc, acc + p_run
         if acc == prev:
-            raise ValidationError(
-                f"probs: state {k} (gain {gains[k - 1]}) has probability {p}, below the"
-                f" resolution of the cumulative probability {acc}"
-            )
+            raise _below_resolution(len(gains) + 1, g_run, p_run, acc)
+        gains.append(g_run)
+        probs.append(p_run)
         cum.append(acc)
+        # positive: a smaller gain follows
+        inverse.append(1 / g_run)
+        g_run, p_run = g, p
+    prev, acc = acc, acc + p_run
+    if acc == prev:
+        raise _below_resolution(len(gains) + 1, g_run, p_run, acc)
+    gains.append(g_run)
+    probs.append(p_run)
+    cum.append(acc)
 
     epsilon = None
     if gains[-1] == 0 and len(gains) > 1:
-        epsilon = _zero_gain_epsilon(gains, cum)
+        epsilon = _zero_gain_epsilon(inverse, cum)
         if epsilon == 0:
             raise ValidationError(
                 "gains: the substitute for the zero gain underflows double precision"
@@ -194,7 +198,7 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         gains[-1] = epsilon
 
     # only the single zero-gain state is still zero
-    inverse = [1 / g for g in gains] if gains[-1] else [math.inf]
+    inverse.append(1 / gains[-1] if gains[-1] else math.inf)
     # a float inverse below the normal range has lost bits, and the decoded
     # rate factors built on it overflow
     if inverse[0] < _FLOAT_MIN and isinstance(inverse[0], float):
@@ -214,6 +218,15 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         epsilon_applied=epsilon,
         degenerate=not gains[-1],
         _source=dist,
+    )
+
+
+def _below_resolution(k, g, p, acc):
+    """The refusal of state k of gain g, whose probability p left the
+    running sum at acc."""
+    return ValidationError(
+        f"probs: state {k} (gain {g}) has probability {p}, below the"
+        f" resolution of the cumulative probability {acc}"
     )
 
 

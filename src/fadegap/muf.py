@@ -12,7 +12,8 @@ the convex-hull trick).  The chain's breakpoints against the power budget
 [0, 1] single out the states that receive positive power.
 
 All arithmetic follows the channel's numeric type; with Fraction channels
-the crossing points and tie decisions are exact.
+the crossing points are exact.  The tie decisions are not: a state pops
+when its chord ratio is within TIE_RTOL of a tie, for Fractions too.
 """
 
 import bisect

@@ -2,11 +2,12 @@ import json
 import math
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import as_distribution, channel_distributions, random_channels
+from conftest import POPULATIONS, as_distribution, channel_distributions, random_channels
 from fadegap import (
     FadingDistribution,
     ValidationError,
@@ -169,6 +170,9 @@ def test_inverse_gain_outside_the_double_range_is_refused(gains, probs, match):
         # 1 - 1e-300 rounds to 1.0, which adding 1e-300 does not move
         ((2.0, 1.0), (1 - 1e-300, 1e-300), r"state 2 \(gain 1.0\) has probability 1e-300"),
         ((4.0, 2.0, 1.0), (0.5, 1e-300, 0.5), r"state 2 \(gain 2.0\) has probability 1e-300"),
+        # the same states listed out of order
+        ((1.0, 2.0), (1e-300, 1 - 1e-300), r"state 2 \(gain 1.0\) has probability 1e-300"),
+        ((1.0, 2.0, 4.0), (0.5, 1e-300, 0.5), r"state 2 \(gain 2.0\) has probability 1e-300"),
     ],
 )
 def test_probability_below_the_cumulative_resolution_is_refused(gains, probs, match):
@@ -263,13 +267,50 @@ def test_prepare_accepts_fraction_inputs_exactly():
     assert ch.cum_probs == (Fraction(1, 3), Fraction(1))
 
 
-def test_permuting_states_does_not_change_analysis():
-    dist = FadingDistribution((1.0, 7.5, 0.02, 130.0), (0.1, 0.2, 0.3, 0.4))
-    shuffled = FadingDistribution(
-        (130.0, 0.02, 1.0, 7.5), (0.4, 0.3, 0.1, 0.2)
-    )
-    a, b = analyze(dist), analyze(shuffled)
-    assert a == b
+@pytest.mark.parametrize(
+    "channels, probs",
+    [pytest.param(make, None, id=name) for name, make in POPULATIONS.items()]
+    + [
+        pytest.param(
+            lambda: [
+                FadingDistribution((1.0, 7.5, 0.02, 130.0), (0.1, 0.2, 0.3, 0.4)),
+                FadingDistribution((130.0, 0.02, 1.0, 7.5), (0.4, 0.3, 0.1, 0.2)),
+            ],
+            (0.4, 0.2, 0.1, 0.3),
+            id="shuffled",
+        ),
+        # a run of equal gains merges into its first state, summed in the
+        # order given: 0.1 + 0.2 + 0.3 rounds up, 0.3 + 0.2 + 0.1 does not
+        pytest.param(
+            lambda: [
+                FadingDistribution((3.0, 3.0, 3.0, 1.0), (0.1, 0.2, 0.3, 0.4)),
+                FadingDistribution((1.0, 3.0, 3.0, 3.0), (0.4, 0.1, 0.2, 0.3)),
+            ],
+            (0.6000000000000001, 0.4),
+            id="merge-order",
+        ),
+        pytest.param(
+            lambda: [FadingDistribution((3.0, 3.0, 3.0, 1.0), (0.3, 0.2, 0.1, 0.4))],
+            (0.6, 0.4),
+            id="merge-order-reversed",
+        ),
+    ],
+)
+def test_permuting_states_does_not_change_analysis(channels, probs):
+    # the listing as given, its stable descending listing (which prepare
+    # takes unsorted) and its stable ascending one prepare alike
+    for dist in channels():
+        pairs = list(zip(dist.gains, dist.probs))
+        listings = [dist] + [
+            FadingDistribution(*zip(*sorted(pairs, key=itemgetter(0), reverse=reverse)))
+            for reverse in (True, False)
+        ]
+        prepared = [prepare(d) for d in listings]
+        assert len({repr(ch) for ch in prepared}) == 1, dist
+        if probs is not None:
+            assert prepared[0].probs == probs
+        a, b, c = (analyze(d) for d in listings)
+        assert a == b == c, dist
 
 
 def test_merging_preserves_capacities():
