@@ -11,9 +11,11 @@ stack pass over the states builds it (Andrew's monotone chain, also known as
 the convex-hull trick).  The chain's breakpoints against the power budget
 [0, 1] single out the states that receive positive power.
 
-All arithmetic follows the channel's numeric type; with Fraction channels
-the crossing points are exact.  The tie decisions are not: a state pops
-when its chord ratio is within TIE_RTOL of a tie, for Fractions too.
+All arithmetic follows the channel's numeric type.  A state pops when its
+crossing with the stack's top lies at or below the top's recorded
+breakpoint, so with Fraction channels the crossing points and every tie
+decision are exact, and float channels pop by the crossings the chain
+records.
 """
 
 import bisect
@@ -32,16 +34,6 @@ __all__ = [
     "envelope_integral",
 ]
 
-#: Two crossing points closer than this relative gap are treated as the same
-#: point when the chain decides whether a state is popped, so ties resolve to
-#: the largest state index.  The test is purely relative: crossing
-#: points scale with the inverse gains and can be legitimately separated at
-#: any absolute magnitude (geometric gain ladders push them below 1e-20), so
-#: any absolute band would merge genuinely distinct points.  Exact ties
-#: (rational channels) satisfy it with a zero gap.
-TIE_RTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class MufChain:
     """Envelope chain for a prepared channel.
@@ -50,7 +42,10 @@ class MufChain:
         pi[0] == 1 to pi[-1] == K.
     breakpoints: length I+1; breakpoints[i-1] is the crossing point where
         segment i takes over (the leading sentinel is -n_1, where u_1 leaves
-        its pole) and breakpoints[I] is the +infinity sentinel.
+        its pole) and breakpoints[I] is the +infinity sentinel.  The
+        interior breakpoints breakpoints[1..I-1] rise strictly, but for a
+        crossing that overflowed to +inf and the +inf crossing of a state
+        whose inverse gain overflowed after it.
     s: largest segment index whose takeover point is <= 0.
     w: largest segment index whose takeover point is < 1.
 
@@ -131,23 +126,17 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     """Construct the dominating-envelope chain of a prepared channel.
 
     States 2..K are pushed in order onto a stack that starts with state 1.
-    Before state l is pushed, the top is popped while l crosses the state a
-    beneath it no later than the top does, so the top never leads the
-    envelope.  Since ``z_{a,l} = -n_a + F_a * (n_l - n_a) / (F_l - F_a)``,
-    the test compares the chords ``(n_l - n_a) / (F_l - F_a)`` of l and the
-    top, through their ratio ``(dn_top / dn_l) * (dF_l / dF_top)``: the
-    crossings' order without their cancellation against -n_a, which erases
-    it when F_a is tiny, without a chord's overflow when F_l - F_a is, and
-    without the top's own crossing with l, whose rounding error nearly
-    parallel lines amplify.  Chords within TIE_RTOL count as equal and also
-    pop, so tied states collapse onto the largest index.  States whose
-    inverse gain overflowed (subnormal gains) come last and have no utility:
-    they cross every other state at +inf and tie among themselves, so the
-    last of them closes the chain.  Each stack entry carries its state's
-    differences from the state beneath and that state's (n, F), so the pop
-    test reads no list but the stack.  Each state is pushed and popped at
-    most once: O(K) chord ratios and crossings, each crossing the expression
-    of :func:`_crossing`, which :func:`intersection` returns.
+    Before state l is pushed, the top is popped while l crosses it at or
+    below the top's own breakpoint, where the top took over from the state
+    beneath: such a top never leads the envelope, and an exact tie resolves
+    to the largest index.  Each pushed breakpoint thus lies strictly above
+    the one beneath it, so the interior breakpoints rise strictly.  States
+    whose inverse gain overflowed (subnormal gains) come last and have no
+    utility: they cross every other state at +inf and tie among themselves,
+    so the last of them closes the chain, at +inf even if the breakpoint
+    beneath overflowed to +inf too.  Each state is pushed and popped
+    at most once: O(K) crossings, each the expression of :func:`_crossing`,
+    which :func:`intersection` returns.
     """
     check_built("build_chain", "ch", ch, PreparedChannel)
     if ch.degenerate:
@@ -157,29 +146,21 @@ def build_chain(ch: PreparedChannel) -> MufChain:
 
     n, f = ch.inverse_gains, ch.cum_probs
     inf = math.inf
-    tie = 1 - TIE_RTOL
     finite = len(n) if n[-1] < inf else bisect.bisect_left(n, inf)
     pi = [1]
     breakpoints = [-n[0]]
-    # stack[i] carries state pi[i+1]: its (n, F) minus those of pi[i]
-    # beneath it, then pi[i]'s own (n, F); (nt, ft) is (n, F) of pi[-1]
-    stack = []
+    # (nt, ft) is (n, F) of the top, pi[-1]
     nt, ft = n[0], f[0]
     for l, nl, fl in zip(range(2, finite + 1), n[1:finite], f[1:finite]):
-        while stack:
-            dn, df, na, fa = stack[-1]
-            # the top's chord over l's, at least 1 - TIE_RTOL when l's is no
-            # larger or ties with it; a Fraction stays exact
-            if not dn / (nl - na) * ((fl - fa) / df) >= tie:
-                break
+        # _crossing of the top and l, inlined; state 1 leads right of its
+        # pole -n_1 and is never popped, though a crossing may round onto it
+        z = ft / (fl - ft) * (nl - nt) - nt
+        while z <= breakpoints[-1] and len(pi) > 1:
             pi.pop()
             breakpoints.pop()
-            stack.pop()
-            nt, ft = na, fa
-        dn, df = nl - nt, fl - ft
-        stack.append((dn, df, nt, ft))
-        # _crossing of the top and l, on the differences at hand
-        breakpoints.append(ft / df * dn - nt)
+            nt, ft = n[pi[-1] - 1], f[pi[-1] - 1]
+            z = ft / (fl - ft) * (nl - nt) - nt
+        breakpoints.append(z)
         pi.append(l)
         nt, ft = nl, fl
     if pi[-1] < len(n):

@@ -12,6 +12,7 @@ certification matrix of ``test_acceptance.py`` runs every check of
 
 import bisect
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -56,7 +57,6 @@ from fadegap.certify import (
 )
 from fadegap.cli import _trial, random_distribution
 from fadegap.errors import InternalConsistencyError, ValidationError
-from fadegap.muf import TIE_RTOL
 
 #: The stage that builds, and marks, each of the pipeline's objects.
 BUILDERS = {
@@ -177,6 +177,35 @@ def extreme_channels(n: int, seed: int):
     return channels
 
 
+def near_parallel_channels(n: int, seed: int, concurrent: bool):
+    """Channels whose lines ``(z + n_k) / F_k`` nearly meet in one point, K
+    in 3..12, with flat-Dirichlet probabilities: ``n_k = (c + b F_k) (1 + e_k)``
+    puts every line through z = -c, and e_k of either sign and relative size
+    ``10**uniform(-16.5, top)`` moves it off.  Collinear points (concurrent
+    False) have c > 0 and top -8; concurrent ones have -c in (0.05, 0.95),
+    inside the power budget, and top -12."""
+    rng = random.Random(seed)
+    channels = []
+    for _ in range(n):
+        k = rng.randint(3, 12)
+        raw = [rng.expovariate(1.0) for _ in range(k)]
+        total = functools.reduce(operator.add, raw)  # as in random_distribution
+        probs = [x / total for x in raw]
+        cum = list(itertools.accumulate(probs))
+        if concurrent:
+            c, top = -rng.uniform(0.05, 0.95), -12
+            b = -c / cum[0] * 10 ** rng.uniform(0, 2)
+        else:
+            c, top = 10 ** rng.uniform(-2, 1), -8
+            b = 10 ** rng.uniform(-1, 1)
+        inverse = [
+            (c + b * f) * (1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-16.5, top))
+            for f in cum
+        ]
+        channels.append(FadingDistribution(tuple(1 / x for x in inverse), tuple(probs)))
+    return channels
+
+
 def assert_accepted_channel_has_no_nan(dist):
     """If prepare accepts dist, its chain has no NaN breakpoint and its
     allocation no NaN power or factor.  The zero-gain channel has no chain."""
@@ -248,6 +277,8 @@ POPULATIONS = {
     "random-k12": lambda: random_channels(2000, seed=12, max_states=12),
     "extreme": lambda: extreme_channels(24, seed=5),
     "extreme-seed-3": lambda: extreme_channels(200, seed=3),
+    "near-collinear": lambda: near_parallel_channels(300, seed=1, concurrent=False),
+    "near-concurrent": lambda: near_parallel_channels(300, seed=2, concurrent=True),
     "overflowed": lambda: list(OVERFLOWED),
     "fraction": fraction_channels,
     "families": lambda: [dist for _, dist in family_points()],
@@ -278,32 +309,37 @@ def greedy_chain(ch) -> MufChain:
 
     From each chain state, jump to the later state with the smallest chord
     ``(n_l - n_cur) / (F_l - F_cur)``, which orders the crossing points
-    ``z_{cur,l} = -n_cur + F_cur * chord``; chords within TIE_RTOL of that
-    minimum resolve to the largest index.  States whose inverse gain
-    overflowed are left to the end, where the last of them closes the
-    chain.  build_chain must reproduce it exactly.
+    ``z_{cur,l} = -n_cur + F_cur * chord``.  The chords are compared exactly,
+    on the prepared values taken as Fractions, so a tie is a true tie of the prepared values, and it
+    resolves to the largest index.  States whose inverse gain overflowed
+    are left to the end, where the last of them closes the chain.
+    build_chain must reproduce it exactly.
     """
     k_states = ch.num_states
     n, f = ch.inverse_gains, ch.cum_probs
     finite = sum(x < math.inf for x in n)
 
-    def chord_ratio(x, y):
-        """Chord of x over chord of y, for (dn, dF, l) triples."""
-        return x[0] / y[0] * (y[1] / x[1])
+    def numerators(xs):
+        """xs as ints over their common denominator, which the comparison
+        of two chords cancels: exact, and faster than Fraction arithmetic."""
+        exact = [Fraction(x) for x in xs[:finite]]
+        d = math.lcm(*(x.denominator for x in exact))
+        return [x.numerator * (d // x.denominator) for x in exact]
+
+    n_exact, f_exact = numerators(n), numerators(f)
 
     pi = [1]
     breakpoints = [-n[0]]
     while pi[-1] < finite:
-        cur = pi[-1]
-        deltas = [(n[l - 1] - n[cur - 1], f[l - 1] - f[cur - 1], l)
-                  for l in range(cur + 1, finite + 1)]
-        low = deltas[0]
-        for d in deltas[1:]:
-            if chord_ratio(low, d) > 1:
-                low = d
-        best = max(d[2] for d in deltas if chord_ratio(low, d) >= 1 - TIE_RTOL)
-        pi.append(best)
-        breakpoints.append(intersection(ch, cur, best))
+        cur = pi[-1] - 1
+        best, best_dn, best_df = None, None, None
+        for l in range(cur + 1, finite):
+            dn, df = n_exact[l] - n_exact[cur], f_exact[l] - f_exact[cur]
+            # dn / df <= best_dn / best_df, both denominators positive
+            if best is None or dn * best_df <= best_dn * df:
+                best, best_dn, best_df = l, dn, df
+        pi.append(best + 1)
+        breakpoints.append(intersection(ch, cur + 1, best + 1))
     if pi[-1] < k_states:
         breakpoints.append(intersection(ch, pi[-1], k_states))
         pi.append(k_states)

@@ -1,6 +1,7 @@
 """Every certification check passes a computed input and fails a corrupted one."""
 
 import math
+import operator
 import re
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from conftest import (
 from fadegap import FadingDistribution, ValidationError, build_chain, certify
 from fadegap import closed_form_routes, dominating_muf, fading_paper_report, full_analysis
 from fadegap import intersection, muf_value, optimal_allocation, prepare
+from fadegap.allocation import expected_rate_of
 from fadegap.fading_paper import LN2
 
 #: Three states, all on the envelope chain, so swapping its two interior
@@ -239,6 +241,27 @@ def test_chain_ordering_equals_the_all_pairs_scan_on_computed_chains(differentia
     for label, ch, chain in differential_chains:
         margin = certify.chain_ordering_properties(ch, chain)
         assert margin == reference_chain_ordering(ch, chain), label
+
+
+@pytest.mark.parametrize("population", POPULATIONS)
+def test_breakpoints_rise_strictly_and_beta_never_falls(population):
+    # no check of certify.CHECKS asks either: the chain certificate lets two
+    # breakpoints tie within its tolerance, and a beta that falls between
+    # such breakpoints passes all eight checks, but expected_rate_of
+    # refuses it as infeasible
+    for i, dist in enumerate(POPULATIONS[population]()):
+        try:
+            ch = prepare(dist)
+        except ValidationError:
+            continue
+        if ch.degenerate:
+            continue
+        chain = build_chain(ch)
+        inner = chain.breakpoints[1 : chain.segment_count]
+        assert all(map(operator.lt, inner, inner[1:])), (population, i, chain)
+        beta = optimal_allocation(ch, chain).beta
+        assert all(map(operator.le, beta, beta[1:])), (population, i, beta)
+        expected_rate_of(ch, beta)
 
 
 def _corruptions(ch, chain):

@@ -27,7 +27,7 @@ from fadegap import (
     multiplicative_family,
     prepare,
 )
-from fadegap.muf import TIE_RTOL
+from fadegap.cli import _trial
 
 
 @pytest.fixture
@@ -254,23 +254,40 @@ def test_chain_matches_greedy_reference_on_family_grid():
 @pytest.mark.parametrize(
     "gains, probs",
     [
-        # three lines 1/u_k nearly concurrent at z = 1, every crossing within
-        # TIE_RTOL of the others
+        # three lines 1/u_k nearly concurrent at z = 1, every float crossing
+        # within 1e-12 relative of the others
         ((1.0, 0.5, (1 - 1e-14) / 3), (0.5, 0.25, 0.25)),
-        # z_{1,3} within TIE_RTOL of z_{1,2}, but the nearly parallel lines
-        # of states 2 and 3 push z_{2,3} about 100 times further out
+        # z_{1,3} within 1e-12 relative of z_{1,2}, but the nearly parallel
+        # lines of states 2 and 3 push z_{2,3} about 100 times further out
         ((1.0, 1 / 2.96, (1 - 3e-13) / 3), (0.5, 0.49, 0.01)),
     ],
 )
-def test_chain_merges_float_near_tie(gains, probs):
+def test_chain_keeps_state_leading_a_float_near_tie(gains, probs):
     ch = prepare(FadingDistribution(gains, probs))
     z12, z13 = intersection(ch, 1, 2), intersection(ch, 1, 3)
     assert z12 < z13
-    assert z13 - z12 <= TIE_RTOL * z13
+    assert z13 - z12 <= 1e-12 * z13
+    # the exact hull of the prepared values: state 2 leads the envelope
+    # between z_{1,2} and z_{2,3}, which rise in Fractions
+    n, f = (tuple(map(Fraction, xs)) for xs in (ch.inverse_gains, ch.cum_probs))
+    exact = [(f[k] * n[l] - f[l] * n[k]) / (f[l] - f[k]) for k, l in ((0, 1), (1, 2))]
+    assert exact[0] < exact[1]
     chain = build_chain(ch)
-    assert chain.pi == (1, 3)
-    assert chain.breakpoints[1] == z13
+    assert chain.pi == (1, 2, 3)
+    assert certify.chain_ordering_properties(ch, chain).ok
     assert chain == greedy_chain(ch)
+
+
+def test_chain_keeps_state_leading_a_sliver_near_the_origin():
+    # near z = -n_a + F_a * chord the crossings cancel to |z| << n_a, where
+    # a tolerance relative to the chord once dropped state 2
+    dist = FadingDistribution(
+        (5.243838489774421, 1.0219724067450362, 0.8849557522123738), (0.07, 0.78, 0.15)
+    )
+    trial = _trial(dist)
+    assert trial.analysis.chain.pi == (1, 2, 3)
+    assert all(check(trial).ok for check in certify.CHECKS.values())
+    assert trial.analysis.report.c_exp == 0.6339043469970762
 
 
 @pytest.mark.parametrize(
