@@ -59,8 +59,10 @@ def check_real(name: str, value) -> float:
 def is_fraction(value) -> bool:
     """Whether value is a :class:`fractions.Fraction`.  No Fraction exists
     before :mod:`fractions` is imported, so the test imports nothing and
-    a float or int channel never loads it.  Callers on a hot path test
-    ``isinstance(value, float)`` first, which spares a float the call."""
+    a float or int channel never loads it.  Its callers are
+    ``optimal_allocation``, which types its unit budget by g_1 and tests
+    ``isinstance(value, float)`` first, which spares a float the call, and
+    the chain certificate, which checks a chain's breakpoint types."""
     fractions = sys.modules.get("fractions")
     return fractions is not None and isinstance(value, fractions.Fraction)
 

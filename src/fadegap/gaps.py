@@ -14,7 +14,7 @@ from typing import Optional
 
 from .allocation import PowerAllocation, expected_capacity, optimal_allocation
 from .channel import FadingDistribution, PreparedChannel, entropy, ergodic_capacity, prepare
-from .errors import InternalConsistencyError, ValidationError, _make, is_fraction
+from .errors import InternalConsistencyError, ValidationError, _make
 from .muf import MufChain, build_chain
 
 __all__ = ["CapacityReport", "Analysis", "analyze", "full_analysis"]
@@ -37,7 +37,8 @@ class CapacityReport:
     channel when the input had a zero gain (epsilon_applied records this),
     and take their limits in ``g_k`` where ``n_k = 1/g_k`` overflows.
     boundary_breakpoints lists chain breakpoints that tie exactly with the
-    budget edges 0 or 1, where the active-state frontier is a convention.
+    budget edges 0 or 1, where the active-state frontier is a convention:
+    at most two, ``breakpoints[s-1]`` on 0 and ``breakpoints[w]`` on 1.
     """
 
     c_erg: float
@@ -115,15 +116,12 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
         lemma2.append(float((1 + g) / lk))
         lemma3.append(p * log1p(g) / c_exp)
 
-    # a breakpoint on a budget edge is rare; test for one before the scan.
-    # The edges are typed as build_chain types them: floats compare fastest
-    # with floats, Fractions with ints, and exactly either way
-    bps = chain.breakpoints
-    g_1 = ch.gains[0]
-    zero, one = (0.0, 1.0) if isinstance(g_1, float) or not is_fraction(g_1) else (0, 1)
+    # only breakpoints[s-1], the last <= 0, can lie on 0, and only
+    # breakpoints[w], the first >= 1, on 1; both are rare
+    lo, hi = chain.breakpoints[chain.s - 1], chain.breakpoints[chain.w]
     boundary = ()
-    if zero in bps or one in bps:
-        boundary = tuple(float(z) for z in bps[1:-1] if z == zero or z == one)
+    if lo == 0 or hi == 1:
+        boundary = tuple(float(z) for z, edge in ((lo, 0), (hi, 1)) if z == edge)
 
     report = _make(
         CapacityReport,

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .channel import PreparedChannel
-from .errors import ValidationError, _make, check_built, check_real, is_fraction, validated_index
+from .errors import ValidationError, _make, check_built, check_real, validated_index
 
 __all__ = [
     "MufChain",
@@ -46,8 +46,11 @@ class MufChain:
         interior breakpoints breakpoints[1..I-1] rise strictly, but for a
         crossing that overflowed to +inf and the +inf crossing of a state
         whose inverse gain overflowed after it.
-    s: largest segment index whose takeover point is <= 0.
-    w: largest segment index whose takeover point is < 1.
+    s: largest segment index whose takeover point is <= 0, which is the
+        count of breakpoints <= 0.
+    w: largest segment index whose takeover point is < 1, which is the
+        count of breakpoints < 1.  The breakpoints never fall, the leading
+        sentinel included, so build_chain finds s and w by bisection.
 
     Segments s..w are the ones intersecting the power budget (0, 1]; the
     states pi[s-1..w-1] are exactly those assigned positive power.  The
@@ -93,25 +96,10 @@ def intersection(ch: PreparedChannel, k: int, l: int):
     """Unique crossing point of the utilities of states k < l (1-based).
 
     Returns ``z_{k,l} = (F_k n_l - F_l n_k) / (F_l - F_k)``, which always
-    lies to the right of -n_k.  The value comes from :func:`_crossing`, the
-    one expression :func:`build_chain` evaluates too.  A state whose inverse
-    gain overflowed crosses every other state at +inf, as in
+    lies to the right of -n_k.  :func:`build_chain` evaluates the same
+    expression, so its breakpoints are the values returned here.  A state
+    whose inverse gain overflowed crosses every other state at +inf, as in
     :func:`build_chain`, another overflowed one included.
-    """
-    check_built("intersection", "ch", ch, PreparedChannel)
-    k = validated_index("intersection", "k", k)
-    l = validated_index("intersection", "l", l)
-    if not 1 <= k < l <= ch.num_states:
-        raise ValidationError(f"intersection needs 1 <= k < l <= K, got k={k}, l={l}")
-    n = ch.inverse_gains
-    if n[k - 1] == math.inf:
-        return math.inf
-    return _crossing(n, ch.cum_probs, k - 1, l - 1)
-
-
-def _crossing(n, f, k, l):
-    """``z_{k,l}`` from inverse gains n and cumulative probabilities f, for
-    0-based indices k < l; the caller checks them.
 
     Evaluated as ``F_k / (F_l - F_k) * (n_l - n_k) - n_k``: in floats the
     first quotient stays below 2**53 (F_l moved F_k by at least one ulp),
@@ -119,6 +107,15 @@ def _crossing(n, f, k, l):
     the products ``F_k n_l`` and ``F_l n_k`` of tiny probabilities and
     inverse gains would round to 0.
     """
+    check_built("intersection", "ch", ch, PreparedChannel)
+    k = validated_index("intersection", "k", k)
+    l = validated_index("intersection", "l", l)
+    if not 1 <= k < l <= ch.num_states:
+        raise ValidationError(f"intersection needs 1 <= k < l <= K, got k={k}, l={l}")
+    n, f = ch.inverse_gains, ch.cum_probs
+    if n[k - 1] == math.inf:
+        return math.inf
+    k, l = k - 1, l - 1
     return f[k] / (f[l] - f[k]) * (n[l] - n[k]) - n[k]
 
 
@@ -135,8 +132,11 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     utility: they cross every other state at +inf and tie among themselves,
     so the last of them closes the chain, at +inf even if the breakpoint
     beneath overflowed to +inf too.  Each state is pushed and popped
-    at most once: O(K) crossings, each the expression of :func:`_crossing`,
-    which :func:`intersection` returns.
+    at most once: O(K) crossings, each the expression
+    :func:`intersection` evaluates.  The breakpoints never fall: a crossing
+    out of state 1 is at least its pole -n_1, and every later push lies
+    above the top's breakpoint.  So s and w, the counts of breakpoints
+    <= 0 and < 1, are found by bisection.
     """
     check_built("build_chain", "ch", ch, PreparedChannel)
     if ch.degenerate:
@@ -152,7 +152,7 @@ def build_chain(ch: PreparedChannel) -> MufChain:
     # (nt, ft) is (n, F) of the top, pi[-1]
     nt, ft = n[0], f[0]
     for l, nl, fl in zip(range(2, finite + 1), n[1:finite], f[1:finite]):
-        # _crossing of the top and l, inlined; state 1 leads right of its
+        # intersection of the top and l, inlined; state 1 leads right of its
         # pole -n_1 and is never popped, though a crossing may round onto it
         z = ft / (fl - ft) * (nl - nt) - nt
         while z <= breakpoints[-1] and len(pi) > 1:
@@ -164,22 +164,12 @@ def build_chain(ch: PreparedChannel) -> MufChain:
         pi.append(l)
         nt, ft = nl, fl
     if pi[-1] < len(n):
-        breakpoints.append(_crossing(n, f, pi[-1] - 1, len(n) - 1))
+        # the last overflowed state crosses the finite top at +inf
+        breakpoints.append(inf)
         pi.append(len(n))
 
-    # s and w as the largest segment indices whose takeover point is <= 0
-    # and < 1, in one pass (a point <= 0 is also < 1).  The edges compare
-    # exactly as 0 and 1 do, and fastest: as floats, since CPython
-    # specializes a float's comparison only with a float, and as ints on an
-    # exact channel, where a Fraction would convert a float edge
-    g_1 = ch.gains[0]
-    zero, one = (0.0, 1.0) if isinstance(g_1, float) or not is_fraction(g_1) else (0, 1)
-    s = w = 0
-    for i, z in enumerate(breakpoints, start=1):
-        if z < one:
-            w = i
-            if z <= zero:
-                s = i
+    s = bisect.bisect_right(breakpoints, 0)
+    w = bisect.bisect_left(breakpoints, 1)
     breakpoints.append(inf)
 
     return _make(MufChain, pi=tuple(pi), breakpoints=tuple(breakpoints), s=s, w=w, _source=ch)

@@ -257,8 +257,15 @@ def test_breakpoints_rise_strictly_and_beta_never_falls(population):
         if ch.degenerate:
             continue
         chain = build_chain(ch)
-        inner = chain.breakpoints[1 : chain.segment_count]
+        bps = chain.breakpoints
+        inner = bps[1 : chain.segment_count]
         assert all(map(operator.lt, inner, inner[1:])), (population, i, chain)
+        # build_chain bisects for s and w, which needs the whole list,
+        # sentinel -n_1 included, never to fall
+        assert all(map(operator.le, bps, bps[1:])), (population, i, chain)
+        segments = range(1, chain.segment_count + 1)
+        assert chain.s == max(j for j in segments if bps[j - 1] <= 0), (population, i)
+        assert chain.w == max(j for j in segments if bps[j - 1] < 1), (population, i)
         beta = optimal_allocation(ch, chain).beta
         assert all(map(operator.le, beta, beta[1:])), (population, i, beta)
         expected_rate_of(ch, beta)

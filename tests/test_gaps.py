@@ -85,11 +85,32 @@ def test_lemma_terms_are_computed_on_the_regularized_channel():
     assert all(math.isfinite(t) for t in analysis.report.lemma2_terms)
 
 
-def test_boundary_breakpoint_flagged_for_multiplicative_family():
-    from fadegap import multiplicative_family
+#: breakpoints (-1, 0, 1, inf): state 2 takes over at 0 and hands over to
+#: state 3 at 1, so it alone carries the whole budget
+BOTH_EDGES = FadingDistribution((1.0, 0.5, 0.2), (0.25, 0.25, 0.5))
+BOTH_EDGES_EXACT = FadingDistribution(
+    (Fraction(1), Fraction(1, 2), Fraction(1, 5)), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+)
 
-    report = analyze(multiplicative_family(3, 2))
-    assert report.boundary_breakpoints == (0.0,)
+
+@pytest.mark.parametrize(
+    "dist, boundary, active, c_exp",
+    [
+        (multiplicative_family(3, 2), (0.0,), (3,), 0.06899287148695145),
+        (BOTH_EDGES, (0.0, 1.0), (2,), 0.2027325540540822),
+        (BOTH_EDGES_EXACT, (0.0, 1.0), (2,), 0.2027325540540822),
+    ],
+    ids=["multiplicative-family", "both-edges", "both-edges-fraction"],
+)
+def test_boundary_breakpoints_flagged(dist, boundary, active, c_exp):
+    report = analyze(dist)
+    assert report.boundary_breakpoints == boundary
+    assert report.active_states == active
+    assert report.c_exp == c_exp
+
+
+def test_both_edges_fraction_twin_reports_as_its_float_channel():
+    assert repr(analyze(BOTH_EDGES_EXACT)) == repr(analyze(BOTH_EDGES))
 
 
 def test_long_high_snr_ladder_report():
@@ -187,6 +208,14 @@ def test_inactive_state_with_overflowing_inverse_gain():
 def test_extreme_channel_keeps_its_gap_bounds(gains, probs, active):
     analysis = full_analysis(FadingDistribution(gains, probs))
     assert analysis.report.active_states == active
+    # the breakpoints never fall through the ties at -n_1 and at +inf, so
+    # bisection finds s and w as their max() definitions give them
+    chain = analysis.chain
+    bps = chain.breakpoints
+    assert all(a <= b for a, b in zip(bps, bps[1:]))
+    segments = range(1, chain.segment_count + 1)
+    assert chain.s == max(i for i in segments if bps[i - 1] <= 0)
+    assert chain.w == max(i for i in segments if bps[i - 1] < 1)
     assert certify.additive_gap_bound(analysis).ok
     assert certify.multiplicative_gap_bound(analysis).ok
     rate = expected_rate_of(analysis.channel, analysis.allocation.beta)
