@@ -24,10 +24,13 @@ The cross-check of the stored decoded-rate factors
 against the ones the power vector implies is a statement about exact
 rationals, so it does not ride the ladder: it is decided once, after the
 first rung that evaluates.  An allocation carries the frontier of active
-states :func:`optimal_allocation` built its factors from; over it, with
-float or int inputs that the float rung evaluates first, the stored
-factors are bitwise the ones the rung would form, and the check is their
-range test alone.  Every other case is decided exactly, in Fractions.
+states :func:`optimal_allocation` built its factors from, and a channel
+the first state whose input is exact (see :class:`PreparedChannel`); over
+the frontier, with float or int inputs that the float rung evaluates
+first, the stored factors before the weakest active state are bitwise
+the ones the rung forms and logs, so the check reads the rung's own sum
+for an infinite one and tests only the weakest active state's factor.
+Every other case is decided exactly, in Fractions.
 Each rung forms the decoded-rate factor of each segment before the
 weakest active one once, in the loop that logs it.  The error bounds are
 formed after that loop: without Fraction inputs a factor's error is one
@@ -327,15 +330,13 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
         return None
     num, log, log1p, u = rung.num, rung.log, rung.log1p, rung.unit
     iota = 2 * u if exact_inputs else 0
-    inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
+    n, f, p = ch.inverse_gains, ch.cum_probs, ch.probs
     # floats and ints already are the float rung's numbers (an int input is
-    # exact in Python arithmetic)
-    if num is float and not exact_inputs:
-        n, f, p = inputs
-    else:
-        n, f, p = ([num(x) for x in xs] for xs in inputs)
+    # exact in Python arithmetic), read where they are
+    if num is not float or exact_inputs:
+        n, f, p = ([num(x) for x in xs[:last]] for xs in (n, f, p))
 
-    top, f_w = n[-1] + 1, f[-1]
+    top, f_w = n[last - 1] + 1, f[last - 1]
     head = top / f_w
     e_head = 2 * u + 2 * iota
     u2, u3 = 2 * u, 3 * u
@@ -478,13 +479,28 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     once, after the first rung that evaluates, and raises there.
 
     The active states are the frontier the allocation records, or else
-    its active_states.  Over a recorded frontier with float or int inputs,
-    the float rung forms each factor as ``head * df / dn`` with head finite,
-    as :func:`_decoded_rate_factors` formed the stored ones from the same
-    numbers, and the tail is ``n_1 / n_1 = 1``: the stored factors are
-    bitwise the rung's, each within a few units of its exact value, so
-    when the float rung evaluates first and every one is finite and
-    positive, they pass.  :func:`_check_factors` decides every other case.
+    its active_states.  Whether a Fraction reaches the forms is read from
+    the first exact state the channel records: it does when that state is
+    the weakest active one w or comes before it.
+
+    Over a recorded frontier with float or int inputs, when the float rung
+    evaluates first, the stored factors pass when every one is finite and
+    positive, and that takes two tests, not a pass over the K factors:
+
+    - each factor before w is bitwise the rung's ``head * df / dn``, as
+      :func:`_decoded_rate_factors` formed it from the same numbers with
+      head finite, and the rung sums ``p_k`` times its log, so one of
+      them is inf exactly when the per-state sum is;
+    - those factors are positive: inside the rung's input range head is
+      at least about 1 and ``df / dn`` at least about 1e-216, so no
+      product underflows;
+    - the factors after w are ``n_1 / n_1 = 1``;
+    - the rung never forms w's stored factor, so it is tested itself.
+
+    Each stored factor is then within a few units of its exact value.  A
+    recorded allocation mutated after optimal_allocation returned it is
+    outside this contract, as a forged mark is.  :func:`_check_factors`
+    decides every other case.
     """
     active = alloc._frontier
     recorded = active is not None
@@ -498,22 +514,22 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
             f" state {active[-1]} overflows double precision"
         )
     # whether an input the forms read is a Fraction, for every rung: a
-    # cumulative probability is one only if a probability up to it is
+    # cumulative probability is one only if a probability up to it is, and
+    # the channel records the first state with such an input
     last = active[-1]
-    kinds = {*map(type, ch.inverse_gains[:last]), *map(type, ch.probs[:last])}
-    exact_inputs = not kinds <= {float, int}
+    exact_inputs = ch._first_exact <= last
     per = grp = None
     for digits in (None,) + _MP_DIGITS:
         rung = _rung(digits)
         out = _evaluate(ch, active, exact_inputs, rung)
         if out is None:
             continue
-        if per is None:  # the first rung that evaluates
-            lam = alloc.lam
-            floats = recorded and digits is None and not exact_inputs
-            if not (floats and 0 < min(lam) and max(lam) < math.inf):
-                _check_factors(ch, alloc, active)
+        first = per is None  # the first rung that evaluates
         per, err_p, grp, err_g = out
+        if first:
+            floats = recorded and digits is None and not exact_inputs
+            if not (floats and per < math.inf and 0 < alloc.lam[last - 1] < math.inf):
+                _check_factors(ch, alloc, active)
         diff = abs(per - grp)
         scale = max(abs(per), abs(grp))
         err = err_p + err_g + rung.unit * diff

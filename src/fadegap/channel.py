@@ -118,7 +118,10 @@ class PreparedChannel:
         degenerate: True only for the single-state all-zero-gain channel,
             which carries no information; its inverse gain is inf.
 
-    The stages take only one that :func:`prepare` built.
+    The stages take only one that :func:`prepare` built.  Such a channel
+    also records the first state whose inverse gain or probability is
+    neither a float nor an int, which spares the closed forms a scan of
+    the types they read.
     """
 
     gains: tuple
@@ -129,6 +132,10 @@ class PreparedChannel:
     degenerate: bool = False
     #: the FadingDistribution prepare built it from, set only by errors._make
     _source: object = field(default=None, init=False, repr=False, compare=False)
+    #: the 1-based index of the first state whose inverse gain or probability
+    #: is of a type other than float and int (a Fraction, a float subclass),
+    #: or K + 1 if there is none; set only by prepare, read only by _routes
+    _first_exact: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_states(self) -> int:
@@ -164,9 +171,11 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     # a run of adjacent gains that agree to MERGE_RTOL is one physical
     # state, the first of the run; a state is closed when the next starts.
     # A probability below the resolution of the running sum leaves F_k equal
-    # to F_{k-1}; two such states have no crossing, so the channel is refused
+    # to F_{k-1}; two such states have no crossing, so the channel is refused.
+    # first_exact is the first closed state whose inverse gain or probability
+    # is neither a float nor an int, 0 while there is none
     gains, probs, cum, inverse = [], [], [], []
-    acc = 0
+    acc = first_exact = 0
     g_run, p_run = next(pairs)
     for g, p in pairs:
         if g_run - g <= MERGE_RTOL * g_run:
@@ -179,7 +188,9 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         probs.append(p_run)
         cum.append(acc)
         # positive: a smaller gain follows
-        inverse.append(1 / g_run)
+        n_run = 1 / g_run
+        inverse.append(n_run)
+        first_exact = first_exact or _exact_at(len(inverse), n_run, p_run)
         g_run, p_run = g, p
     prev, acc = acc, acc + p_run
     if acc == prev:
@@ -198,7 +209,9 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         gains[-1] = epsilon
 
     # only the single zero-gain state is still zero
-    inverse.append(1 / gains[-1] if gains[-1] else math.inf)
+    n_run = 1 / gains[-1] if gains[-1] else math.inf
+    inverse.append(n_run)
+    first_exact = first_exact or _exact_at(len(inverse), n_run, p_run)
     # a float inverse below the normal range has lost bits, and the decoded
     # rate factors built on it overflow
     if inverse[0] < _FLOAT_MIN and isinstance(inverse[0], float):
@@ -218,7 +231,18 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         epsilon_applied=epsilon,
         degenerate=not gains[-1],
         _source=dist,
+        _first_exact=first_exact or len(inverse) + 1,
     )
+
+
+def _exact_at(k, n, p):
+    """k if the inverse gain n or the probability p of state k is of a type
+    other than exactly float or int (a Fraction, a float subclass, a bool),
+    else 0.  The float test comes first: it spares a float channel the set
+    lookups."""
+    if type(n) is float is type(p) or type(n) in {float, int} and type(p) in {float, int}:
+        return 0
+    return k
 
 
 def _below_resolution(k, g, p, acc):

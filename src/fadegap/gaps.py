@@ -105,16 +105,17 @@ def full_analysis(dist: FadingDistribution) -> Analysis:
     multiplicative = max(c_erg / c_exp, 1.0)
 
     # inverse gains ascend, so the ones that overflowed (subnormal gains)
-    # come last; their terms are the limits in g.  A Fraction meets a float
-    # in the lemma-3 product and log1p as its float()
+    # come last, if any; their terms are the limits in g.  A Fraction meets
+    # a float in the lemma-3 product and log1p as its float()
     n, probs, lam = ch.inverse_gains, ch.probs, alloc.lam
     finite = bisect.bisect_left(n, math.inf)
     log1p = math.log1p
     lemma2 = [float((nk + 1) / (nk * lk)) for nk, lk in zip(n[:finite], lam)]
     lemma3 = [p * log1p(1 / nk) / c_exp for nk, p in zip(n[:finite], probs)]
-    for g, p, lk in zip(ch.gains[finite:], probs[finite:], lam[finite:]):
-        lemma2.append(float((1 + g) / lk))
-        lemma3.append(p * log1p(g) / c_exp)
+    if finite < len(n):
+        for g, p, lk in zip(ch.gains[finite:], probs[finite:], lam[finite:]):
+            lemma2.append(float((1 + g) / lk))
+            lemma3.append(p * log1p(g) / c_exp)
 
     # only breakpoints[s-1], the last <= 0, can lie on 0, and only
     # breakpoints[w], the first >= 1, on 1; both are rare

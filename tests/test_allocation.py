@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     POPULATIONS,
     _marked,
+    extreme_channels,
     high_snr_ladder,
     random_channels,
     reference_evaluate,
@@ -553,6 +554,128 @@ def test_every_allocation_records_its_active_states():
                 assert alloc._frontier == alloc.active_states, dist
                 recorded += 1
     assert recorded > 3000
+
+
+#: Channels that mix Fractions and ints with floats: a Fraction gain only on
+#: the weakest state, which receives no power; one Fraction probability; int
+#: gains; a float and a Fraction gain that merge, in either order; a zero
+#: gain with Fraction probabilities; and a single state of int gain and int
+#: probability.
+MIXED = [
+    FadingDistribution((10.0, 5.0, Fraction(1, 1000)), (0.4, 0.4, 0.2)),
+    FadingDistribution((4.0, 2.0, 1.0), (0.25, Fraction(1, 4), 0.5)),
+    FadingDistribution((3, 2, 1), (0.2, 0.3, 0.5)),
+    FadingDistribution((2.0, Fraction(2), 1.0), (0.25, 0.25, 0.5)),
+    FadingDistribution((Fraction(2), 2.0, 1.0), (0.25, 0.25, 0.5)),
+    FadingDistribution((4.0, 1.0, 0.0), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))),
+    FadingDistribution((3,), (1,)),
+]
+
+
+def scanned_exactness(ch, last):
+    """Whether an inverse gain or probability of states 1..last is neither
+    a float nor an int, by the scan of the types the closed forms read."""
+    kinds = {*map(type, ch.inverse_gains[:last]), *map(type, ch.probs[:last])}
+    return not kinds <= {float, int}
+
+
+def test_the_recorded_first_exact_state_decides_as_the_scan():
+    # over every prefix of every channel the suite certifies, and the mixed
+    # ones, the record decides whether a Fraction reaches the closed forms
+    # exactly as the scan of the prefix's types does
+    checked = set()
+    for make in [*POPULATIONS.values(), lambda: MIXED]:
+        for dist in make():
+            try:
+                ch = prepare(dist)
+            except ValidationError:
+                continue
+            for last in range(1, ch.num_states + 1):
+                exact = ch._first_exact <= last
+                assert exact == scanned_exactness(ch, last), (dist, last)
+                checked.add(exact)
+    assert checked == {False, True}
+    # the record of the mixed channels: the weakest state's Fraction gain,
+    # the second state's Fraction probability, none, none (a float gain
+    # comes first in its run), the first state (a Fraction gain comes
+    # first), the first state, none
+    records = [prepare(dist)._first_exact for dist in MIXED]
+    assert records == [3, 2, 4, 3, 1, 1, 2]
+
+
+def test_a_fraction_gain_on_an_inactive_weakest_state_settles_in_floats(rungs_used):
+    dist = MIXED[0]
+    ch, _, alloc = pipeline(dist)
+    assert alloc.active_states == (2,) and ch._first_exact == 3
+    expected_capacity(ch, alloc)
+    assert rungs_used == [allocation._rung(None)]
+    assert repr(analyze(dist)) == (
+        "CapacityReport(c_erg=1.676061796877187, c_exp=1.433407575382444,"
+        " additive_gap=0.24265422149474292, multiplicative_gap=1.1692848744921702,"
+        " entropy=1.0549201679861442, lemma2_terms=(1.8333333333333335, 1.0, 1.001),"
+        " lemma3_terms=(0.6691454165528863, 0.5, 0.00013945793928385775),"
+        " active_states=(2,), epsilon_applied=None, boundary_breakpoints=(0.0,))"
+    )
+
+
+def test_a_single_state_of_int_gain_and_probability_settles_in_floats(rungs_used):
+    ch, _, alloc = pipeline(MIXED[-1])
+    assert ch._first_exact == 2
+    assert expected_capacity(ch, alloc) == math.log(4)
+    assert rungs_used == [allocation._rung(None)]
+
+
+def factor_verdicts(ch, alloc):
+    """The old range test over every stored factor and the constant-time
+    test, on a recorded allocation of float or int inputs that the float
+    rung evaluates first, or None where that is not the case."""
+    active, lam = alloc._frontier, alloc.lam
+    if active is None or ch._first_exact <= active[-1]:
+        return None
+    out = allocation._evaluate(ch, active, False, allocation._rung(None))
+    if out is None:
+        return None
+    ranged = 0 < min(lam) and max(lam) < math.inf
+    return ranged, out[0] < math.inf and 0 < lam[active[-1] - 1] < math.inf
+
+
+def test_the_constant_time_factor_test_agrees_with_the_range_test():
+    # where the float rung evaluates a recorded allocation of float or int
+    # inputs first, the sum of its factors' logs and the weakest active
+    # state's factor decide as the range test over every stored factor.
+    # Every stored factor of these channels is finite and positive, so
+    # they cover the passing side only
+    dists = [d for make in POPULATIONS.values() for d in make()]
+    dists += [d for seed in (11, 12, 13) for d in extreme_channels(200, seed)]
+    verdicts = []
+    for dist in dists:
+        try:
+            ch = prepare(dist)
+        except ValidationError:
+            continue
+        if ch.degenerate:
+            continue
+        pair = factor_verdicts(ch, optimal_allocation(ch, build_chain(ch)))
+        if pair is not None:
+            verdicts.append(pair)
+    assert len(verdicts) > 3000
+    assert set(verdicts) == {(True, True)}
+
+
+@pytest.mark.parametrize("value", [math.inf, 0.0])
+def test_both_factor_tests_reject_a_forged_weakest_factor(value):
+    # the failing side: the weakest active state's stored factor of a
+    # recorded float allocation forged to inf or 0 after the fact; both
+    # tests reject it, so the factors are decided exactly and refused
+    dist = FadingDistribution((10.0, 5.0, 1.0), (0.3, 0.3, 0.4))
+    ch, _, alloc = pipeline(dist)
+    w = alloc._frontier[-1]
+    assert factor_verdicts(ch, alloc) == (True, True)
+    forged = alloc.lam[: w - 1] + (value,) + alloc.lam[w:]
+    object.__setattr__(alloc, "lam", forged)
+    assert factor_verdicts(ch, alloc) == (False, False)
+    with pytest.raises(InternalConsistencyError, match=f"decoded-rate factor of state {w}"):
+        expected_capacity(ch, alloc)
 
 
 @pytest.mark.parametrize(

@@ -294,9 +294,9 @@ def test_public_names_keep_their_order():
 #: The function through which the stages make their objects in one step.
 MAKER = "_make"
 
-#: The mark every pipeline object carries, and the frontier an allocation
-#: records beside it.
-MARKS = ("_source", "_frontier")
+#: The mark every pipeline object carries, the frontier an allocation
+#: records beside it, and the first exact state a channel records.
+MARKS = ("_source", "_frontier", "_first_exact")
 
 
 def _name(node):
@@ -339,7 +339,8 @@ def test_only_the_stages_build_the_pipeline_objects():
     # a stage refuses an object its builder did not mark, so no other code
     # path of the package may construct or mark one, and only the one check
     # reads the mark; only optimal_allocation records the frontier of an
-    # allocation, and only the closed forms read it
+    # allocation, and only the closed forms read it; only prepare records
+    # a channel's first exact state, and only the closed forms read it
     src = pathlib.Path(fadegap.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -350,8 +351,10 @@ def test_only_the_stages_build_the_pipeline_objects():
         ("allocation.py", "optimal_allocation", "sets _source"),
         ("allocation.py", "optimal_allocation", "sets _frontier"),
         ("allocation.py", "_routes", "reads _frontier"),
+        ("allocation.py", "_routes", "reads _first_exact"),
         ("channel.py", "prepare", "PreparedChannel"),
         ("channel.py", "prepare", "sets _source"),
+        ("channel.py", "prepare", "sets _first_exact"),
         ("errors.py", "check_built", "reads _source"),
         ("muf.py", "build_chain", "MufChain"),
         ("muf.py", "build_chain", "sets _source"),

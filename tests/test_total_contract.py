@@ -726,15 +726,19 @@ def test_the_mark_leaves_repr_equality_and_hash_unchanged(obj):
     twin = _hand_built(obj)
     if hasattr(obj, "_source"):
         _marked(twin, obj._source)
-    # an allocation also records the frontier it built its factors from
-    if hasattr(obj, "_frontier"):
-        object.__setattr__(twin, "_frontier", obj._frontier)
+    # an allocation also records the frontier it built its factors from,
+    # and a channel its first exact state
+    for record in ("_frontier", "_first_exact"):
+        if hasattr(obj, record):
+            object.__setattr__(twin, record, getattr(obj, record))
     assert pickle.dumps(obj) == pickle.dumps(twin)
     for f in fields(obj):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, f.name, None)
-    assert "_source" not in repr(obj) and "_frontier" not in repr(obj)
+    for record in ("_source", "_frontier", "_first_exact"):
+        assert record not in repr(obj)
     for unmarked in (replace(obj), _hand_built(obj)):
         assert repr(unmarked) == repr(obj)
         assert unmarked == obj and hash(unmarked) == hash(obj)
         assert getattr(unmarked, "_frontier", None) is None
+        assert getattr(unmarked, "_first_exact", None) is None
