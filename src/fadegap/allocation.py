@@ -5,16 +5,18 @@ The one-block expected rate of a cumulative power split ``beta`` is
     sum_k F_k * ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k)),   beta_0 = 0,
 
 and the optimum follows the envelope chain: power levels sweep the chain's
-breakpoints clipped to the unit budget.  The resulting capacity admits two
-algebraically equivalent closed forms, a per-state one built on the decoded
-rate factors ``Lambda_k`` and a grouped one over the active states only.
-Both must agree; disagreement means the chain logic is broken and raises.
+breakpoints clipped to the unit budget.  The capacity is evaluated two
+ways: a per-state closed form built on the decoded rate factors
+``Lambda_k``, and this expected rate at the allocation's own power vector,
+which reads the levels and not the factors.  At the optimum both are the
+capacity, so they must agree; disagreement means the chain logic is broken
+and raises.
 
 The two forms are evaluated on a precision ladder: floats first, then
 mpmath at 60, 120, 240, 480 and 960 digits.  Each rung carries a
 first-order bound on its own error (per-operation rounding, the
-conditioning of the ``F_b - F_a`` and ``n_b - n_a`` differences, and the
-rounding of Fraction inputs), evaluates both forms and decides alone,
+conditioning of the ``F_b - F_a``, ``n_b - n_a`` and level differences,
+and the rounding of Fraction inputs), evaluates both forms and decides alone,
 three ways: agreement and value the bounds certify return both forms,
 disagreement they certify raises, and anything else moves up one rung.
 The bounds shrink as the precision rises, so an agreement one rung
@@ -40,10 +42,12 @@ The layer rates ``ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))`` are left to
 :func:`layer_rates`, for readers that need them.  Most channels settle in
 floats, low-capacity ones included: the weakest active segment's log is
 taken as log1p of its factor minus 1, formed without cancellation, so a
-capacity near 0 keeps its relative accuracy.  What climbs is mostly the
-agreement, where the grouped form cancels; on extreme channels (gains
-near 1e-300, the exact worst-case families) it cancels through up to
-hundreds of digits, which the mpmath rungs resolve.  mpmath is imported
+capacity near 0 keeps its relative accuracy, and the expected rate's
+terms are never negative, so it never cancels.  What climbs is a channel
+whose inverse gains, probabilities or level gaps leave the float rung's
+range (gains near the float limits), a per-state value the float bound
+cannot certify (low capacities spread over several segments), and
+ill-conditioned Fraction inputs.  mpmath is imported
 only when the float rung cannot settle a channel, and ``fractions`` only
 for an exact input, an mpmath rung or a factor check that is decided
 exactly.
@@ -93,7 +97,7 @@ VALUE_RTOL = 1e-14
 #: the cap.
 _MP_DIGITS = (60, 120, 240, 480, 960)
 
-#: Largest relative error of a decoded-rate factor or grouped-form ratio a
+#: Largest relative error of a decoded-rate factor or expected-rate term a
 #: rung may carry.  Below it the second-order terms a first-order error
 #: bound leaves out stay under 1e-5 of its first-order ones, and widening
 #: the bound by _SLACK covers them.
@@ -234,8 +238,9 @@ class _Rung(NamedTuple):
     """Arithmetic of one rung of the precision ladder.
 
     The rung evaluates a channel only when its inverse gains and
-    probabilities lie strictly inside (lo, hi): for floats that range keeps
-    every intermediate a normal number, so rounding stays relative.
+    probabilities lie strictly inside (lo, hi) and its level gaps above lo:
+    for floats that range keeps every intermediate a normal number, so
+    rounding stays relative.
     """
 
     num: Callable
@@ -267,14 +272,16 @@ def _rung(digits) -> _Rung:
     return _Rung(num, ctx.log, ctx.log1p, ctx.fsum, ctx.mpf(2) ** -ctx.prec, 0.0, math.inf)
 
 
-def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Rung):
+def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, beta, p_min, rung: _Rung):
     """Both closed forms on one rung, with first-order error bounds.
 
-    exact_inputs is true when an input the forms read is a Fraction.  The
-    bounds take every arithmetic operation as exact up to one relative
-    rounding ``unit`` and a log or log1p as exact up to two units of
-    its result; a Fraction input converts with relative error
-    ``iota = 2 * unit``, which the differences amplify by their conditioning.
+    exact_inputs is true when an input the forms read is a Fraction; beta
+    is the allocation's power vector and p_min the smallest probability of
+    the states up to the weakest active one.  The bounds take every
+    arithmetic operation as exact up to one relative rounding ``unit`` and
+    a log or log1p as exact up to two units of its result; a Fraction input
+    converts with relative error ``iota = 2 * unit``, which the differences
+    amplify by their conditioning.
 
     ``ln Lambda_k`` is the log of the factor, except on the weakest active
     segment w (previous active state a, ``F_0 = n_0 = 0``), where it is
@@ -306,27 +313,43 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     ``head * df / dn``, the expression :func:`_decoded_rate_factors` uses
     for a finite head.
 
+    The second form is the expected rate ``R(beta)`` of the power vector,
+    the objective the allocation maximizes.  Only the active states have a
+    layer, and between two of them the level stays, so ``beta_{b-1}`` of an
+    active state b is the level of the previous one, a (0 when a = 0):
+
+        R = sum_b F_b log1p((beta_b - beta_a) / (n_b + beta_a)).
+
+    It reads the levels, not the factors, so a wrong level or frontier
+    opens a gap to the per-state form.  Every term is at least 0, so the sum never cancels: a term
+    carries 3u from its quotient, 2u from log1p (``x / (1 + x) <= log1p(x)``
+    keeps x's relative error) and u from the product, and fsum adds u of
+    the sum, ``7u R`` in all.  A Fraction input adds, per term,
+    ``iota (beta_b + beta_a) / (beta_b - beta_a) + 2 iota`` for the level
+    gap's conditioning and the rounding of n_b and F_b.
+
     The segment loop keeps only what varies per segment: the logs and the
-    terms.  The bounds are formed after it.  Without input
+    terms.  The per-state bound is formed after it.  Without input
     rounding (iota = 0, float or int inputs on every rung) a factor's error
     ``e_lam`` is one constant on the first segment and one on every later
     segment, so the ``e_lam`` charges are those constants weighted by the F
     differences the segments cover; the log errors ``|lr| * e_log`` come
-    from the sum of ``|p_k lr_k| = p_k |lr_k|`` over the per-state terms,
-    and the grouped form's from the sum of its ``|terms|``.  The loop notes
-    whether a term is negative; a ``|.|`` sum with none is the value sum, so
-    the per-state one is the per-state form itself, formed once.  Segment w
-    keeps its own ``e_x / (1 + x)`` charge.  With input rounding each
-    segment adds its conditioning terms in the loop.
+    from the sum of ``|p_k lr_k| = p_k |lr_k|`` over the per-state terms.
+    The loop notes whether a term is negative; a ``|.|`` sum with none is
+    the value sum, so it is the per-state form itself, formed once.
+    Segment w keeps its own ``e_x / (1 + x)`` charge.  With input rounding
+    each segment adds its conditioning terms in the loop.
 
-    Returns ``(per_state, err_per_state, grouped, err_grouped)``, or None
-    when the rung cannot evaluate the channel.
+    The float rung evaluates only level gaps above its lower range end as
+    well: with n and p inside its range they keep the quotient and the
+    rate terms normal numbers.
+
+    Returns ``(per_state, err_per_state, rate, err_rate)``, or None when
+    the rung cannot evaluate the channel.
     """
     last = active[-1]
     lo, hi = rung.lo, rung.hi
-    if not (lo < ch.inverse_gains[0] and ch.inverse_gains[last - 1] < hi):
-        return None
-    if not lo < min(ch.probs[:last]):
+    if not (lo < ch.inverse_gains[0] and ch.inverse_gains[last - 1] < hi and lo < p_min):
         return None
     num, log, log1p, u = rung.num, rung.log, rung.log1p, rung.unit
     iota = 2 * u if exact_inputs else 0
@@ -334,7 +357,7 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     # floats and ints already are the float rung's numbers (an int input is
     # exact in Python arithmetic), read where they are
     if num is not float or exact_inputs:
-        n, f, p = ([num(x) for x in xs[:last]] for xs in (n, f, p))
+        n, f, p, beta = ([num(x) for x in xs[:last]] for xs in (n, f, p, beta))
 
     top, f_w = n[last - 1] + 1, f[last - 1]
     head = top / f_w
@@ -348,26 +371,27 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     single = len(active) == 1
     # with input rounding each segment adds its own conditioning terms to
     # the bounds
-    cond_p = cond_g = 0
-    # whether a per-state or grouped term is negative: without one, a |.|
-    # sum is the value sum
-    neg_p = neg_g = False
-    per_state, terms = [], []
-    a, fa, na = 0, 0, 0
+    cond_p = cond_r = 0
+    # whether a per-state term is negative: without one, its |.| sum is
+    # the value sum
+    neg_p = False
+    per_state, rates = [], []
+    a, fa, na, ba = 0, 0, 0, 0
     for b in active:
-        fb, nb = f[b - 1], n[b - 1]
-        df, dn = fb - fa, nb - na
+        fb, nb, bb = f[b - 1], n[b - 1], beta[b - 1]
+        df, dn, gap = fb - fa, nb - na, bb - ba
         # against 0.0, not 0: CPython specializes a float's comparison only
         # with a float, and an mpf compares with either exactly alike
-        if not (df > 0.0 and dn > 0.0):
+        if not (df > 0.0 and dn > 0.0 and gap > lo):
             return None
         if iota:
             # the input rounding, amplified by the differences' conditioning
             c_f = iota * (fb + fa) / df
             c_n = iota * (nb + na) / dn
+            c_r = iota * ((bb + ba) / gap + 2)
             e_0 = u if a else 0
             e_lam = e_head + (e_0 + c_f) + (e_0 + c_n) + u2
-            if e_lam > _MAX_REL_ERR:
+            if e_lam > _MAX_REL_ERR or c_r > _MAX_REL_ERR:
                 return None
             if b < last:
                 cond_p += df * (c_f + c_n)
@@ -406,13 +430,11 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
             per_state.append(p[a] * lr)
         else:
             per_state += [pk * lr for pk in p[a:b]]
-        term = df * log(df / dn)
-        terms.append(term)
-        if term < 0.0:
-            neg_g = True
+        rate = fb * log1p(gap / (nb + ba))
+        rates.append(rate)
         if iota:
-            cond_g += df * (c_f + c_n) + abs(term) * c_f
-        a, fa, na = b, fb, nb
+            cond_r += rate * c_r
+        a, fa, na, ba = b, fb, nb, bb
 
     fsum = rung.fsum
     f_1 = f[active[0] - 1]
@@ -426,16 +448,8 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, rung: _Run
     per = fsum(per_state)
     err_p += e_log * (fsum(map(abs, per_state)) if neg_p else per)
     err_p = _SLACK * (err_p + u * abs(per))
-    # per segment df (e_f + e_n + u) + |term| (e_f + 3u): e_f = e_n = 0 on
-    # the first segment and u on every later one
-    err_g = cond_g + u * f_1 + u3 * (f_w - f_1)
-    abs_terms = map(abs, terms) if neg_g else terms
-    err_g += (u + u3) * fsum(abs_terms) - u * abs(terms[0])
-    lr = log(head)
-    terms.append(f_w * lr)
-    err_g += f_w * (e_head + abs(lr) * e_log)
-    grp = fsum(terms)
-    return per, err_p, grp, _SLACK * (err_g + u * abs(grp))
+    r = fsum(rates)
+    return per, err_p, r, _SLACK * (7 * u * r + cond_r)
 
 
 def _check_factors(ch: PreparedChannel, alloc: PowerAllocation, active: tuple) -> None:
@@ -469,19 +483,21 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     """Both closed forms and whether they agree, settled on the precision
     ladder.
 
-    Returns ``(per_state, grouped, agree)`` from one rung: ``agree`` means
-    the exact values of the two forms lie within ROUTE_RTOL of each other
-    and per_state within VALUE_RTOL of its own exact value; not ``agree``
-    means they certifiably differ by more than ROUTE_RTOL.  Each rung
-    decides alone, and a rung that settles neither moves up one.  A
-    disagreement is only accepted from an mpmath rung, so a disagreement in
-    floats moves up too.  The decoded-rate factor cross-check is decided
-    once, after the first rung that evaluates, and raises there.
+    Returns ``(per_state, rate, agree)`` from one rung, rate the expected
+    rate of the allocation's power vector: ``agree`` means the exact values
+    of the two forms lie within ROUTE_RTOL of each other and per_state
+    within VALUE_RTOL of its own exact value; not ``agree`` means they
+    certifiably differ by more than ROUTE_RTOL.  Each rung decides alone,
+    and a rung that settles neither moves up one.  A disagreement is only
+    accepted from an mpmath rung, so a disagreement in floats moves up too.
+    The decoded-rate factor cross-check is decided once, after the first
+    rung that evaluates, and raises there.
 
     The active states are the frontier the allocation records, or else
     its active_states.  Whether a Fraction reaches the forms is read from
     the first exact state the channel records: it does when that state is
-    the weakest active one w or comes before it.
+    the weakest active one w or comes before it.  The smallest probability
+    up to w, which every rung's range test reads, is formed once here.
 
     Over a recorded frontier with float or int inputs, when the float rung
     evaluates first, the stored factors pass when every one is finite and
@@ -518,55 +534,58 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     # the channel records the first state with such an input
     last = active[-1]
     exact_inputs = ch._first_exact <= last
-    per = grp = None
+    beta, p_min = alloc.beta, min(ch.probs[:last])
+    per = rate = None
     for digits in (None,) + _MP_DIGITS:
         rung = _rung(digits)
-        out = _evaluate(ch, active, exact_inputs, rung)
+        out = _evaluate(ch, active, exact_inputs, beta, p_min, rung)
         if out is None:
             continue
         first = per is None  # the first rung that evaluates
-        per, err_p, grp, err_g = out
+        per, err_p, rate, err_r = out
         if first:
             floats = recorded and digits is None and not exact_inputs
             if not (floats and per < math.inf and 0 < alloc.lam[last - 1] < math.inf):
                 _check_factors(ch, alloc, active)
-        diff = abs(per - grp)
-        scale = max(abs(per), abs(grp))
-        err = err_p + err_g + rung.unit * diff
+        diff = abs(per - rate)
+        scale = max(abs(per), abs(rate))
+        err = err_p + err_r + rung.unit * diff
         if diff + err <= ROUTE_RTOL * (scale - err) and err_p <= VALUE_RTOL * abs(per):
-            return per, grp, True
+            return per, rate, True
         if digits is not None and diff - err > ROUTE_RTOL * (scale + err):
-            return per, grp, False
+            return per, rate, False
     raise InternalConsistencyError(
         f"closed forms not settled at {_MP_DIGITS[-1]} digits:"
-        f" per-state {per} vs grouped {grp}"
+        f" per-state {per} vs expected rate {rate}"
     )
 
 
 def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
-    """The per-state and grouped closed forms as floats, for cross-checking.
+    """The per-state closed form and the expected rate of the allocation's
+    power vector, as floats, for cross-checking.
 
     Both values come from the rung that settled the channel; the agreement
     gate itself is not applied.
     """
     check_built("closed_form_routes", "ch", ch, PreparedChannel)
     check_built("closed_form_routes", "alloc", alloc, PowerAllocation, ch)
-    per_state, grouped, _ = _routes(ch, alloc)
-    return float(per_state), float(grouped)
+    per_state, rate, _ = _routes(ch, alloc)
+    return float(per_state), float(rate)
 
 
 def expected_capacity(ch: PreparedChannel, alloc: PowerAllocation) -> float:
     """Expected capacity over one-block delay, in nats per channel use.
 
-    Evaluates both closed forms and raises InternalConsistencyError if they
+    Evaluates the per-state closed form and the expected rate of the
+    allocation's power vector, and raises InternalConsistencyError if they
     disagree beyond ROUTE_RTOL relative; returns the per-state form.
     """
     check_built("expected_capacity", "ch", ch, PreparedChannel)
     check_built("expected_capacity", "alloc", alloc, PowerAllocation, ch)
-    per_state, grouped, agree = _routes(ch, alloc)
+    per_state, rate, agree = _routes(ch, alloc)
     if not agree:
         raise InternalConsistencyError(
-            f"closed forms disagree: per-state {per_state} vs grouped {grouped}"
+            f"closed forms disagree: per-state {per_state} vs expected rate {rate}"
         )
     return float(per_state)
 

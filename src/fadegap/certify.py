@@ -79,7 +79,9 @@ def oracle_certification(c_exp: float, oracle: float) -> Margin:
 
 
 def closed_form_route_agreement(per_state: float, grouped: float) -> Margin:
-    """The two closed forms agree to ROUTE_RTOL relative; a NaN fails."""
+    """The per-state closed form and the second route, the expected rate of
+    the allocation's power vector (as :func:`fadegap.closed_form_routes`
+    returns them), agree to ROUTE_RTOL relative; a NaN fails."""
     per_state = check_real("per_state", per_state)
     grouped = check_real("grouped", grouped)
     rel = abs(per_state - grouped) / max(abs(per_state), abs(grouped), 1e-300)

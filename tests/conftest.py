@@ -429,11 +429,11 @@ def reference_routes(ch, alloc):
     """Reference closed forms: both routes in a fixed 60-digit context.
 
     The per-state form sums ``p_k ln Lambda_k`` with the factors re-derived
-    from the active states, the grouped form sums over the active states;
-    the stored factors are checked against the re-derived ones to
-    LAMBDA_RTOL.  The grouped form can cancel through more than 60 digits,
-    so compare the per-state value only where the certified ladder settles
-    at or below it.
+    from the active states, and the stored factors are checked against the
+    re-derived ones to LAMBDA_RTOL; the expected rate sums
+    ``F_k ln((1 + beta_k g_k) / (1 + beta_{k-1} g_k))`` over every state
+    with the allocation's own power vector.  Compare the per-state value
+    only where the certified ladder settles at or below 60 digits.
     """
     active = alloc.active_states
     if not active:
@@ -463,21 +463,23 @@ def reference_routes(ch, alloc):
 
     per_state = sum((p[k] * _ctx.log(factors[k]) for k in range(ch.num_states)), _ctx.mpf(0))
 
-    grouped = f[first - 1] * _ctx.log(f[first - 1] / n[first - 1])
-    for a, b in zip(active, active[1:]):
-        df = f[b - 1] - f[a - 1]
-        grouped += df * _ctx.log(df / (n[b - 1] - n[a - 1]))
-    grouped += f[last - 1] * _ctx.log((n[last - 1] + 1) / f[last - 1])
+    # an inactive state's term is exactly 0, and the states after the
+    # weakest active one may have n = inf
+    rate, prev = _ctx.mpf(0), _ctx.mpf(0)
+    for fk, nk, bk in zip(f[:last], n[:last], map(_mpf, alloc.beta)):
+        rate += fk * _ctx.log1p((bk - prev) / (nk + prev))
+        prev = bk
 
-    return per_state, grouped
+    return per_state, rate
 
 
-def reference_evaluate(ch, active: tuple, exact_inputs: bool, grouped, rung):
+def reference_evaluate(ch, active: tuple, exact_inputs: bool, beta, rung):
     """allocation._evaluate as it stood before the segment loop formed the
     factors and the bounds were formed after the loop: the factors come
     from _decoded_rate_factors and every segment adds its error terms to the
-    bounds.  _evaluate must return repr-identical values, and bounds equal
-    up to the regrouping of their sums."""
+    bounds, the expected rate's included.  _evaluate must return
+    repr-identical values, and bounds equal up to the regrouping of their
+    sums."""
     last = active[-1]
     lo, hi = rung.lo, rung.hi
     if not (lo < ch.inverse_gains[0] and ch.inverse_gains[last - 1] < hi):
@@ -486,32 +488,41 @@ def reference_evaluate(ch, active: tuple, exact_inputs: bool, grouped, rung):
         return None
     num, log, log1p, u = rung.num, rung.log, rung.log1p, rung.unit
     iota = 2 * u if exact_inputs else 0
-    inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last])
+    inputs = (ch.inverse_gains[:last], ch.cum_probs[:last], ch.probs[:last], beta[:last])
     # floats and ints already are the float rung's numbers (an int input is
     # exact in Python arithmetic)
     if num is float and not exact_inputs:
-        n, f, p = inputs
+        n, f, p, beta = inputs
     else:
-        n, f, p = ([num(x) for x in xs] for xs in inputs)
+        n, f, p, beta = ([num(x) for x in xs] for xs in inputs)
 
     lam = _decoded_rate_factors(n, f, active)
     e_head = 2 * u + 2 * iota
     u2, u3 = 2 * u, 3 * u
     e_log = iota + u3  # a log's two units, the product's one, the input rounding
     per_state, err_p = [], 0
-    terms, err_g = [], 0
-    a, fa, na = 0, 0, 0
+    rates, err_r = [], 0
+    a, fa, na, ba = 0, 0, 0, 0
     for b in active:
-        fb, nb = f[b - 1], n[b - 1]
-        df, dn = fb - fa, nb - na
-        if not (df > 0 and dn > 0):
+        fb, nb, bb = f[b - 1], n[b - 1], beta[b - 1]
+        df, dn, gap = fb - fa, nb - na, bb - ba
+        # a level gap at or below the rung's range would make the rate
+        # terms subnormal in floats
+        if not (df > 0 and dn > 0 and gap > lo):
             return None
         # one rounding (none against the zero origin) plus the amplified
         # input rounding, which is exactly 0 without one
         e_f = e_n = u if a else 0
+        # the quotient's 3u, log1p's 2u and the product's u, plus the level
+        # gap's conditioning and the rounding of n_b and F_b
+        e_rate = 6 * u
         if iota:
             e_f += iota * (fb + fa) / df
             e_n += iota * (nb + na) / dn
+            c_r = iota * (bb + ba) / gap + 2 * iota
+            if c_r > _MAX_REL_ERR:
+                return None
+            e_rate += c_r
         e_lam = e_head + e_f + e_n + u2
         if e_lam > _MAX_REL_ERR:
             return None
@@ -546,21 +557,15 @@ def reference_evaluate(ch, active: tuple, exact_inputs: bool, grouped, rung):
             for pk in p[a:b]:
                 per_state.append(pk * lr)
                 err_p += pk * e_term
-        if grouped:
-            lr = log(df / dn)
-            terms.append(df * lr)
-            err_g += df * (e_f + e_n + u + abs(lr) * (e_f + u3))
-        a, fa, na = b, fb, nb
+        rate = fb * log1p(gap / (nb + ba))
+        rates.append(rate)
+        err_r += rate * e_rate
+        a, fa, na, ba = b, fb, nb, bb
 
     per = rung.fsum(per_state)
     err_p = _SLACK * (err_p + u * abs(per))
-    if not grouped:
-        return per, err_p, None, None
-    lr = log((n[-1] + 1) / f[-1])
-    terms.append(f[-1] * lr)
-    err_g += f[-1] * (e_head + abs(lr) * e_log)
-    grp = rung.fsum(terms)
-    return per, err_p, grp, _SLACK * (err_g + u * abs(grp))
+    r = rung.fsum(rates)
+    return per, err_p, r, _SLACK * (err_r + u * r)
 
 
 @st.composite
