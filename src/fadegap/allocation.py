@@ -25,14 +25,15 @@ next, and both values come from the rung that settles the channel.
 The cross-check of the stored decoded-rate factors
 against the ones the power vector implies is a statement about exact
 rationals, so it does not ride the ladder: it is decided once, after the
-first rung that evaluates.  An allocation carries the frontier of active
-states :func:`optimal_allocation` built its factors from, and a channel
-the first state whose input is exact (see :class:`PreparedChannel`); over
-the frontier, with float or int inputs that the float rung evaluates
-first, the stored factors before the weakest active state are bitwise
-the ones the rung forms and logs, so the check reads the rung's own sum
-for an infinite one and tests only the weakest active state's factor.
-Every other case is decided exactly, in Fractions.
+first rung that evaluates.  The closed forms read the active states only
+from the frontier every allocation records, the one
+:func:`optimal_allocation` built its factors from, and a channel records
+its first state whose input is exact (see :class:`PreparedChannel`).
+With float or int inputs that the float rung evaluates first, the stored
+factors before the weakest active state are bitwise the ones the rung
+forms and logs, so the check reads the rung's own sum for an infinite
+one and tests only the weakest active state's factor.  Every other case
+is decided exactly, in Fractions.
 Each rung forms the decoded-rate factor of each segment before the
 weakest active one once, in the loop that logs it.  The error bounds are
 formed after that loop: without Fraction inputs a factor's error is one
@@ -115,18 +116,17 @@ class PowerAllocation:
 
     The stages take only one that :func:`optimal_allocation` built from
     the channel they are given; such an allocation also records the
-    frontier of active states it built lam from, which spares the closed
-    forms re-deriving it and re-checking lam.  :func:`layer_rates` gives
-    the rate each state's power layer carries.
+    frontier of active states it built lam from, the one set of active
+    states the closed forms read, which spares them re-checking lam.
+    :func:`layer_rates` gives the rate each state's power layer carries.
     """
 
     beta: tuple
     lam: tuple
     #: the channel optimal_allocation built it from, set only by errors._make
     _source: object = field(default=None, init=False, repr=False, compare=False)
-    #: the frontier optimal_allocation built lam from when beta activates
-    #: exactly its states, so that it equals active_states, else None; read
-    #: only by _routes
+    #: the frontier optimal_allocation built lam from, equal to
+    #: active_states; read only by _routes
     _frontier: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -143,10 +143,10 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     States before the strongest active state get zero power, the active
     states split the budget at the chain breakpoints, and everything from
     the weakest active state on rides at the full budget.  The factors are
-    built from the frontier ``pi[s-1:w]``; the allocation records it when
-    the levels ``breakpoints[s:w]`` rise strictly, since the first is above
-    0 and the last below 1 by the choice of s and w, so each frontier state
-    then has a layer of its own.  Levels that tie leave no record.
+    built from the frontier ``pi[s-1:w]``, which the allocation records: the
+    levels ``breakpoints[s:w]``, above 0 and below 1 by the choice of s and
+    w, rise strictly, so each frontier state has a layer of its own.  Levels
+    that do not rise mean a broken chain and raise InternalConsistencyError.
     """
     check_built("optimal_allocation", "ch", ch, PreparedChannel)
     check_built("optimal_allocation", "chain", chain, MufChain, ch)
@@ -161,6 +161,8 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
         one = Fraction(1)
 
     levels, frontier = bps[s:w], pi[s - 1 : w]
+    if not all(map(operator.lt, levels, levels[1:])):
+        raise InternalConsistencyError(f"chain levels {levels} do not rise strictly")
     beta = [one - one] * (pi[s - 1] - 1)
     # segment i covers states pi[i-1] .. pi[i]-1.  When each of the w - s
     # active segments holds one state, the common case on long chains, the
@@ -177,8 +179,6 @@ def optimal_allocation(ch: PreparedChannel, chain: MufChain) -> PowerAllocation:
     beta += (one,) * (k_states + 1 - pi[w - 1])
 
     lam = _decoded_rate_factors(ch.inverse_gains, ch.cum_probs, frontier)
-    if not all(map(operator.lt, levels, levels[1:])):
-        frontier = None
     return _make(
         PowerAllocation, beta=tuple(beta), lam=tuple(lam), _source=ch, _frontier=frontier
     )
@@ -493,15 +493,16 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     The decoded-rate factor cross-check is decided once, after the first
     rung that evaluates, and raises there.
 
-    The active states are the frontier the allocation records, or else
-    its active_states.  Whether a Fraction reaches the forms is read from
-    the first exact state the channel records: it does when that state is
-    the weakest active one w or comes before it.  The smallest probability
-    up to w, which every rung's range test reads, is formed once here.
+    The active states are the frontier the allocation records; an
+    allocation without one is not optimal_allocation's.  Whether a
+    Fraction reaches the forms is read from the first exact state the
+    channel records: it does when that state is the weakest active one w
+    or comes before it.  The smallest probability up to w, which every
+    rung's range test reads, is formed once here.
 
-    Over a recorded frontier with float or int inputs, when the float rung
-    evaluates first, the stored factors pass when every one is finite and
-    positive, and that takes two tests, not a pass over the K factors:
+    With float or int inputs, when the float rung evaluates first, the
+    stored factors pass when every one is finite and positive, and that
+    takes two tests, not a pass over the K factors:
 
     - each factor before w is bitwise the rung's ``head * df / dn``, as
       :func:`_decoded_rate_factors` formed it from the same numbers with
@@ -513,15 +514,12 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
     - the factors after w are ``n_1 / n_1 = 1``;
     - the rung never forms w's stored factor, so it is tested itself.
 
-    Each stored factor is then within a few units of its exact value.  A
-    recorded allocation mutated after optimal_allocation returned it is
-    outside this contract, as a forged mark is.  :func:`_check_factors`
-    decides every other case.
+    Each stored factor is then within a few units of its exact value.  An
+    allocation mutated after optimal_allocation returned it is outside
+    this contract, as a forged mark is.  :func:`_check_factors` decides
+    every other case.
     """
     active = alloc._frontier
-    recorded = active is not None
-    if not recorded:
-        active = alloc.active_states
     if not active:
         raise ValidationError("allocation has no active state; not an optimal allocation")
     if not ch.inverse_gains[active[-1] - 1] < math.inf:
@@ -544,7 +542,7 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
         first = per is None  # the first rung that evaluates
         per, err_p, rate, err_r = out
         if first:
-            floats = recorded and digits is None and not exact_inputs
+            floats = digits is None and not exact_inputs
             if not (floats and per < math.inf and 0 < alloc.lam[last - 1] < math.inf):
                 _check_factors(ch, alloc, active)
         diff = abs(per - rate)

@@ -96,14 +96,18 @@ def test_closed_form_routes_agree(two_state):
     assert certify.closed_form_route_agreement(*closed_form_routes(ch, alloc)).ok
 
 
-def test_corrupted_allocation_is_detected(two_state):
+def test_corrupted_allocation_is_detected(two_state, rungs_used):
     from fadegap import InternalConsistencyError, PowerAllocation
 
     ch, chain, alloc = two_state
     wrong_lam = _marked(PowerAllocation(beta=alloc.beta, lam=(2.0, alloc.lam[1])), ch)
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 1"):
+        allocation._check_factors(ch, wrong_lam, alloc._frontier)
+    # a forgery records no frontier, so the stage refuses it before any rung
+    with pytest.raises(ValidationError, match="no active state"):
         expected_capacity(ch, wrong_lam)
-    wrong_beta = _marked(PowerAllocation(beta=(1.0, 1.0), lam=alloc.lam), ch)
+    assert rungs_used == []
+    wrong_beta = recorded(_marked(PowerAllocation(beta=(1.0, 1.0), lam=alloc.lam), ch), alloc)
     with pytest.raises(InternalConsistencyError):
         expected_capacity(ch, wrong_beta)
 
@@ -117,15 +121,19 @@ def test_all_zero_beta_has_no_active_state(two_state):
 
 @pytest.mark.parametrize("route", [expected_capacity, closed_form_routes])
 def test_active_state_with_an_overflowed_inverse_gain_is_refused(route):
-    # the optimal allocation leaves a gain of 1e-320 inactive; a hand-built
-    # one that gives it power reaches the closed forms with n = inf
-    ch = prepare(FadingDistribution((2.0, 1e-320), (0.5, 0.5)))
-    alloc = _marked(PowerAllocation(beta=(0.5, 1.0), lam=(3.0, 1.0)), ch)
+    # a single state of gain 1e-320 is active, and its inverse gain is inf;
+    # analyze takes its capacity from the gain itself, the closed forms
+    # refuse it
+    dist = FadingDistribution((1e-320,), (1.0,))
+    ch, _, alloc = pipeline(dist)
+    assert alloc._frontier == (1,)
     message = (
-        "gains: the inverse of the gain 1e-320 of active state 2 overflows double precision"
+        "gains: the inverse of the gain 1e-320 of active state 1 overflows double precision"
     )
     with pytest.raises(ValidationError, match=f"^{message}$"):
         route(ch, alloc)
+    report = analyze(dist)
+    assert report.c_exp == report.c_erg == 1e-320
 
 
 @pytest.mark.parametrize("route", [expected_capacity, closed_form_routes])
@@ -389,16 +397,37 @@ def test_value_alone_climbs_past_the_float_rung(rungs_used):
     assert closed_form_routes(ch, alloc) == (value, value)
 
 
+def with_factor(alloc, k, value):
+    """alloc with the stored decoded-rate factor of state k (1-based) set,
+    for alloc's channel.  It records no frontier, so a stage refuses it."""
+    lam = alloc.lam[: k - 1] + (value,) + alloc.lam[k:]
+    return _marked(PowerAllocation(beta=alloc.beta, lam=lam), alloc._source)
+
+
+def recorded(forged, alloc):
+    """forged with the frontier alloc records, as though optimal_allocation
+    had built it."""
+    object.__setattr__(forged, "_frontier", alloc._frontier)
+    return forged
+
+
+@pytest.fixture
+def fraction_twin():
+    """two_state's channel in Fraction probabilities: the closed forms
+    decide its stored factors exactly after the float rung."""
+    return pipeline(FadingDistribution((4, 1), (Fraction(1, 2), Fraction(1, 2))))
+
+
 @pytest.mark.parametrize("sign, fails", [(1, True), (-1, False)])
 def test_factor_at_the_tolerance_is_decided_exactly_without_a_climb(
-    two_state, rungs_used, sign, fails
+    fraction_twin, rungs_used, sign, fails
 ):
     # a stored factor LAMBDA_RTOL off its exact value is beyond what the
     # float rung's rounding bounds could tell; the exact cross-check decides
     # it, so the float rung settles the channel or the check raises there
-    ch, _, alloc = two_state
-    lam = (alloc.lam[0] * (1 + sign * allocation.LAMBDA_RTOL), alloc.lam[1])
-    off = _marked(PowerAllocation(beta=alloc.beta, lam=lam), ch)
+    ch, _, alloc = fraction_twin
+    off = with_factor(alloc, 1, alloc.lam[0] * (1 + sign * allocation.LAMBDA_RTOL))
+    off = recorded(off, alloc)
     if fails:
         with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 1"):
             expected_capacity(ch, off)
@@ -412,7 +441,7 @@ def routes_args(ch, alloc):
     """Channel, active states, exact_inputs, power vector and smallest
     probability up to the weakest active state, as _routes passes them to
     _evaluate before the rung."""
-    active = alloc.active_states
+    active = alloc._frontier
     last = active[-1]
     return ch, active, scanned_exactness(ch, last), alloc.beta, min(ch.probs[:last])
 
@@ -513,30 +542,21 @@ def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):
     assert tops[-2:] == [allocation._rung(60)] * 2
 
 
-def with_factor(alloc, k, value):
-    """alloc with the stored decoded-rate factor of state k (1-based) set,
-    for alloc's channel."""
-    lam = alloc.lam[: k - 1] + (value,) + alloc.lam[k:]
-    return _marked(PowerAllocation(beta=alloc.beta, lam=lam), alloc._source)
-
-
-def test_factor_one_ulp_off_passes_the_per_state_cross_check(two_state, rungs_used):
-    ch, _, alloc = two_state
-    off = with_factor(alloc, 2, math.nextafter(alloc.lam[1], math.inf))
+def test_factor_one_ulp_off_passes_the_per_state_cross_check(fraction_twin, rungs_used):
+    ch, _, alloc = fraction_twin
+    off = with_factor(alloc, 2, math.nextafter(float(alloc.lam[1]), math.inf))
     assert off.lam != alloc.lam
-    # a hand-marked allocation carries no frontier, so its factors are
-    # decided exactly
-    assert off._frontier is None
-    assert allocation._check_factors(ch, off, alloc.active_states) is None
+    assert allocation._check_factors(ch, off, alloc._frontier) is None
     rungs_used.clear()
-    value = expected_capacity(ch, off)
+    value = expected_capacity(ch, recorded(off, alloc))
     assert rungs_used == [allocation._rung(None)]
     assert value == expected_capacity(ch, alloc)
 
 
-def test_factor_two_tolerances_off_fails_without_a_climb(two_state, rungs_used):
-    ch, _, alloc = two_state
+def test_factor_two_tolerances_off_fails_without_a_climb(fraction_twin, rungs_used):
+    ch, _, alloc = fraction_twin
     off = with_factor(alloc, 1, alloc.lam[0] * (1 + 2 * allocation.LAMBDA_RTOL))
+    off = recorded(off, alloc)
     with pytest.raises(InternalConsistencyError, match="decoded-rate factor of state 1"):
         expected_capacity(ch, off)
     # decided exactly after the first rung that evaluates
@@ -553,8 +573,7 @@ def test_a_moved_level_is_refused():
     assert len(alloc.active_states) > 1
     beta = list(alloc.beta)
     beta[first - 1] *= 1 + 1e-4
-    moved = _marked(PowerAllocation(beta=tuple(beta), lam=alloc.lam), ch)
-    object.__setattr__(moved, "_frontier", alloc._frontier)
+    moved = recorded(_marked(PowerAllocation(beta=tuple(beta), lam=alloc.lam), ch), alloc)
     assert moved.active_states == alloc.active_states
     with pytest.raises(InternalConsistencyError, match="closed forms disagree"):
         expected_capacity(ch, moved)
@@ -583,8 +602,8 @@ def test_non_finite_factor_never_settles(two_state, value, k):
     ch, _, alloc = two_state
     off = with_factor(alloc, k, value)
     with pytest.raises(InternalConsistencyError, match=f"decoded-rate factor of state {k}"):
-        allocation._check_factors(ch, off, alloc.active_states)
-    with pytest.raises(InternalConsistencyError, match=f"decoded-rate factor of state {k}"):
+        allocation._check_factors(ch, off, alloc._frontier)
+    with pytest.raises(ValidationError, match="no active state"):
         expected_capacity(ch, off)
 
 
@@ -675,7 +694,7 @@ def factor_verdicts(ch, alloc):
     test, on a recorded allocation of float or int inputs that the float
     rung evaluates first, or None where that is not the case."""
     active, lam = alloc._frontier, alloc.lam
-    if active is None or ch._first_exact <= active[-1]:
+    if ch._first_exact <= active[-1]:
         return None
     out = allocation._evaluate(*routes_args(ch, alloc), allocation._rung(None))
     if out is None:
@@ -723,35 +742,19 @@ def test_both_factor_tests_reject_a_forged_weakest_factor(value):
         expected_capacity(ch, alloc)
 
 
-@pytest.mark.parametrize(
-    "tie, message",
-    [
-        (
-            2,
-            "decoded-rate factor of state 2 is 250500500.50050047, power vector implies"
-            " 500500.500500500523159514113363654195548040434727911146331542",
-        ),
-        (
-            3,
-            "decoded-rate factor of state 3 is 250500.5005005005, power vector implies"
-            " 500.50050050050049009216998951722827761882469642817959365852",
-        ),
-    ],
-    ids=["state-2", "state-3"],
-)
-def test_tied_levels_leave_no_record_and_are_checked_exactly(tie, message):
-    # a hand-marked chain whose level tie takes its second state of the
-    # tie's layer away: the factors built from the chain's frontier do not
-    # fit the active states, and the exact check refuses them with the
-    # message it gave before allocations recorded a frontier
+@pytest.mark.parametrize("tie", [2, 3], ids=["state-2", "state-3"])
+def test_tied_levels_are_refused_by_optimal_allocation(tie):
+    # a hand-marked chain whose level tie would take its second state of the
+    # tie's layer away: the factors built from the chain's frontier would
+    # not fit the active states, so optimal_allocation refuses the chain
     ch, chain, alloc = pipeline(high_snr_ladder(4))
     assert alloc._frontier == alloc.active_states == (1, 2, 3, 4)
     b = chain.breakpoints
     tied = _marked(replace(chain, breakpoints=b[:tie] + (b[tie - 1],) + b[tie + 1 :]), ch)
-    off = optimal_allocation(ch, tied)
-    assert off._frontier is None and len(off.active_states) == 3
+    levels = tied.breakpoints[tied.s : tied.w]
+    message = f"chain levels {levels} do not rise strictly"
     with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
-        expected_capacity(ch, off)
+        optimal_allocation(ch, tied)
 
 
 def tampered_factors(y):
@@ -789,8 +792,9 @@ def test_tampered_factors_raise_exactly_when_the_reference_check_does():
                 except InternalConsistencyError:
                     raised += 1
                     with pytest.raises(InternalConsistencyError, match=f"of state {k} is"):
-                        expected_capacity(ch, off)
+                        allocation._check_factors(ch, off, alloc._frontier)
                     continue
                 passed += 1
-                assert expected_capacity(ch, off) == value, (dist, k, y)
+                assert allocation._check_factors(ch, off, alloc._frontier) is None
+                assert expected_capacity(ch, recorded(off, alloc)) == value, (dist, k, y)
     assert raised > 100 and passed > 100

@@ -372,6 +372,8 @@ def test_the_chain_certificate_fails_every_corrupted_chain_the_envelope_check_fa
         {"pi": (0, 2, 3)},
         {"pi": (1, 2.5, 3)},
         {"pi": None},
+        {"pi": (1, None, 3)},
+        {"pi": (1, "a", 3)},
         {"breakpoints": (None,) * 4},
         {"breakpoints": ("a",) * 4},
     ],
@@ -381,6 +383,8 @@ def test_the_chain_certificate_fails_every_corrupted_chain_the_envelope_check_fa
         "pi-from-0",
         "pi-float",
         "pi-None",
+        "None-in-pi",
+        "str-in-pi",
         "None-breakpoints",
         "str-breakpoints",
     ],

@@ -116,6 +116,27 @@ def test_validation_failures_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["capacity", "fading-paper"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "input: not valid JSON"),
+        ("[1]", "input: expected a JSON object with gains and probs"),
+        ('{"gains": 1, "probs": [1.0]}', "gains: must be a JSON array of numbers"),
+        ('{"gains": ["a"], "probs": [1.0]}', "gains: non-numeric entry 'a'"),
+        ('{"gains": [true], "probs": [1.0]}', "gains: non-numeric entry True"),
+    ],
+    ids=["not-json", "not-object", "not-array", "str-entry", "bool-entry"],
+)
+def test_malformed_input_on_stdin_exits_1(capsys, monkeypatch, command, text, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_capture(capsys, [command])
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_internal_consistency_failure_exits_2(capsys, two_state_json, disagreeing_closed_forms):
     code, out, err = run_capture(capsys, ["capacity", "--input", two_state_json])
     assert code == 2
