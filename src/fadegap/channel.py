@@ -120,8 +120,8 @@ class PreparedChannel:
 
     The stages take only one that :func:`prepare` built.  Such a channel
     also records the first state whose inverse gain or probability is
-    neither a float nor an int, which spares the closed forms a scan of
-    the types they read.
+    neither a float nor an int, as :func:`_exact_at` decides it, which
+    spares the closed forms a scan of the types they read.
     """
 
     gains: tuple
@@ -157,7 +157,9 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     Only a listing out of descending order is sorted: the sort is stable,
     so it would return a descending listing unchanged, equal gains in their
     given order.  One pass then merges the states and forms each ``F_k``
-    and ``n_k``.
+    and ``n_k``, and records the first state whose ``n_k`` or ``p_k`` is
+    neither a float nor an int; a float channel makes no Python call per
+    state for it.
 
     The single-state zero-gain channel keeps its zero gain, with inverse
     gain inf, and is returned with ``degenerate=True`` rather than rejected:
@@ -173,7 +175,9 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     # A probability below the resolution of the running sum leaves F_k equal
     # to F_{k-1}; two such states have no crossing, so the channel is refused.
     # first_exact is the first closed state whose inverse gain or probability
-    # is neither a float nor an int, 0 while there is none
+    # is neither a float nor an int, 0 while there is none. _exact_at reads
+    # two floats as plain, so only another pair is handed to it, and a float
+    # channel makes no call per state
     gains, probs, cum, inverse = [], [], [], []
     acc = first_exact = 0
     g_run, p_run = next(pairs)
@@ -190,7 +194,8 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         # positive: a smaller gain follows
         n_run = 1 / g_run
         inverse.append(n_run)
-        first_exact = first_exact or _exact_at(len(inverse), n_run, p_run)
+        if not type(n_run) is float is type(p_run):
+            first_exact = first_exact or _exact_at(len(inverse), n_run, p_run)
         g_run, p_run = g, p
     prev, acc = acc, acc + p_run
     if acc == prev:
@@ -211,7 +216,8 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     # only the single zero-gain state is still zero
     n_run = 1 / gains[-1] if gains[-1] else math.inf
     inverse.append(n_run)
-    first_exact = first_exact or _exact_at(len(inverse), n_run, p_run)
+    if not type(n_run) is float is type(p_run):
+        first_exact = first_exact or _exact_at(len(inverse), n_run, p_run)
     # a float inverse below the normal range has lost bits, and the decoded
     # rate factors built on it overflow
     if inverse[0] < _FLOAT_MIN and isinstance(inverse[0], float):
@@ -238,9 +244,10 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
 def _exact_at(k, n, p):
     """k if the inverse gain n or the probability p of state k is of a type
     other than exactly float or int (a Fraction, a float subclass, a bool),
-    else 0.  The float test comes first: it spares a float channel the set
-    lookups."""
-    if type(n) is float is type(p) or type(n) in {float, int} and type(p) in {float, int}:
+    else 0: the one statement of which inputs the closed forms read as
+    plain.  :func:`prepare` calls it only on a pair that is not two floats,
+    which the rule reads as plain."""
+    if type(n) in {float, int} and type(p) in {float, int}:
         return 0
     return k
 

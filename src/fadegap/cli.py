@@ -35,8 +35,9 @@ from .gaps import LN2, full_analysis
 __all__ = ["main", "run", "random_distribution", "verify_run"]
 
 #: Largest max_states verify_run accepts, and a bound on the K a trial may
-#: draw; CI certifies the oracle on high-SNR ladders up to K = 4096.
-VERIFY_MAX_STATES = 1024
+#: draw; CI runs verify at it and certifies the oracle on high-SNR ladders
+#: up to K = 4096.
+VERIFY_MAX_STATES = 4096
 
 _CAPACITY_NAT_FIELDS = ("c_erg", "c_exp", "additive_gap", "entropy")
 _FP_NAT_FIELDS = (

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -620,11 +621,18 @@ def test_every_allocation_records_its_active_states():
     assert recorded > 3000
 
 
+class FloatSubclass(float):
+    pass
+
+
 #: Channels that mix Fractions and ints with floats: a Fraction gain only on
 #: the weakest state, which receives no power; one Fraction probability; int
 #: gains; a float and a Fraction gain that merge, in either order; a zero
 #: gain with Fraction probabilities; and a single state of int gain and int
-#: probability.
+#: probability. Then the inputs that are plain-float lookalikes, which
+#: prepare hands to the type rule: a bool probability; a float-subclass
+#: probability on a middle and on the first state; a float-subclass gain,
+#: whose inverse is a plain float; and a bool gain, whose inverse is too.
 MIXED = [
     FadingDistribution((10.0, 5.0, Fraction(1, 1000)), (0.4, 0.4, 0.2)),
     FadingDistribution((4.0, 2.0, 1.0), (0.25, Fraction(1, 4), 0.5)),
@@ -633,6 +641,11 @@ MIXED = [
     FadingDistribution((Fraction(2), 2.0, 1.0), (0.25, 0.25, 0.5)),
     FadingDistribution((4.0, 1.0, 0.0), (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))),
     FadingDistribution((3,), (1,)),
+    FadingDistribution((2.0,), (True,)),
+    FadingDistribution((4.0, 2.0, 1.0), (0.25, FloatSubclass(0.25), 0.5)),
+    FadingDistribution((FloatSubclass(4.0), 2.0, 1.0), (0.25, 0.25, 0.5)),
+    FadingDistribution((3.0, 1.0), (FloatSubclass(0.5), 0.5)),
+    FadingDistribution((True, 0.5), (0.5, 0.5)),
 ]
 
 
@@ -662,9 +675,75 @@ def test_the_recorded_first_exact_state_decides_as_the_scan():
     # the record of the mixed channels: the weakest state's Fraction gain,
     # the second state's Fraction probability, none, none (a float gain
     # comes first in its run), the first state (a Fraction gain comes
-    # first), the first state, none
+    # first), the first state, none; then the bool probability, the
+    # float-subclass probability of the second and of the first state, and
+    # none for the float-subclass and the bool gain
     records = [prepare(dist)._first_exact for dist in MIXED]
-    assert records == [3, 2, 4, 3, 1, 1, 2]
+    assert records == [3, 2, 4, 3, 1, 1, 2, 1, 2, 4, 1, 3]
+
+
+#: The reports of the plain-float lookalikes in MIXED, as analyze gave them
+#: when every state's record was decided by a call to the type rule
+LOOKALIKE_REPORTS = [
+    "CapacityReport(c_erg=1.0986122886681096, c_exp=1.0986122886681096,"
+    " additive_gap=0.0, multiplicative_gap=1.0, entropy=0.0, lemma2_terms=(1.0,),"
+    " lemma3_terms=(1.0,), active_states=(1,), epsilon_applied=None,"
+    " boundary_breakpoints=())",
+    "CapacityReport(c_erg=1.023586140555525, c_exp=0.6931471805599453,"
+    " additive_gap=0.3304389599955798, multiplicative_gap=1.4767226489021297,"
+    " entropy=1.0397207708399179, lemma2_terms=(2.5, 1.5, 1.0),"
+    " lemma3_terms=(0.5804820237218405, 0.396240625180289, 0.5),"
+    " active_states=(3,), epsilon_applied=None, boundary_breakpoints=(0.0,))",
+    "CapacityReport(c_erg=1.023586140555525, c_exp=0.6931471805599453,"
+    " additive_gap=0.3304389599955798, multiplicative_gap=1.4767226489021297,"
+    " entropy=1.0397207708399179, lemma2_terms=(2.5, 1.5, 1.0),"
+    " lemma3_terms=(0.5804820237218405, 0.396240625180289, 0.5),"
+    " active_states=(3,), epsilon_applied=None, boundary_breakpoints=(0.0,))",
+    "CapacityReport(c_erg=1.0397207708399179, c_exp=0.7520386983881371,"
+    " additive_gap=0.2876820724517808, multiplicative_gap=1.3825362618551105,"
+    " entropy=0.6931471805599453, lemma2_terms=(1.3333333333333333, 1.3333333333333335),"
+    " lemma3_terms=(0.9216908412367403, 0.46084542061837014), active_states=(1, 2),"
+    " epsilon_applied=None, boundary_breakpoints=())",
+    "CapacityReport(c_erg=0.5493061443340548, c_exp=0.4054651081081644,"
+    " additive_gap=0.1438410362258904, multiplicative_gap=1.3547556456757273,"
+    " entropy=0.6931471805599453, lemma2_terms=(1.3333333333333333, 1.0),"
+    " lemma3_terms=(0.8547556456757274, 0.5), active_states=(2,), epsilon_applied=None,"
+    " boundary_breakpoints=(0.0,))",
+]
+
+
+@pytest.mark.parametrize(
+    "dist, expected",
+    zip(MIXED[-len(LOOKALIKE_REPORTS) :], LOOKALIKE_REPORTS),
+    ids=["bool-prob", "subclass-prob-2", "subclass-gain", "subclass-prob-1", "bool-gain"],
+)
+def test_the_reports_of_plain_float_lookalikes_stay(dist, expected):
+    assert repr(analyze(dist)) == expected
+
+
+def calls_inside_prepare(dist):
+    """The number of Python-level calls made while prepare(dist) runs,
+    prepare's own included."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        prepare(dist)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_prepare_makes_no_python_call_per_state_on_a_float_channel():
+    # the record of a float channel is settled inline, in the merge pass: the
+    # Python-level calls are those of the channel, not of its states
+    short, long = high_snr_ladder(8), high_snr_ladder(1024)
+    assert {*map(type, short.gains + short.probs + long.gains + long.probs)} == {float}
+    assert calls_inside_prepare(short) == calls_inside_prepare(long)
 
 
 def test_a_fraction_gain_on_an_inactive_weakest_state_settles_in_floats(rungs_used):
@@ -683,7 +762,7 @@ def test_a_fraction_gain_on_an_inactive_weakest_state_settles_in_floats(rungs_us
 
 
 def test_a_single_state_of_int_gain_and_probability_settles_in_floats(rungs_used):
-    ch, _, alloc = pipeline(MIXED[-1])
+    ch, _, alloc = pipeline(FadingDistribution((3,), (1,)))
     assert ch._first_exact == 2
     assert expected_capacity(ch, alloc) == math.log(4)
     assert rungs_used == [allocation._rung(None)]

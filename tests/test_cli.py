@@ -346,8 +346,8 @@ def test_fading_paper_infinite_inr_is_null(capsys, two_state_json, units):
     assert out.splitlines()[1].startswith("inf,")
 
 
-@pytest.mark.parametrize("max_states", ["1025", "10000000000"])
-def test_verify_refuses_max_states_above_1024(capsys, monkeypatch, max_states):
+@pytest.mark.parametrize("max_states", ["4097", "10000000000"])
+def test_verify_refuses_max_states_above_4096(capsys, monkeypatch, max_states):
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
@@ -355,16 +355,16 @@ def test_verify_refuses_max_states_above_1024(capsys, monkeypatch, max_states):
     code, out, err = run_capture(capsys, ["verify", "--max-states", max_states])
     assert code == 1
     assert out == ""
-    assert "max-states: must be at most 1024" in err
+    assert "max-states: must be at most 4096" in err
 
 
-def test_verify_run_refuses_max_states_above_1024_before_a_trial(monkeypatch):
+def test_verify_run_refuses_max_states_above_4096_before_a_trial(monkeypatch):
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr("fadegap.cli.random_distribution", no_trial)
-    with pytest.raises(ValidationError, match="^max-states: must be at most 1024, got 2000$"):
-        verify_run(trials=1, max_states=2000)
+    with pytest.raises(ValidationError, match="^max-states: must be at most 4096, got 4097$"):
+        verify_run(trials=1, max_states=4097)
 
 
 @pytest.mark.parametrize(
