@@ -22,11 +22,13 @@ disagreement they certify raises, and anything else moves up one rung.
 The bounds shrink as the precision rises, so an agreement one rung
 certifies, every higher rung certifies too: no rung carries it to the
 next, and both values come from the rung that settles the channel.
-The cross-check of the stored decoded-rate factors
-against the ones the power vector implies is a statement about exact
-rationals, so it does not ride the ladder: it is decided once, after the
-first rung that evaluates.  The closed forms read the active states only
-from the frontier every allocation records, the one
+The check of the stored decoded-rate factors, that each lies within
+``LAMBDA_RTOL`` of the exact factor of the same recorded frontier, is a
+statement about exact rationals, so it does not ride the ladder: it is
+decided once, after the first rung that evaluates.  It decides only the
+factors' accuracy; the levels meet the factors in the gate where the
+per-state and expected-rate forms must agree.  The closed forms read the
+active states only from the frontier every allocation records, the one
 :func:`optimal_allocation` built its factors from, and a channel records
 its first state whose input is exact (see :class:`PreparedChannel`).
 With float or int inputs that the float rung evaluates first, the stored
@@ -454,9 +456,11 @@ def _evaluate(ch: PreparedChannel, active: tuple, exact_inputs: bool, beta, p_mi
 
 def _check_factors(ch: PreparedChannel, alloc: PowerAllocation, active: tuple) -> None:
     """Raise InternalConsistencyError unless every stored decoded-rate factor
-    lies within LAMBDA_RTOL of the exact factor the power vector implies; a
-    mismatch means the active-state frontier and the breakpoint structure
-    disagree.  Decided exactly, in Fraction arithmetic.
+    lies within LAMBDA_RTOL of the exact factor formed from the channel's
+    inputs and the frontier active, the one the allocation built its
+    factors from: a mismatch means the stored factors are inaccurate.  The
+    levels meet the factors only where the two closed forms must agree.
+    Decided exactly, in Fraction arithmetic.
     """
     last = active[-1]
     tail = ch.num_states - last

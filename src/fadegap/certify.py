@@ -78,13 +78,13 @@ def oracle_certification(c_exp: float, oracle: float) -> Margin:
     return Margin(gap <= ORACLE_ATOL, gap)
 
 
-def closed_form_route_agreement(per_state: float, grouped: float) -> Margin:
+def closed_form_route_agreement(per_state: float, rate: float) -> Margin:
     """The per-state closed form and the second route, the expected rate of
     the allocation's power vector (as :func:`fadegap.closed_form_routes`
     returns them), agree to ROUTE_RTOL relative; a NaN fails."""
     per_state = check_real("per_state", per_state)
-    grouped = check_real("grouped", grouped)
-    rel = abs(per_state - grouped) / max(abs(per_state), abs(grouped), 1e-300)
+    rate = check_real("rate", rate)
+    rel = abs(per_state - rate) / max(abs(per_state), abs(rate), 1e-300)
     return Margin(rel <= ROUTE_RTOL, rel)
 
 

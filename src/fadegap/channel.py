@@ -17,7 +17,8 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field
-from operator import ge, itemgetter
+from itertools import chain, repeat
+from operator import add, ge, itemgetter, sub, truediv
 from typing import Optional
 
 from .errors import ValidationError, _make, check_built, check_instance, check_real, validated_tuple
@@ -120,8 +121,8 @@ class PreparedChannel:
 
     The stages take only one that :func:`prepare` built.  Such a channel
     also records the first state whose inverse gain or probability is
-    neither a float nor an int, as :func:`_exact_at` decides it, which
-    spares the closed forms a scan of the types they read.
+    of a type other than exactly float or int, as :func:`prepare` decides
+    it, which spares the closed forms a scan of the types they read.
     """
 
     gains: tuple
@@ -146,7 +147,7 @@ def _zero_gain_epsilon(inverse, cum_probs):
     """Substitute for a zero smallest gain, small enough that the zero state
     provably receives no power: half of min_k F_k / ((1 - F_k) + n_k) over
     the positive states, whose inverse gains are given."""
-    return min(f / ((1 - f) + n) for n, f in zip(inverse, cum_probs)) / 2
+    return min(map(truediv, cum_probs, map(add, map(sub, repeat(1), cum_probs), inverse))) / 2
 
 
 def prepare(dist: FadingDistribution) -> PreparedChannel:
@@ -158,8 +159,8 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     so it would return a descending listing unchanged, equal gains in their
     given order.  One pass then merges the states and forms each ``F_k``
     and ``n_k``, and records the first state whose ``n_k`` or ``p_k`` is
-    neither a float nor an int; a float channel makes no Python call per
-    state for it.
+    of a type other than exactly float or int; a float channel makes no
+    Python call per state for it.
 
     The single-state zero-gain channel keeps its zero gain, with inverse
     gain inf, and is returned with ``degenerate=True`` rather than rejected:
@@ -168,18 +169,22 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
     check_instance("prepare", "dist", dist, FadingDistribution)
     pairs = zip(dist.gains, dist.probs)
     if not all(map(ge, dist.gains, dist.gains[1:])):
-        pairs = iter(sorted(pairs, key=itemgetter(0), reverse=True))
+        pairs = sorted(pairs, key=itemgetter(0), reverse=True)
 
     # a run of adjacent gains that agree to MERGE_RTOL is one physical
-    # state, the first of the run; a state is closed when the next starts.
+    # state, the first of the run; a state is closed when the next starts,
+    # the last one by a sentinel gain below every gain.
     # A probability below the resolution of the running sum leaves F_k equal
     # to F_{k-1}; two such states have no crossing, so the channel is refused.
-    # first_exact is the first closed state whose inverse gain or probability
-    # is neither a float nor an int, 0 while there is none. _exact_at reads
-    # two floats as plain, so only another pair is handed to it, and a float
+    # first_exact is the first state whose inverse gain or probability is of
+    # a type other than exactly float or int (a Fraction, a float subclass, a
+    # bool), 0 while there is none: the one statement of which inputs the
+    # closed forms read as plain. Two floats are tested first, so a float
     # channel makes no call per state
     gains, probs, cum, inverse = [], [], [], []
     acc = first_exact = 0
+    epsilon = None
+    pairs = chain(pairs, ((-1, None),))
     g_run, p_run = next(pairs)
     for g, p in pairs:
         if g_run - g <= MERGE_RTOL * g_run:
@@ -187,37 +192,36 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
             continue
         prev, acc = acc, acc + p_run
         if acc == prev:
-            raise _below_resolution(len(gains) + 1, g_run, p_run, acc)
+            raise ValidationError(
+                f"probs: state {len(gains) + 1} (gain {g_run}) has probability {p_run},"
+                f" below the resolution of the cumulative probability {acc}"
+            )
+        try:
+            n_run = 1 / g_run
+        except ZeroDivisionError:
+            # only the last gain can be zero: a lone zero state keeps it,
+            # with inverse gain inf, and one after a positive state is
+            # substituted
+            if gains:
+                epsilon = g_run = _zero_gain_epsilon(inverse, cum)
+                if epsilon == 0:
+                    raise ValidationError(
+                        "gains: the substitute for the zero gain underflows double precision"
+                    ) from None
+                n_run = 1 / g_run
+            else:
+                n_run = math.inf
         gains.append(g_run)
         probs.append(p_run)
         cum.append(acc)
-        # positive: a smaller gain follows
-        n_run = 1 / g_run
         inverse.append(n_run)
-        if not type(n_run) is float is type(p_run):
-            first_exact = first_exact or _exact_at(len(inverse), n_run, p_run)
+        if not (
+            type(n_run) is float is type(p_run)
+            or first_exact
+            or type(n_run) in {float, int} and type(p_run) in {float, int}
+        ):
+            first_exact = len(inverse)
         g_run, p_run = g, p
-    prev, acc = acc, acc + p_run
-    if acc == prev:
-        raise _below_resolution(len(gains) + 1, g_run, p_run, acc)
-    gains.append(g_run)
-    probs.append(p_run)
-    cum.append(acc)
-
-    epsilon = None
-    if gains[-1] == 0 and len(gains) > 1:
-        epsilon = _zero_gain_epsilon(inverse, cum)
-        if epsilon == 0:
-            raise ValidationError(
-                "gains: the substitute for the zero gain underflows double precision"
-            )
-        gains[-1] = epsilon
-
-    # only the single zero-gain state is still zero
-    n_run = 1 / gains[-1] if gains[-1] else math.inf
-    inverse.append(n_run)
-    if not type(n_run) is float is type(p_run):
-        first_exact = first_exact or _exact_at(len(inverse), n_run, p_run)
     # a float inverse below the normal range has lost bits, and the decoded
     # rate factors built on it overflow
     if inverse[0] < _FLOAT_MIN and isinstance(inverse[0], float):
@@ -238,26 +242,6 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
         degenerate=not gains[-1],
         _source=dist,
         _first_exact=first_exact or len(inverse) + 1,
-    )
-
-
-def _exact_at(k, n, p):
-    """k if the inverse gain n or the probability p of state k is of a type
-    other than exactly float or int (a Fraction, a float subclass, a bool),
-    else 0: the one statement of which inputs the closed forms read as
-    plain.  :func:`prepare` calls it only on a pair that is not two floats,
-    which the rule reads as plain."""
-    if type(n) in {float, int} and type(p) in {float, int}:
-        return 0
-    return k
-
-
-def _below_resolution(k, g, p, acc):
-    """The refusal of state k of gain g, whose probability p left the
-    running sum at acc."""
-    return ValidationError(
-        f"probs: state {k} (gain {g}) has probability {p}, below the"
-        f" resolution of the cumulative probability {acc}"
     )
 
 

@@ -134,14 +134,14 @@ def family_points():
 
 @pytest.fixture
 def disagreeing_closed_forms(monkeypatch):
-    """Every rung returns a grouped form 1e-6 relative off the per-state one,
-    with its own error bounds, so the first mpmath rung certifies a
+    """Every rung returns an expected rate 1e-6 relative off the per-state
+    form, with its own error bounds, so the first mpmath rung certifies a
     disagreement."""
     evaluate = allocation._evaluate
 
     def disagreeing(*args):
-        per, err_p, _, err_g = evaluate(*args)
-        return per, err_p, per * (1 + 1e-6), err_g
+        per, err_p, _, err_r = evaluate(*args)
+        return per, err_p, per * (1 + 1e-6), err_r
 
     monkeypatch.setattr(allocation, "_evaluate", disagreeing)
 

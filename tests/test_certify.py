@@ -395,3 +395,13 @@ def test_the_chain_certificate_fails_a_chain_of_the_wrong_shape_without_raising(
     a = full_analysis(DIST)
     corrupted = replace(a.chain, **fields)
     assert certify.chain_ordering_properties(a.channel, corrupted) == (False, math.inf)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="prepare's running sum rounds F_2 - F_1 below p_2, and the lemma-2 term"
+    " built on the step exceeds 1/p_2 (ROADMAP item 5)",
+)
+def test_lemma_2_holds_where_the_cumulative_step_rounds_below_the_probability():
+    dist = FadingDistribution((1e71, 4e38), (1 - 8.7e-8, 8.7e-8))
+    assert certify.per_state_additive_terms(full_analysis(dist)).ok

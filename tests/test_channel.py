@@ -156,6 +156,14 @@ def test_float_subclasses_and_rationals_are_accepted():
             "gain 1e-320 of state 1 overflows double precision, and the state may"
             " receive power",
         ),
+        # n_1 overflows to inf, so the zero gain's substitute
+        # F_1 / ((1 - F_1) + n_1) / 2 is 0
+        (
+            (1e-320, 0.0),
+            (0.5, 0.5),
+            "^gains: the substitute for the zero gain underflows double precision$",
+        ),
+        ((0.0, 1e-320), (0.5, 0.5), "the substitute for the zero gain underflows"),
     ],
 )
 def test_inverse_gain_outside_the_double_range_is_refused(gains, probs, match):
@@ -173,6 +181,14 @@ def test_inverse_gain_outside_the_double_range_is_refused(gains, probs, match):
         # the same states listed out of order
         ((1.0, 2.0), (1e-300, 1 - 1e-300), r"state 2 \(gain 1.0\) has probability 1e-300"),
         ((1.0, 2.0, 4.0), (0.5, 1e-300, 0.5), r"state 2 \(gain 2.0\) has probability 1e-300"),
+        # a zero last gain is refused before it is substituted
+        (
+            (2.0, 0.0),
+            (1 - 1e-300, 1e-300),
+            r"^probs: state 2 \(gain 0.0\) has probability 1e-300, below the resolution of"
+            r" the cumulative probability 1.0$",
+        ),
+        ((0.0, 2.0), (1e-300, 1 - 1e-300), r"state 2 \(gain 0.0\) has probability 1e-300"),
     ],
 )
 def test_probability_below_the_cumulative_resolution_is_refused(gains, probs, match):
@@ -182,6 +198,80 @@ def test_probability_below_the_cumulative_resolution_is_refused(gains, probs, ma
         prepare(dist)
     with pytest.raises(ValidationError, match=match):
         analyze(dist)
+
+
+#: Channels whose last state has a zero gain, each with the repr and the
+#: first exact state prepare gives it in every listing: float gains; Fraction
+#: gains; a Fraction probability on the zero state only; a merged run
+#: just before the zero gain; an int zero gain; and the lone zero states.
+_ZERO_LAST = {
+    "float": (
+        (1.0, 4.0, 0.0),
+        (0.25, 0.25, 0.5),
+        "PreparedChannel(gains=(4.0, 1.0, 0.125), probs=(0.25, 0.25, 0.5),"
+        " inverse_gains=(0.25, 1.0, 8.0), cum_probs=(0.25, 0.5, 1.0),"
+        " epsilon_applied=0.125, degenerate=False)",
+        4,
+    ),
+    "fraction": (
+        (Fraction(1), Fraction(4), Fraction(0)),
+        (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+        "PreparedChannel(gains=(Fraction(4, 1), Fraction(1, 1), Fraction(1, 8)),"
+        " probs=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),"
+        " inverse_gains=(Fraction(1, 4), Fraction(1, 1), Fraction(8, 1)),"
+        " cum_probs=(Fraction(1, 4), Fraction(1, 2), Fraction(1, 1)),"
+        " epsilon_applied=Fraction(1, 8), degenerate=False)",
+        1,
+    ),
+    "fraction-zero-state-probability": (
+        (2.0, 0.0),
+        (0.5, Fraction(1, 2)),
+        "PreparedChannel(gains=(2.0, 0.25), probs=(0.5, Fraction(1, 2)),"
+        " inverse_gains=(0.5, 4.0), cum_probs=(0.5, 1.0), epsilon_applied=0.25,"
+        " degenerate=False)",
+        2,
+    ),
+    "merged-run": (
+        (2.0, 0.0, 2.0),
+        (0.25, 0.5, 0.25),
+        "PreparedChannel(gains=(2.0, 0.25), probs=(0.5, 0.5), inverse_gains=(0.5, 4.0),"
+        " cum_probs=(0.5, 1.0), epsilon_applied=0.25, degenerate=False)",
+        3,
+    ),
+    "int-zero": (
+        (1.0, 0, 4.0),
+        (0.25, 0.5, 0.25),
+        "PreparedChannel(gains=(4.0, 1.0, 0.125), probs=(0.25, 0.25, 0.5),"
+        " inverse_gains=(0.25, 1.0, 8.0), cum_probs=(0.25, 0.5, 1.0),"
+        " epsilon_applied=0.125, degenerate=False)",
+        4,
+    ),
+    "lone-float-zero": (
+        (0.0,),
+        (1.0,),
+        "PreparedChannel(gains=(0.0,), probs=(1.0,), inverse_gains=(inf,),"
+        " cum_probs=(1.0,), epsilon_applied=None, degenerate=True)",
+        2,
+    ),
+    "lone-int-zero": (
+        (0,),
+        (1,),
+        "PreparedChannel(gains=(0,), probs=(1,), inverse_gains=(inf,), cum_probs=(1,),"
+        " epsilon_applied=None, degenerate=True)",
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("listing", ["given", "descending", "ascending"])
+@pytest.mark.parametrize("case", _ZERO_LAST)
+def test_a_zero_last_gain_is_closed_as_every_state(case, listing):
+    gains, probs, expected, first_exact = _ZERO_LAST[case]
+    pairs = list(zip(gains, probs))
+    if listing != "given":
+        pairs.sort(key=itemgetter(0), reverse=listing == "descending")
+    ch = prepare(FadingDistribution(*zip(*pairs)))
+    assert (repr(ch), ch._first_exact) == (expected, first_exact)
 
 
 def test_ergodic_capacity_two_state():

@@ -133,7 +133,8 @@ def test_long_high_snr_ladder_report():
 
 @pytest.mark.parametrize("k, d", [(32, 60), (16, 1e4), (32, 1e4)])
 def test_exact_family_beyond_60_digits(k, d):
-    # the grouped closed form cancels through more than 60 digits here
+    # exact gains and probabilities spread over 55 to 124 decades; the
+    # expected rate does not cancel, so floats or 60 digits settle them
     analysis = full_analysis(multiplicative_family(k, d))
     report = analysis.report
     exact = math.log1p(float(1 / analysis.channel.inverse_gains[-1]))

@@ -445,7 +445,7 @@ def _not_real(name, x):
         ),
         (
             lambda: certify.closed_form_route_agreement(1.0, None),
-            _not_real_value("grouped", None),
+            _not_real_value("rate", None),
         ),
         (
             lambda: certify.additive_gap_bound(None),
@@ -544,7 +544,7 @@ def _not_real(name, x):
         "oracle_certification-None-c_exp",
         "oracle_certification-str-oracle",
         "closed_form_route_agreement-str-per_state",
-        "closed_form_route_agreement-None-grouped",
+        "closed_form_route_agreement-None-rate",
         "additive_gap_bound-None",
         "multiplicative_gap_bound-None",
         "per_state_additive_terms-None",
