@@ -17,8 +17,8 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import add, ge, itemgetter, sub, truediv
+from itertools import chain
+from operator import ge, itemgetter
 from typing import Optional
 
 from .errors import ValidationError, _make, check_built, check_instance, check_real, validated_tuple
@@ -147,7 +147,7 @@ def _zero_gain_epsilon(inverse, cum_probs):
     """Substitute for a zero smallest gain, small enough that the zero state
     provably receives no power: half of min_k F_k / ((1 - F_k) + n_k) over
     the positive states, whose inverse gains are given."""
-    return min(map(truediv, cum_probs, map(add, map(sub, repeat(1), cum_probs), inverse))) / 2
+    return min(f / ((1 - f) + n) for n, f in zip(inverse, cum_probs)) / 2
 
 
 def prepare(dist: FadingDistribution) -> PreparedChannel:
@@ -196,21 +196,21 @@ def prepare(dist: FadingDistribution) -> PreparedChannel:
                 f"probs: state {len(gains) + 1} (gain {g_run}) has probability {p_run},"
                 f" below the resolution of the cumulative probability {acc}"
             )
-        try:
+        # only the last gain can be zero: a lone zero state keeps it, with
+        # inverse gain inf, and one after a positive state is substituted.
+        # The value is tested: 1 / g need not raise, numpy's float64 zero
+        # divides to inf
+        if g_run:
             n_run = 1 / g_run
-        except ZeroDivisionError:
-            # only the last gain can be zero: a lone zero state keeps it,
-            # with inverse gain inf, and one after a positive state is
-            # substituted
-            if gains:
-                epsilon = g_run = _zero_gain_epsilon(inverse, cum)
-                if epsilon == 0:
-                    raise ValidationError(
-                        "gains: the substitute for the zero gain underflows double precision"
-                    ) from None
-                n_run = 1 / g_run
-            else:
-                n_run = math.inf
+        elif gains:
+            epsilon = g_run = _zero_gain_epsilon(inverse, cum)
+            if epsilon == 0:
+                raise ValidationError(
+                    "gains: the substitute for the zero gain underflows double precision"
+                )
+            n_run = 1 / g_run
+        else:
+            n_run = math.inf
         gains.append(g_run)
         probs.append(p_run)
         cum.append(acc)

@@ -738,19 +738,10 @@ def calls_inside_prepare(dist):
     return calls
 
 
-def with_zero_last_gain(dist):
-    """dist with a state of gain 0.0 added, taking half the probability."""
-    return FadingDistribution(dist.gains + (0.0,), tuple(p / 2 for p in dist.probs) + (0.5,))
-
-
-@pytest.mark.parametrize("zero_last", [False, True], ids=["positive", "zero-last-gain"])
-def test_prepare_makes_no_python_call_per_state_on_a_float_channel(zero_last):
-    # the record of a float channel is settled inline, in the merge pass, and
-    # a zero gain's substitute is formed in C: the Python-level calls are
-    # those of the channel, not of its states
+def test_prepare_makes_no_python_call_per_state_on_a_float_channel():
+    # the record of a float channel is settled inline, in the merge pass: the
+    # Python-level calls are those of the channel, not of its states
     short, long = high_snr_ladder(8), high_snr_ladder(1024)
-    if zero_last:
-        short, long = with_zero_last_gain(short), with_zero_last_gain(long)
     assert {*map(type, short.gains + short.probs + long.gains + long.probs)} == {float}
     assert calls_inside_prepare(short) == calls_inside_prepare(long)
 

@@ -200,10 +200,19 @@ def test_probability_below_the_cumulative_resolution_is_refused(gains, probs, ma
         analyze(dist)
 
 
+class _ZeroDividesToInf(float):
+    """A float subclass whose zero, as numpy's float64 zero does, divides to
+    inf rather than raising."""
+
+    def __rtruediv__(self, other):
+        return math.inf if self == 0 else float.__rtruediv__(self, other)
+
+
 #: Channels whose last state has a zero gain, each with the repr and the
 #: first exact state prepare gives it in every listing: float gains; Fraction
 #: gains; a Fraction probability on the zero state only; a merged run
-#: just before the zero gain; an int zero gain; and the lone zero states.
+#: just before the zero gain; an int zero gain; a float-subclass zero that
+#: divides to inf; and the lone zero states.
 _ZERO_LAST = {
     "float": (
         (1.0, 4.0, 0.0),
@@ -245,6 +254,20 @@ _ZERO_LAST = {
         " inverse_gains=(0.25, 1.0, 8.0), cum_probs=(0.25, 0.5, 1.0),"
         " epsilon_applied=0.125, degenerate=False)",
         4,
+    ),
+    "zero-dividing-to-inf": (
+        (2.0, _ZeroDividesToInf(0.0)),
+        (0.5, 0.5),
+        "PreparedChannel(gains=(2.0, 0.25), probs=(0.5, 0.5), inverse_gains=(0.5, 4.0),"
+        " cum_probs=(0.5, 1.0), epsilon_applied=0.25, degenerate=False)",
+        3,
+    ),
+    "lone-zero-dividing-to-inf": (
+        (_ZeroDividesToInf(0.0),),
+        (1.0,),
+        "PreparedChannel(gains=(0.0,), probs=(1.0,), inverse_gains=(inf,),"
+        " cum_probs=(1.0,), epsilon_applied=None, degenerate=True)",
+        2,
     ),
     "lone-float-zero": (
         (0.0,),
