@@ -479,21 +479,21 @@ def _check_factors(ch: PreparedChannel, alloc: PowerAllocation, active: tuple) -
         if not abs(y) < math.inf or abs(Fraction(y) / x - 1) > LAMBDA_RTOL:
             raise InternalConsistencyError(
                 f"decoded-rate factor of state {k} is {y},"
-                f" power vector implies {_rung(_MP_DIGITS[0]).num(x)}"
+                f" exact factor of the recorded frontier is {_rung(_MP_DIGITS[0]).num(x)}"
             )
 
 
 def _routes(ch: PreparedChannel, alloc: PowerAllocation):
-    """Both closed forms and whether they agree, settled on the precision
-    ladder.
+    """Both closed forms, gated on the precision ladder.
 
-    Returns ``(per_state, rate, agree)`` from one rung, rate the expected
-    rate of the allocation's power vector: ``agree`` means the exact values
-    of the two forms lie within ROUTE_RTOL of each other and per_state
-    within VALUE_RTOL of its own exact value; not ``agree`` means they
-    certifiably differ by more than ROUTE_RTOL.  Each rung decides alone,
-    and a rung that settles neither moves up one.  A disagreement is only
-    accepted from an mpmath rung, so a disagreement in floats moves up too.
+    Returns ``(per_state, rate)`` as floats from the rung that certifies the
+    exact values of the two forms within ROUTE_RTOL of each other and
+    per_state within VALUE_RTOL of its own exact value, rate the expected
+    rate of the allocation's power vector.  Raises InternalConsistencyError
+    when a rung certifies that they differ by more than ROUTE_RTOL, or when
+    no rung settles either.  Each rung decides alone, and a rung that
+    settles neither moves up one.  A disagreement is only accepted from an
+    mpmath rung, so a disagreement in floats moves up too.
     The decoded-rate factor cross-check is decided once, after the first
     rung that evaluates, and raises there.
 
@@ -553,43 +553,38 @@ def _routes(ch: PreparedChannel, alloc: PowerAllocation):
         scale = max(abs(per), abs(rate))
         err = err_p + err_r + rung.unit * diff
         if diff + err <= ROUTE_RTOL * (scale - err) and err_p <= VALUE_RTOL * abs(per):
-            return per, rate, True
+            return float(per), float(rate)
         if digits is not None and diff - err > ROUTE_RTOL * (scale + err):
-            return per, rate, False
-    raise InternalConsistencyError(
-        f"closed forms not settled at {_MP_DIGITS[-1]} digits:"
-        f" per-state {per} vs expected rate {rate}"
-    )
+            raise InternalConsistencyError(
+                f"closed forms disagree: per-state {per} vs expected rate {rate}"
+            )
+    values = "no rung evaluated them" if per is None else f"per-state {per} vs expected rate {rate}"
+    raise InternalConsistencyError(f"closed forms not settled at {_MP_DIGITS[-1]} digits: {values}")
 
 
 def closed_form_routes(ch: PreparedChannel, alloc: PowerAllocation) -> tuple:
     """The per-state closed form and the expected rate of the allocation's
     power vector, as floats, for cross-checking.
 
-    Both values come from the rung that settled the channel; the agreement
-    gate itself is not applied.
+    Gated as expected_capacity is: both values come from the rung that
+    certified their agreement, and a certified disagreement raises
+    InternalConsistencyError.
     """
     check_built("closed_form_routes", "ch", ch, PreparedChannel)
     check_built("closed_form_routes", "alloc", alloc, PowerAllocation, ch)
-    per_state, rate, _ = _routes(ch, alloc)
-    return float(per_state), float(rate)
+    return _routes(ch, alloc)
 
 
 def expected_capacity(ch: PreparedChannel, alloc: PowerAllocation) -> float:
     """Expected capacity over one-block delay, in nats per channel use.
 
-    Evaluates the per-state closed form and the expected rate of the
+    Gated: evaluates the per-state closed form and the expected rate of the
     allocation's power vector, and raises InternalConsistencyError if they
     disagree beyond ROUTE_RTOL relative; returns the per-state form.
     """
     check_built("expected_capacity", "ch", ch, PreparedChannel)
     check_built("expected_capacity", "alloc", alloc, PowerAllocation, ch)
-    per_state, rate, agree = _routes(ch, alloc)
-    if not agree:
-        raise InternalConsistencyError(
-            f"closed forms disagree: per-state {per_state} vs expected rate {rate}"
-        )
-    return float(per_state)
+    return _routes(ch, alloc)[0]
 
 
 def expected_rate_of(ch: PreparedChannel, beta) -> float:

@@ -458,7 +458,7 @@ def reference_routes(ch, alloc):
         # a NaN factor fails too
         if not abs(_mpf(stored) / derived - 1) <= LAMBDA_RTOL:
             raise InternalConsistencyError(
-                f"decoded-rate factor of state {k} is {stored}, power vector implies {derived}"
+                f"decoded-rate factor of state {k} is {stored}, factor of the frontier is {derived}"
             )
 
     per_state = sum((p[k] * _ctx.log(factors[k]) for k in range(ch.num_states)), _ctx.mpf(0))

@@ -138,24 +138,14 @@ def test_active_state_with_an_overflowed_inverse_gain_is_refused(route):
 
 
 @pytest.mark.parametrize("route", [expected_capacity, closed_form_routes])
-def test_the_one_overflowed_state_reaches_the_refusal_with_its_own_allocation(route):
-    # analyze takes C_exp = C_erg for one state and never calls the closed
-    # forms; called on the channel's own allocation, they refuse its n = inf
-    dist = FadingDistribution((1e-320,), (1.0,))
-    ch = prepare(dist)
-    alloc = optimal_allocation(ch, build_chain(ch))
-    message = (
-        "gains: the inverse of the gain 1e-320 of active state 1 overflows double precision"
-    )
-    with pytest.raises(ValidationError, match=f"^{message}$"):
-        route(ch, alloc)
-    assert analyze(dist).c_exp == 1e-320
-
-
-def test_certified_disagreement_of_the_closed_forms_raises(two_state, disagreeing_closed_forms):
+def test_certified_disagreement_of_the_closed_forms_raises(
+    two_state, disagreeing_closed_forms, route
+):
+    # both public readers are gated: neither returns values the ladder
+    # certified as disagreeing
     ch, _, alloc = two_state
     with pytest.raises(InternalConsistencyError, match="closed forms disagree"):
-        expected_capacity(ch, alloc)
+        route(ch, alloc)
 
 
 def test_closed_forms_that_never_settle_raise(two_state, monkeypatch):
@@ -164,13 +154,49 @@ def test_closed_forms_that_never_settle_raise(two_state, monkeypatch):
     evaluate = allocation._evaluate
 
     def unsettled(*args):
-        per, _, grp, _ = evaluate(*args)
-        return per, abs(per), grp, abs(grp)
+        per, _, rate, _ = evaluate(*args)
+        return per, abs(per), rate, abs(rate)
 
     monkeypatch.setattr(allocation, "_evaluate", unsettled)
     ch, _, alloc = two_state
     with pytest.raises(InternalConsistencyError, match="not settled at 960 digits"):
         expected_capacity(ch, alloc)
+
+
+def _level_gap_channel(e):
+    """Exact three-state channel whose second power level lies e above the
+    first: the conditioning of the rounded level gap passes _MAX_REL_ERR on
+    every rung whose precision does not resolve e."""
+    gains = (Fraction(1), Fraction(2, 5), 1 / (4 + e / 2))
+    return FadingDistribution(gains, (Fraction(1, 3),) * 3)
+
+
+@pytest.mark.parametrize("route", [expected_capacity, closed_form_routes])
+def test_closed_forms_that_no_rung_evaluates_raise(route):
+    # a level gap of 1e-1000 is beyond every rung's conditioning bound
+    ch, _, alloc = pipeline(_level_gap_channel(Fraction(1, 10**1000)))
+    message = "closed forms not settled at 960 digits: no rung evaluated them"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        route(ch, alloc)
+
+
+@pytest.mark.parametrize(
+    "exponent, digits",
+    [
+        (70, (60, 120)),
+        (150, (60, 120, 240)),
+        (300, (60, 120, 240, 480)),
+        (600, (60, 120, 240, 480, 960)),
+    ],
+    ids=["1e-70", "1e-150", "1e-300", "1e-600"],
+)
+def test_a_level_gap_climbs_to_the_rung_that_resolves_it(exponent, digits, rungs_used):
+    ch, _, alloc = pipeline(_level_gap_channel(Fraction(1, 10**exponent)))
+    assert alloc.active_states == (1, 2, 3)
+    value = expected_capacity(ch, alloc)
+    assert rungs_used == [allocation._rung(d) for d in (None,) + digits]
+    ref = analyze(_level_gap_channel(Fraction(1, 10**20))).c_exp
+    assert abs(value - ref) <= allocation.VALUE_RTOL * ref
 
 
 def test_expected_rate_examples(two_state):
@@ -528,8 +554,10 @@ def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):
         rungs = []
 
         def recording(*args):
-            rungs.append(args[-1])
-            return evaluate(*args)
+            out = evaluate(*args)
+            # each rung's own values, at its precision: _routes returns floats
+            rungs.append((args[-1], out and repr(out[::2])))
+            return out
 
         monkeypatch.setattr(allocation, "_evaluate", recording)
         return repr(allocation._routes(ch, alloc)), rungs
@@ -539,7 +567,7 @@ def test_routes_climb_the_ladder_as_with_the_reference_evaluation(monkeypatch):
         ch, _, alloc = pipeline(dist)
         routes, rungs = climb(evaluate, ch, alloc)
         assert (routes, rungs) == climb(reference, ch, alloc), dist
-        tops.append(rungs[-1])
+        tops.append(rungs[-1][0])
     assert tops[-2:] == [allocation._rung(60)] * 2
 
 

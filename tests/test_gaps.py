@@ -132,7 +132,7 @@ def test_long_high_snr_ladder_report():
 
 
 @pytest.mark.parametrize("k, d", [(32, 60), (16, 1e4), (32, 1e4)])
-def test_exact_family_beyond_60_digits(k, d):
+def test_exact_family_settles_in_floats_or_at_60_digits(k, d):
     # exact gains and probabilities spread over 55 to 124 decades; the
     # expected rate does not cancel, so floats or 60 digits settle them
     analysis = full_analysis(multiplicative_family(k, d))
